@@ -80,7 +80,6 @@ class RunConfig:
     function_specs: Tuple[str, ...]
     out: Optional[str]
     seed: int
-    threads: Optional[int]
     variant: str
     operator: str
     trials: int
@@ -275,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("mw-sweep", help="maximal-operator sharpness sweep")
     sp.add_argument("--p", type=str, required=True, help="exponents, e.g. 2,2")
     sp.add_argument("--eps", type=str, required=True, help="e.g. 2^-2..2^-9")
-    sp.add_argument("--threads", type=int, default=None)
     common(sp)
 
     sp = sub.add_parser("riesz-sweep", help="singular-integral sharpness sweep")
@@ -287,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="direct",
         choices=("direct", "adjoint_slot1"),
     )
-    sp.add_argument("--threads", type=int, default=None)
     common(sp)
 
     sp = sub.add_parser("audit", help="randomized upper-bound audit")
@@ -320,7 +317,6 @@ _CONFIG_KEYS = {
     "a",
     "out",
     "seed",
-    "threads",
     "variant",
     "operator",
     "trials",
@@ -387,11 +383,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     function_specs: Tuple[str, ...] = ()
     if getattr(args, "f", None) is not None:
         function_specs = _split_specs(args.f)
-    threads = getattr(args, "threads", None)
-    if threads is not None:
-        threads = int(threads)
-        if threads < 1:
-            raise ConfigError(f"--threads {threads} must be at least 1")
     trials = int(getattr(args, "trials", 0) or 0)
     if command == "audit" and trials < 1:
         raise ConfigError(f"--trials {trials} must be at least 1")
@@ -408,7 +399,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         function_specs=function_specs,
         out=getattr(args, "out", None),
         seed=int(getattr(args, "seed", 0) or 0),
-        threads=threads,
         variant=getattr(args, "variant", "direct"),
         operator=getattr(args, "operator", "sparse"),
         trials=trials,
@@ -517,7 +507,6 @@ def _run_sweep_command(cfg: RunConfig, builder, default_prefix: str, **kwargs) -
             cfg.eps,
             L=cfg.L,
             n=cfg.n,
-            threads=cfg.threads,
             **kwargs,
         )
     except ValueError as err:

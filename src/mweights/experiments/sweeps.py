@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -29,7 +27,9 @@ from ..operators import (
     multilinear_maximal,
     sparse_operator,
 )
-from ..weights import ApReport, CubeFamily, ExponentTuple, Weight, WeightVector, ap_constant
+from ..weights import (
+    CubeFamily, ExponentTuple, Weight, WeightVector, ap_constant, random_weight
+)
 from .extremals import ExtremalProblem
 from .norms import grid_lp_norm, hybrid_lower_norm
 
@@ -47,8 +47,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-_DEFAULT_THREADS = 4
 
 
 @dataclass(frozen=True)
@@ -140,42 +138,27 @@ def evaluate_problem(prob: ExtremalProblem) -> SweepRow:
     )
 
 
-def _resolve_threads(threads: Optional[int]) -> int:
-    if threads is None:
-        env = os.environ.get("MWEIGHTS_THREADS")
-        threads = int(env) if env else _DEFAULT_THREADS
-    return max(1, int(threads))
-
-
 def run_sweep(
     builder: Callable[..., ExtremalProblem],
     exponents: Union[ExponentTuple, Sequence[float]],
     eps_list: Sequence[float],
     L: int,
     n: int = 1,
-    threads: Optional[int] = None,
     **builder_kwargs,
 ) -> List[SweepRow]:
     """Evaluate one extremal family over a strength sequence.
 
-    Rows come back ordered by decreasing ``eps`` (mildest spike first), and
-    the values are independent of the worker count: rows are computed in
-    isolation and assembled in order.
+    Rows come back ordered by decreasing ``eps`` (mildest spike first); each
+    row is computed in isolation, so repeated runs give identical rows.
     """
     eps_sorted = sorted({float(e) for e in eps_list}, reverse=True)
     if not eps_sorted:
         raise ValueError("eps_list must be nonempty")
     lattice = Lattice(default_box(n), L)
-
-    def one(eps: float) -> SweepRow:
-        prob = builder(exponents, eps, lattice, **builder_kwargs)
-        return evaluate_problem(prob)
-
-    workers = min(_resolve_threads(threads), len(eps_sorted))
-    if workers == 1:
-        return [one(e) for e in eps_sorted]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, eps_sorted))
+    return [
+        evaluate_problem(builder(exponents, eps, lattice, **builder_kwargs))
+        for eps in eps_sorted
+    ]
 
 
 def fit_exponent(rows: Sequence[SweepRow]) -> FitResult:
@@ -215,9 +198,8 @@ CSV_HEADER = "eps,ap_const,lhs_norm,rhs_norm_product,ratio,L,ms"
 def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
     """Write rows as CSV with full-precision floats.
 
-    The elapsed-time column is written as 0 so that files from runs with
-    different worker counts compare byte-for-byte; timings stay available
-    on the row objects.
+    The elapsed-time column is written as 0 so that files from repeated
+    runs compare byte-for-byte; timings stay available on the row objects.
     """
     lines = [CSV_HEADER]
     for r in rows:
@@ -282,21 +264,6 @@ class AuditReport:
         }
 
 
-def _random_weight(rng: np.random.Generator, lattice: Lattice, p_i: float) -> Weight:
-    """A random admissible weight: power law or dyadic-step values.
-
-    Power exponents stay inside the range where the slot dual stays locally
-    integrable (``a < p_i - 1``) with margin, so every audit weight genuinely
-    satisfies the joint condition.
-    """
-    if rng.random() < 0.5:
-        hi = min(1.5, 0.9 * (p_i - 1.0))
-        a = float(rng.uniform(-0.4, hi)) if hi > -0.4 else 0.0
-        return Weight.power(lattice, a)
-    vals = 2.0 ** rng.integers(-3, 4, size=lattice.shape).astype(float)
-    return Weight.from_values(lattice, vals)
-
-
 def upper_bound_audit(
     exponents: Union[ExponentTuple, Sequence[float]],
     L: int,
@@ -340,7 +307,7 @@ def upper_bound_audit(
         if weight_kind == "constant":
             ws = tuple(Weight.constant(lattice) for _ in range(et.m))
         else:
-            ws = tuple(_random_weight(rng, lattice, p_i) for p_i in et.exponents)
+            ws = tuple(random_weight(rng, lattice, p_i) for p_i in et.exponents)
         wv = WeightVector(ws, et)
         rhs = [
             grid_lp_norm(f.values, p_i, w_i)

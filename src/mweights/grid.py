@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +33,10 @@ __all__ = [
     "PowerDescriptor",
     "GridFunction",
     "CellRegion",
+    "CubeLayout",
+    "box_sums",
     "cell_average",
+    "prefix_sums",
 ]
 
 
@@ -128,6 +131,28 @@ def third_offset(M: int, L: int) -> int:
     return t
 
 
+def prefix_sums(values: np.ndarray) -> np.ndarray:
+    """Inclusive prefix sums of ``values`` behind a zero row on every axis."""
+    out = np.zeros(tuple(k + 1 for k in values.shape))
+    core = values
+    for axis in range(values.ndim):
+        core = np.cumsum(core, axis=axis)
+    out[(slice(1, None),) * values.ndim] = core
+    return out
+
+
+def box_sums(prefix: np.ndarray, los, his) -> np.ndarray:
+    """Sums over the boxes ``[los[0][i], his[0][i]) x [los[1][k], his[1][k]) x ...``.
+
+    ``prefix`` comes from :func:`prefix_sums`; the result holds one sum per
+    combination of per-axis bounds, computed one axis at a time.
+    """
+    out = prefix
+    for axis in range(prefix.ndim):
+        out = out.take(his[axis], axis=axis) - out.take(los[axis], axis=axis)
+    return out
+
+
 @dataclass(frozen=True)
 class DyadicCube:
     """A cube on the cell lattice: start cell per axis plus size in cells.
@@ -148,6 +173,69 @@ class DyadicCube:
 
     def key(self) -> Tuple:
         return (self.start, self.size)
+
+
+@dataclass(frozen=True, eq=False)
+class CubeLayout:
+    """Cubes of one size starting at ``starts[0] x starts[1] x ...``, in C order.
+
+    A grid's layout also carries the grid, the generation and the index
+    ``j0`` of its first cube; aligned layouts carry none of them.
+    """
+
+    lattice: Lattice
+    size: int
+    starts: Tuple[np.ndarray, ...]
+    grid: Optional["DyadicGrid"] = None
+    g: Optional[int] = None
+    j0: Tuple[int, ...] = ()
+
+    @classmethod
+    def aligned(cls, lattice: Lattice, size: int) -> "CubeLayout":
+        """Every cell-aligned cube of ``size`` cells inside the box."""
+        starts = np.arange(lattice.cells_per_axis - size + 1)
+        return cls(lattice, size, (starts,) * lattice.n)
+
+    @classmethod
+    def of_cube(cls, lattice: Lattice, cube: DyadicCube) -> "CubeLayout":
+        """The layout of one cube, which must meet the box."""
+        N = lattice.cells_per_axis
+        if cube.size < 1:
+            raise ValueError("cube is finer than the lattice resolution")
+        if not all(s < N and s + cube.size > 0 for s in cube.start):
+            raise ValueError(f"cube start={cube.start} size={cube.size} misses the root box")
+        return cls(lattice, cube.size, tuple(np.array([s]) for s in cube.start))
+
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        return tuple(len(s) for s in self.starts)
+
+    def bounds(self):
+        """Per-axis cell bounds ``(los, his)`` of every cube, clipped to the box."""
+        N = self.lattice.cells_per_axis
+        los = tuple(np.clip(s, 0, N) for s in self.starts)
+        his = tuple(np.clip(s + self.size, 0, N) for s in self.starts)
+        return los, his
+
+    def averages(self, f: "GridFunction") -> np.ndarray:
+        """Averages of ``f`` over every cube, normalized by the full cube volume."""
+        lat = self.lattice
+        full_volume = (self.size * lat.h) ** lat.n
+        return box_sums(f.prefix(), *self.bounds()) * lat.cell_volume / full_volume
+
+    def cell_slots(self) -> Tuple[np.ndarray, ...]:
+        """Per axis, the index of the cube holding each cell (grid layouts)."""
+        cells = np.arange(self.lattice.cells_per_axis)
+        return tuple((cells - s[0]) // self.size for s in self.starts)
+
+    def cube(self, index: Sequence[int]) -> DyadicCube:
+        if self.grid is None:
+            return DyadicCube.aligned([s[i] for s, i in zip(self.starts, index)], self.size)
+        return self.grid.cube(self.g, [j + int(i) for j, i in zip(self.j0, index)])
+
+    def cubes(self) -> Iterator[DyadicCube]:
+        for index in np.ndindex(*self.shape):
+            yield self.cube(index)
 
 
 class DyadicGrid:
@@ -185,30 +273,18 @@ class DyadicGrid:
         j = tuple((int(c) - b) // 2**M for c, b in zip(cell, base))
         return self.cube(g, j)
 
-    def axis_cube_index(self, M: int) -> np.ndarray:
-        """Cube index along one axis for every cell (same for all axes of a
-        fixed beta bit); shape (2, N): row b is the index map for beta bit b."""
-        L = self.lattice.L
-        N = self.lattice.cells_per_axis
-        t = third_offset(M, L)
-        cells = np.arange(N)
-        out = np.empty((2, N), dtype=np.int64)
-        out[0] = (cells - 2 ** (L - 1)) // (2**M)
-        out[1] = (cells - 2 ** (L - 1) - t) // (2**M)
-        return out
-
-    def cubes_intersecting_box(self, g: int) -> List[DyadicCube]:
+    def layout(self, g: int) -> "CubeLayout":
+        """Every generation-``g`` cube meeting the box, in C order of ``j``."""
         M = self._check_generation(g)
-        base = self.base(M)
+        size = 2**M
         N = self.lattice.cells_per_axis
-        ranges = []
-        for b in base:
-            j_min = (1 - 2**M - b) // 2**M
-            while j_min * 2**M + b + 2**M <= 0:
-                j_min += 1
-            j_max = (N - 1 - b) // 2**M
-            ranges.append(range(j_min, j_max + 1))
-        return [self.cube(g, j) for j in itertools.product(*ranges)]
+        j0, starts = [], []
+        for b in self.base(M):
+            j_min = -((size + b - 1) // size)
+            j_max = (N - 1 - b) // size
+            j0.append(j_min)
+            starts.append(np.arange(j_min, j_max + 1) * size + b)
+        return CubeLayout(self.lattice, size, tuple(starts), self, g, tuple(j0))
 
 
 class ShiftedGridFamily:
@@ -228,6 +304,14 @@ class ShiftedGridFamily:
 
     def by_beta(self, beta: Tuple[int, ...]) -> DyadicGrid:
         return self.by_id["b" + "".join(str(b) for b in beta)]
+
+    def random_cube(self, rng: np.random.Generator) -> DyadicCube:
+        """A random grid, then a random generation in [G_MIN, L], then a
+        random cube of that generation meeting the box."""
+        grid = self.grids[int(rng.integers(len(self.grids)))]
+        layout = grid.layout(int(rng.integers(self.G_MIN, self.lattice.L + 1)))
+        k = int(rng.integers(math.prod(layout.shape)))
+        return layout.cube(np.unravel_index(k, layout.shape))
 
     def cover(self, start: Sequence[int], size: int) -> DyadicCube:
         """A family cube containing the aligned cube, at most 6x as wide."""
@@ -333,32 +417,8 @@ class GridFunction:
 
     def prefix(self) -> np.ndarray:
         if self._prefix is None:
-            n = self.lattice.n
-            N = self.lattice.cells_per_axis
-            P = np.zeros((N + 1,) * n)
-            core = self.values
-            for ax in range(n):
-                core = np.cumsum(core, axis=ax)
-            P[(slice(1, None),) * n] = core
-            self._prefix = P
+            self._prefix = prefix_sums(self.values)
         return self._prefix
-
-    def cells_sum(self, start: Sequence[int], size: int) -> float:
-        """Sum of cell values over the cube clipped to the box."""
-        N = self.lattice.cells_per_axis
-        lo = [min(max(int(s), 0), N) for s in start]
-        hi = [min(max(int(s) + size, 0), N) for s in start]
-        if any(a >= b for a, b in zip(lo, hi)):
-            return 0.0
-        P = self.prefix()
-        total = 0.0
-        for corner in itertools.product(*[(a, b) for a, b in zip(lo, hi)]):
-            sign = (-1) ** sum(c == a for c, a in zip(corner, lo))
-            total += sign * float(P[corner])
-        return total
-
-    def mass_sum(self, start: Sequence[int], size: int) -> float:
-        return self.cells_sum(start, size) * self.lattice.cell_volume
 
     def total_mass(self) -> float:
         return float(np.sum(self.values)) * self.lattice.cell_volume
@@ -389,12 +449,22 @@ class GridFunction:
             lattice = Lattice(
                 Box(tuple(header["box"]["lo"]), header["box"]["side"]), header["L"]
             )
-            flat = np.zeros(lattice.cells_per_axis ** lattice.n)
+            count = lattice.cells_per_axis**lattice.n
+            flat = np.zeros(count)
+            seen = np.zeros(count, dtype=bool)
             for line in fh:
                 if not line.strip():
                     continue
                 idx, val = line.split(",", 1)
-                flat[int(idx)] = float(val)
+                i = int(idx)
+                if not 0 <= i < count:
+                    raise ValueError(f"cell index {i} outside 0..{count - 1}")
+                if seen[i]:
+                    raise ValueError(f"cell index {i} appears twice")
+                seen[i] = True
+                flat[i] = float(val)
+        if not seen.all():
+            raise ValueError(f"{count - int(seen.sum())} of {count} cells have no row")
         desc = None
         if header["descriptor"] is not None:
             d = header["descriptor"]
@@ -442,11 +512,4 @@ def cell_average(f: GridFunction, cube: DyadicCube) -> float:
     Cells outside the root box contribute zero. The cube must intersect the
     box and must not be finer than the lattice.
     """
-    N = f.lattice.cells_per_axis
-    if cube.size < 1:
-        raise ValueError("cube is finer than the lattice resolution")
-    inside = all(s < N and s + cube.size > 0 for s in cube.start)
-    if not inside:
-        raise ValueError(f"cube start={cube.start} size={cube.size} misses the root box")
-    full_volume = (cube.size * f.lattice.h) ** f.lattice.n
-    return f.mass_sum(cube.start, cube.size) / full_volume
+    return float(CubeLayout.of_cube(f.lattice, cube).averages(f).flat[0])

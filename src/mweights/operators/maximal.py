@@ -16,51 +16,12 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..grid import DyadicGrid, GridFunction, Lattice, ShiftedGridFamily
+from ..grid import DyadicGrid, GridFunction, Lattice, ShiftedGridFamily, box_sums, prefix_sums
 from ..weights import Weight
 
 logger = logging.getLogger(__name__)
 
 __all__ = ["dyadic_maximal", "multilinear_maximal", "weighted_dyadic_maximal"]
-
-
-def _padded_prefix(values: np.ndarray) -> np.ndarray:
-    out = values
-    for axis in range(values.ndim):
-        out = np.cumsum(out, axis=axis)
-        pad = [(0, 0)] * values.ndim
-        pad[axis] = (1, 0)
-        out = np.pad(out, pad)
-    return out
-
-
-def _generation_layout(grid: DyadicGrid, g: int):
-    """Clipped cell ranges of every generation-``g`` cube meeting the box.
-
-    Returns per-axis arrays ``(los, his)`` of clipped cell bounds, plus the
-    per-axis map from cell index to cube slot.
-    """
-    lat = grid.lattice
-    N = lat.cells_per_axis
-    size = 2 ** (lat.L - g)
-    base = grid.base(lat.L - g)
-    los, his, cell_slots = [], [], []
-    for b in base:
-        j_min = -((size + b - 1) // size)
-        j_max = (N - 1 - b) // size
-        starts = np.arange(j_min, j_max + 1) * size + b
-        los.append(np.clip(starts, 0, N))
-        his.append(np.clip(starts + size, 0, N))
-        cell_slots.append((np.arange(N) - b) // size - j_min)
-    return los, his, cell_slots
-
-
-def _box_sums(prefix: np.ndarray, los, his) -> np.ndarray:
-    """Sums of values over each clipped cube, one axis at a time."""
-    out = prefix
-    for axis in range(prefix.ndim):
-        out = out.take(his[axis], axis=axis) - out.take(los[axis], axis=axis)
-    return out
 
 
 def _check_inputs(fs: Sequence[GridFunction], g_min: int) -> Lattice:
@@ -90,12 +51,12 @@ def dyadic_maximal(
     prefixes = [f.prefix() for f in fs]
     out = np.zeros(lat.shape)
     for g in range(g_min, lat.L + 1):
-        size = 2 ** (lat.L - g)
-        los, his, cell_slots = _generation_layout(grid, g)
-        vals = np.ones([len(lo) for lo in los])
+        layout = grid.layout(g)
+        los, his = layout.bounds()
+        vals = np.ones(layout.shape)
         for prefix in prefixes:
-            vals = vals * (_box_sums(prefix, los, his) / float(size) ** lat.n)
-        per_cell = vals[np.ix_(*cell_slots)]
+            vals = vals * (box_sums(prefix, los, his) / float(layout.size) ** lat.n)
+        per_cell = vals[np.ix_(*layout.cell_slots())]
         np.maximum(out, per_cell, out=out)
     return GridFunction(lat, out)
 
@@ -137,13 +98,14 @@ def weighted_dyadic_maximal(
     if w.lattice != lat or grid.lattice != lat:
         raise ValueError("function, weight, and grid must share one lattice")
     wm = w.cell_masses()
-    num_prefix = _padded_prefix(f.values * wm)
-    den_prefix = _padded_prefix(wm)
+    num_prefix = prefix_sums(f.values * wm)
+    den_prefix = prefix_sums(wm)
     out = np.zeros(lat.shape)
     for g in range(g_min, lat.L + 1):
-        los, his, cell_slots = _generation_layout(grid, g)
-        num = _box_sums(num_prefix, los, his)
-        den = _box_sums(den_prefix, los, his)
+        layout = grid.layout(g)
+        los, his = layout.bounds()
+        num = box_sums(num_prefix, los, his)
+        den = box_sums(den_prefix, los, his)
         empty = den <= 0.0
         if np.any(empty):
             logger.debug(
@@ -153,6 +115,6 @@ def weighted_dyadic_maximal(
             )
         with np.errstate(invalid="ignore", divide="ignore"):
             vals = np.where(empty, 0.0, num / np.where(empty, 1.0, den))
-        per_cell = vals[np.ix_(*cell_slots)]
+        per_cell = vals[np.ix_(*layout.cell_slots())]
         np.maximum(out, per_cell, out=out)
     return GridFunction(lat, out)

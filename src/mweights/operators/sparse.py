@@ -14,7 +14,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..grid import CellRegion, DyadicCube, DyadicGrid, GridFunction, Lattice, cell_average
+from ..grid import (
+    CellRegion, DyadicCube, DyadicGrid, GridFunction, Lattice, box_sums, cell_average
+)
 
 logger = logging.getLogger(__name__)
 
@@ -135,20 +137,19 @@ def build_sparse_family(
         if np.any(g.values[outside] != 0.0):
             raise ValueError("root cube must contain the joint support")
 
-    prefixes = [g.prefix() for g in gs]
-
-    def cube_value(start: Tuple[int, ...], size: int) -> float:
-        prod = 1.0
-        for prefix in prefixes:
-            block = prefix
-            for axis, s in enumerate(start):
-                block = block.take(
-                    np.array([s + size]), axis=axis
-                ) - block.take(np.array([s]), axis=axis)
-            prod *= float(block.reshape(())) / float(size) ** lat.n
-        return prod
-
-    lambda0 = cube_value(root.start, root.size)
+    # products of averages of every cube under the root, one table per size,
+    # indexed by the cube's offset from the root start in cubes of that size
+    tables = {}
+    size = root.size
+    while size >= 1:
+        los = tuple(s + np.arange(root.size // size) * size for s in root.start)
+        his = tuple(lo + size for lo in los)
+        table = np.ones((root.size // size,) * lat.n)
+        for g in gs:
+            table = table * (box_sums(g.prefix(), los, his) / float(size) ** lat.n)
+        tables[size] = table
+        size //= 2
+    lambda0 = float(tables[root.size].flat[0])
     owner = np.full(lat.shape, -1, dtype=np.int64)
     cubes: List[DyadicCube] = [root]
     owner[_cube_slices(root, lat)] = 0
@@ -166,7 +167,8 @@ def build_sparse_family(
             half = size // 2
             for offsets in np.ndindex(*(2,) * lat.n):
                 cstart = tuple(s + o * half for s, o in zip(start, offsets))
-                val = cube_value(cstart, half)
+                offset = tuple((s - r) // half for s, r in zip(cstart, root.start))
+                val = float(tables[half][offset])
                 if val == 0.0:
                     continue
                 exceed = 0

@@ -29,6 +29,7 @@ from .weights import (
     ap_constant,
     dualize,
     per_cube_ap,
+    random_weight,
 )
 from .experiments import (
     SweepRow,
@@ -38,28 +39,6 @@ from .experiments import (
 )
 
 CheckResult = Tuple[str, bool, str]
-
-
-def _random_weight_vector(
-    rng: np.random.Generator, lattice: Lattice, et: ExponentTuple
-) -> WeightVector:
-    ws = []
-    for p_i in et.exponents:
-        if rng.random() < 0.5:
-            hi = min(1.5, 0.9 * (p_i - 1.0))
-            ws.append(Weight.power(lattice, float(rng.uniform(-0.4, hi))))
-        else:
-            vals = 2.0 ** rng.integers(-3, 4, size=lattice.shape).astype(float)
-            ws.append(Weight.from_values(lattice, vals))
-    return WeightVector(tuple(ws), et)
-
-
-def _random_cube(rng: np.random.Generator, lattice: Lattice):
-    family = ShiftedGridFamily(lattice)
-    grid = family.grids[int(rng.integers(len(family.grids)))]
-    g = int(rng.integers(-2, lattice.L + 1))
-    cubes = grid.cubes_intersecting_box(g)
-    return cubes[int(rng.integers(len(cubes)))]
 
 
 def check_duality_identity(seed: int) -> CheckResult:
@@ -72,8 +51,8 @@ def check_duality_identity(seed: int) -> CheckResult:
         et = ExponentTuple(exps)
         m = et.m
         for _ in range(40):
-            wv = _random_weight_vector(rng, lattice, et)
-            Q = _random_cube(rng, lattice)
+            wv = WeightVector([random_weight(rng, lattice, p) for p in et.exponents], et)
+            Q = ShiftedGridFamily(lattice).random_cube(rng)
             base = per_cube_ap(wv, Q)
             if base <= 0.0:
                 continue
@@ -94,7 +73,7 @@ def check_holder_step(seed: int) -> CheckResult:
     for exps in ((2.0, 2.0), (4.0, 4.0 / 3.0), (1.5, 2.5, 5.0)):
         et = ExponentTuple(exps)
         for _ in range(60):
-            wv = _random_weight_vector(rng, lattice, et)
+            wv = WeightVector([random_weight(rng, lattice, p) for p in et.exponents], et)
             mask = rng.random(lattice.shape) < 0.3
             if not mask.any():
                 continue
@@ -212,10 +191,10 @@ def check_riesz_symmetry_and_pairing(seed: int) -> CheckResult:
 
 
 def check_sweep_determinism(seed: int) -> CheckResult:
-    """Thread count never changes sweep rows, and the fit is exact on a line."""
+    """Two runs give bitwise-identical sweep rows, and the fit is exact on a line."""
     eps = [2.0**-k for k in range(2, 6)]
-    rows1 = run_sweep(maximal_problem, (2.0, 2.0), eps, L=5, threads=1)
-    rows2 = run_sweep(maximal_problem, (2.0, 2.0), eps, L=5, threads=2)
+    rows1 = run_sweep(maximal_problem, (2.0, 2.0), eps, L=5)
+    rows2 = run_sweep(maximal_problem, (2.0, 2.0), eps, L=5)
     bitwise = all(
         a.ratio == b.ratio and a.ap_const == b.ap_const
         for a, b in zip(rows1, rows2)

@@ -14,7 +14,6 @@ whose supremand values are diluted accordingly and never dominate.
 """
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,8 +22,8 @@ from typing import Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .grid import (
-    Box,
     CellRegion,
+    CubeLayout,
     DyadicCube,
     GridFunction,
     Lattice,
@@ -42,6 +41,7 @@ __all__ = [
     "per_cube_ap",
     "ap_constant",
     "dualize",
+    "random_weight",
     "weight_from_config",
 ]
 
@@ -232,27 +232,36 @@ class WeightVector:
         return self._sigmas[i]
 
 
+def _supremand(wv: WeightVector, layout: CubeLayout) -> Tuple[np.ndarray, np.ndarray]:
+    """avg_Q(joint) * prod_i avg_Q(sigma_i)^(p/p_i') on every cube of the layout,
+    and the mask of cubes where an average has zero mass (through underflow
+    of extreme exponents) and the supremand is set to 0.  Once every cube is
+    degenerate the remaining duals, which may not be finite, are skipped.
+    """
+    P = wv.exponents
+    out = layout.averages(wv.joint.density())
+    degenerate = out == 0.0
+    for i in range(P.m):
+        if degenerate.all():
+            break
+        avg_sig = layout.averages(wv.sigma(i).density())
+        degenerate |= avg_sig == 0.0
+        out = out * avg_sig ** (P.p / P.conjugates[i])
+    return np.where(degenerate, 0.0, out), degenerate
+
+
 def per_cube_ap(wv: WeightVector, Q: DyadicCube) -> float:
     """Supremand of the joint-weight condition on one cube:
     avg_Q(joint) * prod_i avg_Q(sigma_i)^(p/p_i').
 
-    Returns 0 (and logs) when any of the averages degenerates to zero mass,
-    which can only happen through floating-point underflow of extreme
-    exponents.
+    Runs the array kernel of :func:`ap_constant` on a one-cube layout, so it
+    returns the very value the scan saw for ``Q``.  Returns 0 (and logs) when
+    an average degenerates to zero mass.
     """
-    avg_joint = wv.joint.average(Q)
-    if avg_joint == 0.0:
-        logger.debug("degenerate zero joint-weight mass on %s; returning 0", Q)
-        return 0.0
-    out = avg_joint
-    P = wv.exponents
-    for i in range(P.m):
-        avg_sig = wv.sigma(i).average(Q)
-        if avg_sig == 0.0:
-            logger.debug("degenerate zero dual-weight mass (slot %d) on %s", i, Q)
-            return 0.0
-        out *= avg_sig ** (P.p / P.conjugates[i])
-    return out
+    vals, degenerate = _supremand(wv, CubeLayout.of_cube(wv.lattice, Q))
+    if degenerate.any():
+        logger.debug("degenerate zero-mass average on %s; returning 0", Q)
+    return float(vals.flat[0])
 
 
 @dataclass(frozen=True)
@@ -279,19 +288,22 @@ class CubeFamily:
     def effective_g_max(self) -> int:
         return self.lattice.L if self.g_max is None else self.g_max
 
-    def cubes(self) -> Iterator[DyadicCube]:
+    def layouts(self) -> Iterator[CubeLayout]:
+        """The family in scan order: one layout per (generation, grid) for
+        "shifted", then one per cube size for "aligned"."""
         if self.kind in ("shifted", "both"):
             family = ShiftedGridFamily(self.lattice)
             for g in range(self.g_min, self.effective_g_max + 1):
                 for grid in family.grids:
-                    yield from grid.cubes_intersecting_box(g)
+                    yield grid.layout(g)
         if self.kind in ("aligned", "both"):
-            N = self.lattice.cells_per_axis
-            for size in range(1, N + 1):
-                for start in itertools.product(
-                    range(N - size + 1), repeat=self.lattice.n
-                ):
-                    yield DyadicCube.aligned(start, size)
+            for size in range(1, self.lattice.cells_per_axis + 1):
+                yield CubeLayout.aligned(self.lattice, size)
+
+    def cubes(self) -> Iterator[DyadicCube]:
+        """Every cube one at a time, in scan order."""
+        for layout in self.layouts():
+            yield from layout.cubes()
 
     @property
     def describe(self) -> str:
@@ -306,6 +318,7 @@ class ApReport:
     argmax: Optional[DyadicCube]
     scanned: int
     family: str
+    degenerate: int  # cubes whose supremand was set to 0 for zero mass
 
     def to_json(self) -> dict:
         arg = None
@@ -322,26 +335,35 @@ class ApReport:
             "argmax": arg,
             "scanned": self.scanned,
             "family": self.family,
+            "degenerate": self.degenerate,
         }
 
 
 def ap_constant(wv: WeightVector, family: CubeFamily) -> ApReport:
     """Maximum of per_cube_ap over the family, with the argmax recorded.
 
-    Deterministic: cubes are scanned in a fixed order and ties keep the first
-    maximizer. A family containing no cubes is rejected.
+    Deterministic: layouts are scanned in the family's order, each in C
+    order, and ties keep the first maximizer.  A family containing no cubes
+    is rejected.
     """
     best = float("-inf")
     arg: Optional[DyadicCube] = None
-    scanned = 0
-    for cube in family.cubes():
-        scanned += 1
-        val = per_cube_ap(wv, cube)
-        if val > best:
-            best, arg = val, cube
+    scanned = degenerate = 0
+    for layout in family.layouts():
+        vals, degen = _supremand(wv, layout)
+        scanned += vals.size
+        degenerate += int(np.count_nonzero(degen))
+        k = int(np.argmax(vals))
+        if vals.flat[k] > best:
+            best = float(vals.flat[k])
+            arg = layout.cube(np.unravel_index(k, layout.shape))
     if scanned == 0:
         raise ValueError(f"cube family {family.describe} is empty")
-    return ApReport(best, arg, scanned, family.describe)
+    if degenerate:
+        logger.debug(
+            "%d of %d cubes degenerate to zero mass; their supremand is 0", degenerate, scanned
+        )
+    return ApReport(best, arg, scanned, family.describe, degenerate)
 
 
 def dualize(wv: WeightVector, i: int) -> WeightVector:
@@ -362,6 +384,20 @@ def dualize(wv: WeightVector, i: int) -> WeightVector:
     new_exps = list(P.exponents)
     new_exps[i] = p_conj
     return WeightVector(new_weights, ExponentTuple(new_exps))
+
+
+def random_weight(rng: np.random.Generator, lattice: Lattice, p_i: float) -> Weight:
+    """A random admissible weight for slot exponent ``p_i``: a power law or
+    dyadic steps, with even odds.
+
+    Power exponents stay in (-0.4, min(1.5, 0.9 (p_i - 1))), where both the
+    weight and its slot dual are locally integrable with margin.
+    """
+    if rng.random() < 0.5:
+        hi = min(1.5, 0.9 * (p_i - 1.0))
+        return Weight.power(lattice, float(rng.uniform(-0.4, hi)))
+    steps = 2.0 ** rng.integers(-3, 4, size=lattice.shape).astype(float)
+    return Weight.from_values(lattice, steps)
 
 
 def weight_from_config(lattice: Lattice, cfg: dict) -> Weight:

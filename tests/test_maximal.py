@@ -34,7 +34,7 @@ def brute_multilinear(fs):
             for start in range(0, N - size + 1):
                 prod = 1.0
                 for f in fs:
-                    prod *= f.cells_sum((start,), size) / size
+                    prod *= f.values[start : start + size].sum() / size
                 sl = slice(start, start + size)
                 out[sl] = np.maximum(out[sl], prod)
     else:
@@ -43,7 +43,7 @@ def brute_multilinear(fs):
                 for s1 in range(0, N - size + 1):
                     prod = 1.0
                     for f in fs:
-                        prod *= f.cells_sum((s0, s1), size) / size**2
+                        prod *= f.values[s0 : s0 + size, s1 : s1 + size].sum() / size**2
                     sl = (slice(s0, s0 + size), slice(s1, s1 + size))
                     out[sl] = np.maximum(out[sl], prod)
     return out

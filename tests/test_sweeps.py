@@ -94,19 +94,19 @@ def test_run_sweep_maximal_slope_sane_at_low_resolution():
     assert 1.2 <= fit.slope <= 2.8
 
 
-def test_run_sweep_deterministic_across_thread_counts(tmp_path):
+def test_run_sweep_deterministic_across_runs(tmp_path):
     eps_list = [2.0**-k for k in range(2, 6)]
-    rows1 = run_sweep(maximal_problem, (2.0, 2.0), eps_list, L=6, threads=1)
-    rows4 = run_sweep(maximal_problem, (2.0, 2.0), eps_list, L=6, threads=4)
-    for a, b in zip(rows1, rows4):
+    rows1 = run_sweep(maximal_problem, (2.0, 2.0), eps_list, L=6)
+    rows2 = run_sweep(maximal_problem, (2.0, 2.0), eps_list, L=6)
+    for a, b in zip(rows1, rows2):
         assert a.eps == b.eps
         assert a.ratio == b.ratio  # bitwise
         assert a.ap_const == b.ap_const
-    p1 = tmp_path / "one.csv"
-    p4 = tmp_path / "four.csv"
+    p1 = tmp_path / "first.csv"
+    p2 = tmp_path / "second.csv"
     write_sweep_csv(rows1, p1)
-    write_sweep_csv(rows4, p4)
-    assert p1.read_bytes() == p4.read_bytes()
+    write_sweep_csv(rows2, p2)
+    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_run_sweep_riesz_direct_small():

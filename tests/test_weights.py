@@ -186,6 +186,14 @@ def test_per_cube_ap_degenerate_underflow_returns_zero(caplog):
     with caplog.at_level(logging.DEBUG, logger="mweights.weights"):
         assert per_cube_ap(wv, Q) == 0.0
     assert any("degenerate" in r.message for r in caplog.records)
+    # the scan counts every such cube instead of logging each one
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="mweights.weights"):
+        report = ap_constant(wv, CubeFamily(lat))
+    assert report.constant == 0.0
+    assert report.degenerate == report.scanned > 0
+    assert report.to_json()["degenerate"] == report.scanned
+    assert sum("degenerate" in r.message for r in caplog.records) == 1
 
 
 # -------------------------------------------------------------- ap constant
@@ -243,6 +251,35 @@ def test_ap_constant_classical_cross_check():
         avg_s = dual_masses[a:b].sum() / vol
         best = max(best, avg_w * avg_s ** (p - 1.0))
     assert report.constant == pytest.approx(best, rel=1e-12)
+
+
+@pytest.mark.parametrize("weights", ["constant", "power"])
+@pytest.mark.parametrize("kind", ["shifted", "aligned", "both"])
+@pytest.mark.parametrize("n, L", [(1, 5), (2, 3)])
+def test_ap_constant_argmax_is_first_strict_maximizer(n, L, kind, weights):
+    # the batched scan must agree with a plain cube-by-cube loop in scan
+    # order: same count, same value, and ties broken toward the first cube
+    lat = Lattice(default_box(n), L)
+    if weights == "constant":
+        ws = [Weight.constant(lat), Weight.constant(lat)]
+    else:
+        ws = [Weight.power(lat, 0.5), Weight.power(lat, -0.25)]
+    wv = WeightVector(ws, ExponentTuple((2.0, 3.0)))
+    family = CubeFamily(lat, kind=kind)
+    best, arg, scanned, ties = float("-inf"), None, 0, 0
+    for cube in family.cubes():
+        scanned += 1
+        val = per_cube_ap(wv, cube)
+        ties = ties + 1 if val == best else ties
+        if val > best:
+            best, arg, ties = val, cube, 1
+    report = ap_constant(wv, family)
+    assert report.scanned == scanned
+    assert report.constant == best
+    key = lambda c: (c.grid_id, c.g, c.j, c.start, c.size)  # noqa: E731
+    assert key(report.argmax) == key(arg)
+    if weights == "constant":
+        assert best == 1.0 and ties > 1
 
 
 def test_ap_constant_rejects_empty_family():
