@@ -97,7 +97,8 @@ def evaluate_problem(prob: ExtremalProblem) -> SweepRow:
         idx = np.nonzero(mask)[0]
         points = lat.box.lo[0] + (idx + 0.5) * lat.h
         rv = bilinear_riesz(prob.fs[0], prob.fs[1], points, variant=variant)
-        quad_ok = bool(np.all(np.isfinite(rv.values)))
+        cone = prob.minorant.coeff * np.abs(points) ** prob.minorant.exponent
+        quad_ok = bool(np.all(np.isfinite(rv.values)) and np.all(rv.values >= cone))
         # A midpoint quadrature value cannot see mass below the cell scale,
         # and the share of the output norm sitting below that scale grows as
         # the spike sharpens, so mixing quadrature cells into the norm lets
@@ -105,8 +106,10 @@ def evaluate_problem(prob: ExtremalProblem) -> SweepRow:
         # the fitted growth.  The cone minorant integrates the singularity
         # exactly with a uniform constant; measuring the output norm by it
         # alone keeps the bias constant, so the fit reflects the operator
-        # rather than the mesh.  The quadrature still runs as the row's
-        # finiteness guard.
+        # rather than the mesh.  The quadrature checks the minorant instead:
+        # the row counts only if the quadrature is finite and at least the
+        # minorant at every evaluation point, so a wrong kernel or wrong
+        # cone constant makes criterion 7 refuse the sweep.
         out_values = np.zeros(lat.shape)
     else:
         raise ValueError(f"unknown problem kind {prob.kind!r}")

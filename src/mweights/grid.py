@@ -213,8 +213,8 @@ class CubeLayout:
     def bounds(self):
         """Per-axis cell bounds ``(los, his)`` of every cube, clipped to the box."""
         N = self.lattice.cells_per_axis
-        los = tuple(np.clip(s, 0, N) for s in self.starts)
-        his = tuple(np.clip(s + self.size, 0, N) for s in self.starts)
+        los = tuple(np.minimum(np.maximum(s, 0), N) for s in self.starts)
+        his = tuple(np.minimum(np.maximum(s + self.size, 0), N) for s in self.starts)
         return los, his
 
     def averages(self, f: "GridFunction") -> np.ndarray:

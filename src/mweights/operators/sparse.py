@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..grid import (
-    CellRegion, DyadicCube, DyadicGrid, GridFunction, Lattice, box_sums, cell_average
+    CellRegion, CubeLayout, DyadicCube, DyadicGrid, GridFunction, Lattice, box_sums
 )
 
 logger = logging.getLogger(__name__)
@@ -218,10 +218,18 @@ def sparse_operator(fam: SparseFamily, fs: Sequence[GridFunction]) -> GridFuncti
     for f in fs[1:]:
         if f.lattice != lat:
             raise ValueError("all grid functions must share one lattice")
-    out = np.zeros(lat.shape)
-    for cube in fam.cubes:
-        prod = 1.0
+    # one box-sum table per input and cube size, over the distinct starts of
+    # that size's cubes per axis; each cube reads its entry of the tables
+    prods = np.ones(len(fam.cubes))
+    for size in sorted({cube.size for cube in fam.cubes}):
+        members = [k for k, cube in enumerate(fam.cubes) if cube.size == size]
+        corners = tuple(zip(*(fam.cubes[k].start for k in members)))
+        starts = tuple(np.array(sorted(set(axis))) for axis in corners)
+        slots = tuple(np.searchsorted(s, axis) for s, axis in zip(starts, corners))
+        layout = CubeLayout(lat, size, starts)
         for f in fs:
-            prod *= cell_average(f, cube)
+            prods[members] = prods[members] * layout.averages(f)[slots]
+    out = np.zeros(lat.shape)
+    for cube, prod in zip(fam.cubes, prods):
         out[_cube_slices(cube, lat)] += prod
     return GridFunction(lat, out)

@@ -155,3 +155,108 @@ def test_rejects_2d_lattice():
     f = GridFunction(lat, np.ones((8, 8)))
     with pytest.raises(ValueError, match="one-dimensional"):
         bilinear_riesz(f, f, np.array([0.5]))
+
+
+def brute_riesz(f1, f2, points, variant):
+    """Plain double sum over every pair of cells with mass, one point at a time."""
+    lat = f1.lattice
+    h = lat.h
+    mids = lat.box.lo[0] + (np.arange(lat.cells_per_axis) + 0.5) * h
+    kernel = direct_kernel if variant == "direct" else adjoint_kernel
+    values, flags = [], []
+    for x in points:
+        total, omitted = 0.0, False
+        for i in np.nonzero(f1.values > 0.0)[0]:
+            for j in np.nonzero(f2.values > 0.0)[0]:
+                if abs(mids[i] - x) <= h / 2 and abs(mids[j] - x) <= h / 2:
+                    omitted = True
+                    continue
+                total += kernel(x, mids[i], mids[j]) * f1.values[i] * f2.values[j] * h * h
+        values.append(total)
+        flags.append(omitted)
+    return np.array(values), np.array(flags)
+
+
+def _oracle_points(lat, rng):
+    h = lat.h
+    lo = lat.box.lo[0]
+    hi = lo + lat.box.side
+    N = lat.cells_per_axis
+    mids = lo + (rng.choice(N, size=12, replace=False) + 0.5) * h
+    edges = lo + rng.choice(N + 1, size=12, replace=False) * h
+    inside = rng.uniform(lo, hi, size=12)
+    outside = np.array([lo - 0.3, lo - 5 * h, hi + 0.5 * h, hi + 2.7])
+    return np.concatenate([mids, edges, [0.0, lo, hi], inside, outside])
+
+
+@pytest.mark.parametrize("variant", ["direct", "adjoint_slot1"])
+@pytest.mark.parametrize("L", [4, 7])
+def test_quadrature_matches_brute_force_double_sum(variant, L):
+    # supports with gaps, sizes that are not multiples of a tile, and at
+    # L = 7 enough points and cells to span several tiles
+    lat = lattice(L)
+    N = lat.cells_per_axis
+    rng = np.random.default_rng(100 + L)
+    f1 = GridFunction(lat, rng.random(N) * (rng.random(N) < 0.7))
+    f2 = GridFunction(lat, rng.random(N) * (rng.random(N) < 0.5))
+    pts = _oracle_points(lat, rng)
+    if L == 7:
+        h = lat.h
+        run = lat.box.lo[0] + (np.arange(3, 3 + 77) + 0.5) * h  # 77 midpoints in a row
+        pts = np.concatenate([pts, run])
+    res = bilinear_riesz(f1, f2, pts, variant=variant)
+    want, flags = brute_riesz(f1, f2, pts, variant)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(res.values - want)) <= 1e-12 * scale
+    assert np.array_equal(res.pv_approximate, flags)
+    assert flags.any() and not flags.all()
+
+
+@pytest.mark.parametrize("variant", ["direct", "adjoint_slot1"])
+def test_quadrature_skips_empty_cell_blocks_and_keeps_point_order(variant):
+    # f1 vanishes on a whole run of 64 cells; points repeat and come unsorted
+    lat = lattice(8)
+    N = lat.cells_per_axis
+    rng = np.random.default_rng(7)
+    v1 = rng.random(N) * (rng.random(N) < 0.3)
+    v1[64:128] = 0.0
+    f1 = GridFunction(lat, v1)
+    f2 = GridFunction(lat, rng.random(N) * (rng.random(N) < 0.3))
+    h = lat.h
+    pts = np.array([0.5 + 0.5 * h, -1.0, 0.0, 0.5 + 0.5 * h, -0.7 + 0.25 * h, -1.0])
+    res = bilinear_riesz(f1, f2, pts, variant=variant)
+    want, flags = brute_riesz(f1, f2, pts, variant)
+    assert np.max(np.abs(res.values - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(res.pv_approximate, flags)
+    assert res.values[3] == res.values[0] and res.values[5] == res.values[1]
+    assert np.array_equal(res.points, pts)
+
+
+@pytest.mark.parametrize("variant", ["direct", "adjoint_slot1"])
+def test_quadrature_memory_stays_tiled(variant):
+    # full supports on all 1024 midpoints at L = 10: an untiled kernel
+    # table or per-point pair matrix needs tens of MiB
+    import tracemalloc
+
+    lat = lattice(10)
+    N = lat.cells_per_axis
+    f = GridFunction(lat, np.linspace(1.0, 2.0, N))
+    mids = lat.box.lo[0] + (np.arange(N) + 0.5) * lat.h
+    tracemalloc.start()
+    try:
+        res = bilinear_riesz(f, f, mids, variant=variant)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(res.values)) and res.pv_approximate.all()
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("variant", ["direct", "adjoint_slot1"])
+def test_nonfinite_points_give_nan_without_flag(variant):
+    lat = lattice(4)
+    f = GridFunction.indicator(lat, Interval(-1.0, 1.0))
+    res = bilinear_riesz(f, f, np.array([np.nan, 0.3, np.inf]), variant=variant)
+    assert np.isnan(res.values[0]) and np.isnan(res.values[2])
+    assert np.isfinite(res.values[1])
+    assert not res.pv_approximate[0] and not res.pv_approximate[2]

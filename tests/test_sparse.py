@@ -198,6 +198,37 @@ def test_sparse_operator_two_cube_hand_sum():
     assert np.allclose(out.values[20:24], 1.0)
 
 
+@pytest.mark.parametrize("n,L,seed", [(1, 8, 1), (2, 6, 2)])
+def test_sparse_operator_matches_per_cube_averages_bitwise(n, L, seed):
+    # three power spikes give families with several cubes of one size and
+    # cubes of three sizes; the batched operator must equal a plain loop
+    # over cell_average exactly
+    lat = lattice(L, n)
+    grid = std_grid(lat)
+    N = lat.cells_per_axis
+    root = cube_for(grid, (N // 2,) * n, N // 2)
+    rng = np.random.default_rng(seed)
+    mids = np.indices((N // 2,) * n) + N // 2 + 0.5
+    spikes = sum(
+        np.sqrt(sum((mids[k] - c[k]) ** 2 for k in range(n))) ** (-0.95 * n)
+        for c in rng.integers(N // 2, N, size=(3, n))
+    )
+    gs = [
+        GridFunction(lat, np.pad(spikes * rng.uniform(0.5, 1.0, spikes.shape), [(N // 2, 0)] * n))
+        for _ in range(2)
+    ]
+    fam = build_sparse_family(gs, grid, root=root)
+    sizes = [cube.size for cube in fam.cubes]
+    assert len(set(sizes)) >= 3 and len(set(sizes)) < len(sizes)
+    want = np.zeros(lat.shape)
+    for cube in fam.cubes:
+        prod = 1.0
+        for g in gs:
+            prod *= cell_average(g, cube)
+        want[tuple(slice(s, s + cube.size) for s in cube.start)] += prod
+    assert np.array_equal(sparse_operator(fam, gs).values, want)
+
+
 def test_sparse_family_validation_rejects_thin_region():
     lat = lattice(5)
     grid = std_grid(lat)

@@ -117,6 +117,33 @@ def test_run_sweep_riesz_direct_small():
     assert fit.slope > 1.0
 
 
+@pytest.mark.parametrize(
+    "exponents,variant", [((2.0, 2.0), "direct"), ((4.0, 4.0), "adjoint_slot1")]
+)
+def test_riesz_rows_need_quadrature_above_cone_minorant(monkeypatch, exponents, variant):
+    # criterion 7 reads the quadrature: a kernel that comes out 1000 times
+    # too small falls below the cone minorant, so no row is finite and the
+    # fit refuses the sweep
+    import dataclasses
+
+    from mweights.experiments import sweeps
+
+    eps_list = [2.0**-k for k in range(2, 6)]
+    rows = run_sweep(riesz_problem, exponents, eps_list, L=7, variant=variant)
+    assert all(r.finite for r in rows)
+    real = sweeps.bilinear_riesz
+
+    def shrunk(*args, **kwargs):
+        rv = real(*args, **kwargs)
+        return dataclasses.replace(rv, values=rv.values * 1e-3)
+
+    monkeypatch.setattr(sweeps, "bilinear_riesz", shrunk)
+    bad = run_sweep(riesz_problem, exponents, eps_list, L=7, variant=variant)
+    assert not any(r.finite for r in bad)
+    with pytest.raises(ValueError, match="finite rows"):
+        fit_exponent(bad)
+
+
 def test_run_sweep_grid_convergence():
     # raising the resolution by one moves the ratio only modestly
     eps = [2.0**-3, 2.0**-2, 2.0**-4, 2.0**-5]
