@@ -7,8 +7,9 @@ steps), the quotient
     (operator norm ratio) / (weight constant)^(predicted exponent)
 
 should stay bounded — the predicted power really is an upper bound.  The
-report records the worst quotient seen.  The selftest bundles the same
-cross-module identities the test suite enforces, as one quick health check.
+report records the worst quotient seen.  The selftest runs the invariant
+checks that acceptance criteria 3-6, 8 and 9 run at full scale, at sizes
+small enough for a quick health check.
 """
 from mweights import upper_bound_audit
 from mweights.selftest import run_selftest

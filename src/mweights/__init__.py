@@ -14,8 +14,10 @@ The package is organized in four layers:
 - :mod:`mweights.experiments` — extremal spike families, sweep harnesses,
   log-log exponent fits, and randomized upper-bound audits.
 
-``mweights.cli`` exposes the same functionality as a command-line tool and
-``mweights.selftest`` bundles the cross-module consistency checks.
+``mweights.cli`` exposes the same functionality as a command-line tool.
+``mweights.selftest`` is the invariant battery: the ``selftest`` subcommand
+runs its checks at small sizes, and acceptance criteria 3-6, 8 and 9 run the
+same checks at full scale.
 """
 
 from .grid import (
@@ -41,7 +43,6 @@ from .weights import (
     ap_constant,
     dualize,
     per_cube_ap,
-    weight_from_config,
 )
 from .operators import (
     RieszValues,
@@ -128,7 +129,6 @@ __all__ = [
     "third_offset",
     "unit_sphere_area",
     "upper_bound_audit",
-    "weight_from_config",
     "weighted_dyadic_maximal",
     "write_fit_json",
     "write_gnuplot",

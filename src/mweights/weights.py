@@ -42,7 +42,6 @@ __all__ = [
     "ap_constant",
     "dualize",
     "random_weight",
-    "weight_from_config",
 ]
 
 logger = logging.getLogger(__name__)
@@ -398,21 +397,3 @@ def random_weight(rng: np.random.Generator, lattice: Lattice, p_i: float) -> Wei
         return Weight.power(lattice, float(rng.uniform(-0.4, hi)))
     steps = 2.0 ** rng.integers(-3, 4, size=lattice.shape).astype(float)
     return Weight.from_values(lattice, steps)
-
-
-def weight_from_config(lattice: Lattice, cfg: dict) -> Weight:
-    """Build a weight from a JSON-style config dict.
-
-    {"type": "power", "a": <float>} or {"type": "grid", "path": <gridfn file>}.
-    """
-    kind = cfg.get("type")
-    if kind == "power":
-        return Weight.power(lattice, float(cfg["a"]))
-    if kind == "grid":
-        gf = GridFunction.load(cfg["path"])
-        if gf.lattice != lattice:
-            raise ValueError(
-                f"grid weight lattice {gf.lattice} does not match {lattice}"
-            )
-        return Weight.from_values(lattice, gf.values)
-    raise ValueError(f"unknown weight type {kind!r}")

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from mweights import cli, selftest
 from mweights.cli import main, main_entry, parse_eps, parse_exponents, ConfigError
+from mweights.operators import SparsenessError
 
 
 # ------------------------------------------------------------------- parsing
@@ -108,6 +110,11 @@ def test_maximal_malformed_grid_file_is_config_error(tmp_path, capsys):
     code = main(["maximal", "--f", f"grid:{path},const", "--L", "3"])
     assert code == 2
     assert "outside" in capsys.readouterr().err
+
+
+def test_maximal_non_finite_constant_is_config_error(capsys):
+    assert main(["maximal", "--f", "const:nan,const", "--L", "3"]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------------- sparse
@@ -309,3 +316,33 @@ def test_selftest_passes_clean_tree(capsys):
     assert code == 0, out
     assert "all" in out and "passed" in out
     assert "FAIL" not in out
+
+
+# ------------------------------------------------------------ exit code 3
+SPARSE_ARGS = ["sparse", "--f", "power:-0.5@pos,power:-0.25@pos", "--L", "5"]
+
+
+def test_sparseness_error_exits_3(monkeypatch, capsys):
+    def thin(*args, **kwargs):
+        raise SparsenessError("kept region below one half")
+
+    monkeypatch.setattr(cli, "build_sparse_family", thin)
+    assert main(SPARSE_ARGS) == 3
+    assert "invariant failure" in capsys.readouterr().err
+
+
+def test_failing_selftest_check_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(selftest, "dualize", lambda wv, i: wv)
+    assert main(["selftest"]) == 3
+    out = capsys.readouterr().out
+    assert "FAIL — duality identity" in out
+    assert "1 of 8 checks failed" in out
+
+
+def test_plain_runtime_error_is_not_an_invariant_failure(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("not an invariant")
+
+    monkeypatch.setattr(cli, "build_sparse_family", broken)
+    with pytest.raises(RuntimeError, match="not an invariant"):
+        main(SPARSE_ARGS)

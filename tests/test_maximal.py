@@ -16,37 +16,12 @@ from mweights.operators import (
     weighted_dyadic_maximal,
 )
 from mweights.powermass import Interval
+from mweights.selftest import brute_multilinear
 from mweights.weights import Weight
 
 
 def indicator_interval(lat, lo, hi):
     return GridFunction.indicator(lat, Interval(lo, hi))
-
-
-def brute_multilinear(fs):
-    """Max over all fully-inside cell-aligned cubes of the average product."""
-    lat = fs[0].lattice
-    N = lat.cells_per_axis
-    out = np.zeros(lat.shape)
-    sizes = range(1, N + 1)
-    if lat.n == 1:
-        for size in sizes:
-            for start in range(0, N - size + 1):
-                prod = 1.0
-                for f in fs:
-                    prod *= f.values[start : start + size].sum() / size
-                sl = slice(start, start + size)
-                out[sl] = np.maximum(out[sl], prod)
-    else:
-        for size in sizes:
-            for s0 in range(0, N - size + 1):
-                for s1 in range(0, N - size + 1):
-                    prod = 1.0
-                    for f in fs:
-                        prod *= f.values[s0 : s0 + size, s1 : s1 + size].sum() / size**2
-                    sl = (slice(s0, s0 + size), slice(s1, s1 + size))
-                    out[sl] = np.maximum(out[sl], prod)
-    return out
 
 
 def test_dyadic_maximal_matches_ancestor_chain_1d():

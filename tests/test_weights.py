@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from mweights.grid import DyadicCube, GridFunction, Lattice, ShiftedGridFamily, default_box
+from mweights.grid import DyadicCube, Lattice, ShiftedGridFamily, default_box
 from mweights.weights import (
     ApReport,
     CubeFamily,
@@ -17,7 +17,6 @@ from mweights.weights import (
     ap_constant,
     dualize,
     per_cube_ap,
-    weight_from_config,
 )
 
 
@@ -364,16 +363,3 @@ def test_dualize_rejects_p_at_most_one():
     with pytest.raises(ValueError):
         dualize(wv, 0)
 
-
-# ------------------------------------------------------------------- config
-def test_weight_from_config(tmp_path):
-    lat = Lattice(default_box(1), 4)
-    w = weight_from_config(lat, {"type": "power", "a": 0.5})
-    assert w.exponent == 0.5
-    gf = GridFunction(lat, np.full(16, 2.0))
-    path = tmp_path / "w.gridfn"
-    gf.save(path)
-    w2 = weight_from_config(lat, {"type": "grid", "path": str(path)})
-    assert np.array_equal(w2.values, np.full(16, 2.0))
-    with pytest.raises(ValueError):
-        weight_from_config(lat, {"type": "mystery"})
