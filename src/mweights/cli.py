@@ -11,12 +11,16 @@ Subcommands
 ``selftest``     full invariant battery                     (text, exit code)
 
 Exit codes: 0 success, 2 configuration error (bad flags, bad values, bad
-files), 3 invariant failure (sparseness verification, selftest).
+files, or a ``ValueError`` from the library on the values given), 3
+invariant failure (sparseness verification, selftest).
 Weight/function specs: ``power:<a>`` (power law on the unit ball),
 ``power:<a>@pos`` (power law on the positive unit cube), ``const`` or
 ``const:<c>``, ``grid:<path>`` (file saved by the grid-function writer).
 Strength lists: ``2^-2..2^-9`` (dyadic range) or comma-separated values.
-A JSON file given via ``--config`` overrides the flags it names.
+``--config <file>`` reads a JSON object of option values, keyed by option
+name (``L``, ``g_min``; lists are joined with commas).  The file's values
+override the flags given on the command line, and each is parsed exactly
+like the flag it names; required flags must still be on the command line.
 """
 from __future__ import annotations
 
@@ -24,7 +28,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -63,28 +66,6 @@ EXIT_INVARIANT = 3
 
 class ConfigError(Exception):
     """Anything wrong with flags, config files, or input files."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A validated run: everything dispatch needs, nothing argparse-shaped."""
-
-    command: str
-    exponents: Optional[ExponentTuple]
-    n: int
-    L: int
-    eps: Tuple[float, ...]
-    a: Optional[float]
-    weight_specs: Tuple[str, ...]
-    function_specs: Tuple[str, ...]
-    out: Optional[str]
-    seed: int
-    variant: str
-    operator: str
-    trials: int
-    weight_kind: str
-    family: str
-    g_min: int
 
 
 # --------------------------------------------------------------- spec parsing
@@ -180,27 +161,21 @@ def parse_function_spec(token: str, lattice: Lattice) -> GridFunction:
         return value
     if kind == "const" and value < 0.0:
         raise ConfigError("constant functions must be nonnegative")
-    try:
-        if kind == "const":
-            return GridFunction(lattice, np.full(lattice.shape, value))
-        support = _positive_unit_cube(lattice.n) if pos else Ball(1.0, lattice.n)
-        return GridFunction.from_power(lattice, value, support)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    if kind == "const":
+        return GridFunction(lattice, np.full(lattice.shape, value))
+    support = _positive_unit_cube(lattice.n) if pos else Ball(1.0, lattice.n)
+    return GridFunction.from_power(lattice, value, support)
 
 
 def parse_weight_spec(token: str, lattice: Lattice) -> Weight:
     kind, value, pos = parse_spec(token, lattice, "weight")
     if pos:
         raise ConfigError(f"'@pos' applies to function specs only, not weight {token!r}")
-    try:
-        if kind == "grid":
-            return Weight.from_values(lattice, value.values)
-        if kind == "const":
-            return Weight.constant(lattice, value)
-        return Weight.power(lattice, value)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    if kind == "grid":
+        return Weight.from_values(lattice, value.values)
+    if kind == "const":
+        return Weight.constant(lattice, value)
+    return Weight.power(lattice, value)
 
 
 def _split_specs(text: str) -> Tuple[str, ...]:
@@ -219,18 +194,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_L=True):
-        sp.add_argument("--n", type=int, default=1, help="dimension (default 1)")
-        if with_L:
-            sp.add_argument(
-                "--L", type=int, default=6, help="resolution: 2^L cells per axis"
-            )
-        sp.add_argument("--config", type=str, default=None, help="JSON overrides")
+    def command(name, run, help):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run)
+        sp.add_argument(
+            "--config",
+            type=str,
+            default=None,
+            help="JSON object of option values, keyed by option name; they "
+            "override the command line and are parsed like the flags they name",
+        )
+        return sp
+
+    def common(sp):
+        sp.add_argument("--n", type=int, default=1, choices=(1, 2), help="dimension")
+        sp.add_argument(
+            "--L",
+            type=int,
+            default=6,
+            choices=range(1, 17),
+            metavar="L",
+            help="resolution: 2^L cells per axis, 1..16 (default 6)",
+        )
         sp.add_argument("--out", type=str, default=None, help="output path/prefix")
 
-    sp = sub.add_parser("apconst", help="weight-constant report")
+    sp = command("apconst", _cmd_apconst, "weight-constant report")
     sp.add_argument("--p", type=str, required=True, help="exponents, e.g. 2,2")
-    sp.add_argument("--m", type=int, default=None, help="slot count (checked)")
     sp.add_argument("--w", type=str, required=True, help="weight specs per slot")
     sp.add_argument(
         "--family",
@@ -242,22 +231,30 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--g-min", type=int, default=-2, help="coarsest generation")
     common(sp)
 
-    sp = sub.add_parser("maximal", help="multilinear maximal bracket")
+    sp = command("maximal", _cmd_maximal, "multilinear maximal bracket")
     sp.add_argument("--f", type=str, required=True, help="function specs per slot")
     sp.add_argument("--g-min", type=int, default=-2, help="coarsest generation")
     common(sp)
 
-    sp = sub.add_parser("sparse", help="stopping-time sparse family")
+    sp = command("sparse", _cmd_sparse, "stopping-time sparse family")
     sp.add_argument("--f", type=str, required=True, help="function specs per slot")
     sp.add_argument("--a", type=float, default=None, help="stopping ratio")
     common(sp)
 
-    sp = sub.add_parser("mw-sweep", help="maximal-operator sharpness sweep")
+    sp = command(
+        "mw-sweep",
+        lambda args: _run_sweep(args, maximal_problem, "mw_sweep"),
+        "maximal-operator sharpness sweep",
+    )
     sp.add_argument("--p", type=str, required=True, help="exponents, e.g. 2,2")
     sp.add_argument("--eps", type=str, required=True, help="e.g. 2^-2..2^-9")
     common(sp)
 
-    sp = sub.add_parser("riesz-sweep", help="singular-integral sharpness sweep")
+    sp = command(
+        "riesz-sweep",
+        lambda args: _run_sweep(args, riesz_problem, "riesz_sweep", variant=args.variant),
+        "singular-integral sharpness sweep",
+    )
     sp.add_argument("--p", type=str, required=True, help="exponents, e.g. 2,2")
     sp.add_argument("--eps", type=str, required=True, help="e.g. 2^-2..2^-7")
     sp.add_argument(
@@ -268,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(sp)
 
-    sp = sub.add_parser("audit", help="randomized upper-bound audit")
+    sp = command("audit", _cmd_audit, "randomized upper-bound audit")
     sp.add_argument("--p", type=str, required=True, help="exponents, e.g. 2,2")
     sp.add_argument(
         "--operator", type=str, default="sparse", choices=("sparse", "maximal")
@@ -280,113 +277,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(sp)
 
-    sp = sub.add_parser("selftest", help="full invariant battery")
+    sp = command("selftest", _cmd_selftest, "full invariant battery")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--config", type=str, default=None, help="JSON overrides")
 
     return parser
 
 
-_CONFIG_KEYS = {
-    "p",
-    "m",
-    "w",
-    "f",
-    "n",
-    "L",
-    "eps",
-    "a",
-    "out",
-    "seed",
-    "variant",
-    "operator",
-    "trials",
-    "weight_kind",
-    "family",
-    "g_min",
-}
+def _flag_text(value) -> str:
+    """One JSON value as flag text: strings verbatim, lists comma-joined."""
+    if isinstance(value, list):
+        return ",".join(_flag_text(v) for v in value)
+    return value if isinstance(value, str) else json.dumps(value)
 
 
-def apply_config_file(args: argparse.Namespace) -> argparse.Namespace:
-    """Values from the JSON file named by --config override parsed flags."""
-    path = getattr(args, "config", None)
-    if not path:
-        return args
+def _config_flags(args: argparse.Namespace) -> List[str]:
+    """The ``--config`` file of a parsed command as ``--key=value`` flags."""
     try:
-        blob = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as err:
-        raise ConfigError(f"cannot read config file {path!r}: {err}") from None
+        blob = json.loads(Path(args.config).read_text())
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"cannot read config file {args.config!r}: {err}") from None
     if not isinstance(blob, dict):
         raise ConfigError("config file must hold a JSON object")
+    options = set(vars(args)) - {"command", "run", "config"}
+    flags = []
     for key, value in blob.items():
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-        if not hasattr(args, key):
-            raise ConfigError(
-                f"config key {key!r} does not apply to command {args.command!r}"
-            )
-        if isinstance(value, list):
-            value = ",".join(str(v) for v in value)
-        setattr(args, key, value)
-    return args
-
-
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    args = apply_config_file(args)
-    command = args.command
-    n = int(getattr(args, "n", 1))
-    if n < 1:
-        raise ConfigError(f"dimension n={n} must be at least 1")
-    L = int(getattr(args, "L", 6))
-    if not 1 <= L <= 16:
-        raise ConfigError(f"resolution L={L} must lie in 1..16")
-    exponents = None
-    if getattr(args, "p", None) is not None:
-        exponents = parse_exponents(args.p)
-        m_flag = getattr(args, "m", None)
-        if m_flag is not None and int(m_flag) != exponents.m:
-            raise ConfigError(
-                f"--m {m_flag} disagrees with {exponents.m} exponents in --p"
-            )
-    eps: Tuple[float, ...] = ()
-    if getattr(args, "eps", None) is not None:
-        eps = parse_eps(args.eps)
-    a = getattr(args, "a", None)
-    if a is not None:
-        a = float(a)
-    weight_specs: Tuple[str, ...] = ()
-    if getattr(args, "w", None) is not None:
-        weight_specs = _split_specs(args.w)
-        if exponents is not None and len(weight_specs) != exponents.m:
-            raise ConfigError(
-                f"{len(weight_specs)} weight specs for {exponents.m} exponents"
-            )
-    function_specs: Tuple[str, ...] = ()
-    if getattr(args, "f", None) is not None:
-        function_specs = _split_specs(args.f)
-    trials = int(getattr(args, "trials", 0) or 0)
-    if command == "audit" and trials < 1:
-        raise ConfigError(f"--trials {trials} must be at least 1")
-    if command in ("riesz-sweep",) and n != 1:
-        raise ConfigError("the singular-integral sweep is one-dimensional (n=1)")
-    return RunConfig(
-        command=command,
-        exponents=exponents,
-        n=n,
-        L=L,
-        eps=eps,
-        a=a,
-        weight_specs=weight_specs,
-        function_specs=function_specs,
-        out=getattr(args, "out", None),
-        seed=int(getattr(args, "seed", 0) or 0),
-        variant=getattr(args, "variant", "direct"),
-        operator=getattr(args, "operator", "sparse"),
-        trials=trials,
-        weight_kind=getattr(args, "weight_kind", "mixed"),
-        family=getattr(args, "family", "shifted"),
-        g_min=int(getattr(args, "g_min", -2)),
-    )
+        if key not in options:
+            raise ConfigError(f"config key {key!r} is not an option of {args.command!r}")
+        flags.append(f"--{key.replace('_', '-')}={_flag_text(value)}")
+    return flags
 
 
 # ------------------------------------------------------------------- dispatch
@@ -397,41 +315,41 @@ def _emit(blob: dict, out: Optional[str]) -> None:
         Path(out).write_text(text + "\n")
 
 
-def _cmd_apconst(cfg: RunConfig) -> int:
-    lattice = Lattice(default_box(cfg.n), cfg.L)
-    weights = tuple(parse_weight_spec(t, lattice) for t in cfg.weight_specs)
-    try:
-        wv = WeightVector(weights, cfg.exponents)
-        family = CubeFamily(lattice, kind=cfg.family, g_min=cfg.g_min)
-        report = ap_constant(wv, family)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-    _emit(report.to_json(), cfg.out)
+def _lattice(args: argparse.Namespace) -> Lattice:
+    return Lattice(default_box(args.n), args.L)
+
+
+def _cmd_apconst(args: argparse.Namespace) -> int:
+    exponents = parse_exponents(args.p)
+    specs = _split_specs(args.w)
+    if len(specs) != exponents.m:
+        raise ConfigError(f"{len(specs)} weight specs for {exponents.m} exponents")
+    lattice = _lattice(args)
+    wv = WeightVector(tuple(parse_weight_spec(t, lattice) for t in specs), exponents)
+    report = ap_constant(wv, CubeFamily(lattice, kind=args.family, g_min=args.g_min))
+    _emit(report.to_json(), args.out)
     return EXIT_OK
 
 
-def _cmd_maximal(cfg: RunConfig) -> int:
-    lattice = Lattice(default_box(cfg.n), cfg.L)
-    fs = tuple(parse_function_spec(t, lattice) for t in cfg.function_specs)
-    try:
-        lower, upper = multilinear_maximal(fs, g_min=cfg.g_min)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+def _cmd_maximal(args: argparse.Namespace) -> int:
+    lattice = _lattice(args)
+    fs = tuple(parse_function_spec(t, lattice) for t in _split_specs(args.f))
+    lower, upper = multilinear_maximal(fs, g_min=args.g_min)
     pos = lower.values > 0.0
     bracket = float(np.max(upper.values[pos] / lower.values[pos])) if pos.any() else 1.0
     blob = {
-        "n": cfg.n,
-        "L": cfg.L,
+        "n": args.n,
+        "L": args.L,
         "slots": len(fs),
         "max_lower": float(np.max(lower.values)),
         "max_upper": float(np.max(upper.values)),
         "max_bracket_ratio": bracket,
     }
-    if cfg.out:
-        lower.save(f"{cfg.out}-lower.grid")
-        upper.save(f"{cfg.out}-upper.grid")
-        blob["files"] = [f"{cfg.out}-lower.grid", f"{cfg.out}-upper.grid"]
-    _emit(blob, None if not cfg.out else f"{cfg.out}.json")
+    if args.out:
+        lower.save(f"{args.out}-lower.grid")
+        upper.save(f"{args.out}-upper.grid")
+        blob["files"] = [f"{args.out}-lower.grid", f"{args.out}-upper.grid"]
+    _emit(blob, None if not args.out else f"{args.out}.json")
     return EXIT_OK
 
 
@@ -458,14 +376,11 @@ def _support_root(fs, lattice: Lattice):
     return family.by_id[cube.grid_id], cube
 
 
-def _cmd_sparse(cfg: RunConfig) -> int:
-    lattice = Lattice(default_box(cfg.n), cfg.L)
-    fs = tuple(parse_function_spec(t, lattice) for t in cfg.function_specs)
+def _cmd_sparse(args: argparse.Namespace) -> int:
+    lattice = _lattice(args)
+    fs = tuple(parse_function_spec(t, lattice) for t in _split_specs(args.f))
     grid, root = _support_root(fs, lattice)
-    try:
-        fam = build_sparse_family(fs, grid, a=cfg.a, root=root)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    fam = build_sparse_family(fs, grid, a=args.a, root=root)
     blob = {
         "grid": fam.grid_id,
         "a": fam.a,
@@ -474,25 +389,20 @@ def _cmd_sparse(cfg: RunConfig) -> int:
         "root": {"g": root.g, "start": list(root.start), "size": root.size},
         "cubes": fam.to_json(),
     }
-    _emit(blob, cfg.out)
+    _emit(blob, args.out)
     return EXIT_OK
 
 
-def _run_sweep_command(cfg: RunConfig, builder, default_prefix: str, **kwargs) -> int:
-    if not cfg.eps:
-        raise ConfigError("a strength list is required (--eps)")
-    try:
-        rows = run_sweep(
-            builder,
-            cfg.exponents,
-            cfg.eps,
-            L=cfg.L,
-            n=cfg.n,
-            **kwargs,
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-    prefix = cfg.out or default_prefix
+def _run_sweep(args: argparse.Namespace, builder, default_prefix: str, **kwargs) -> int:
+    rows = run_sweep(
+        builder,
+        parse_exponents(args.p),
+        parse_eps(args.eps),
+        L=args.L,
+        n=args.n,
+        **kwargs,
+    )
+    prefix = args.out or default_prefix
     csv_path = Path(f"{prefix}.csv")
     write_sweep_csv(rows, csv_path)
     fit_blob = None
@@ -517,25 +427,24 @@ def _run_sweep_command(cfg: RunConfig, builder, default_prefix: str, **kwargs) -
     return EXIT_OK
 
 
-def _cmd_audit(cfg: RunConfig) -> int:
-    try:
-        report = upper_bound_audit(
-            cfg.exponents,
-            L=cfg.L,
-            trials=cfg.trials,
-            seed=cfg.seed,
-            operator=cfg.operator,
-            n=cfg.n,
-            weight_kind=cfg.weight_kind,
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-    _emit(report.to_json(), cfg.out)
+def _cmd_audit(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials {args.trials} must be at least 1")
+    report = upper_bound_audit(
+        parse_exponents(args.p),
+        L=args.L,
+        trials=args.trials,
+        seed=args.seed,
+        operator=args.operator,
+        n=args.n,
+        weight_kind=args.weight_kind,
+    )
+    _emit(report.to_json(), args.out)
     return EXIT_OK
 
 
-def _cmd_selftest(cfg: RunConfig) -> int:
-    results = run_selftest(seed=cfg.seed)
+def _cmd_selftest(args: argparse.Namespace) -> int:
+    results = run_selftest(seed=args.seed)
     failures = 0
     for name, ok, detail in results:
         tag = "ok  " if ok else "FAIL"
@@ -550,32 +459,17 @@ def _cmd_selftest(cfg: RunConfig) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand; flags and library errors alike exit 2."""
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return EXIT_OK if code == 0 else EXIT_CONFIG
-    try:
-        cfg = resolve_config(args)
-        if cfg.command == "apconst":
-            return _cmd_apconst(cfg)
-        if cfg.command == "maximal":
-            return _cmd_maximal(cfg)
-        if cfg.command == "sparse":
-            return _cmd_sparse(cfg)
-        if cfg.command == "mw-sweep":
-            return _run_sweep_command(cfg, maximal_problem, "mw_sweep")
-        if cfg.command == "riesz-sweep":
-            return _run_sweep_command(
-                cfg, riesz_problem, "riesz_sweep", variant=cfg.variant
-            )
-        if cfg.command == "audit":
-            return _cmd_audit(cfg)
-        if cfg.command == "selftest":
-            return _cmd_selftest(cfg)
-        raise ConfigError(f"unknown command {cfg.command!r}")
-    except ConfigError as err:
+        if args.config:
+            args = parser.parse_args(argv + _config_flags(args))
+        return args.run(args)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a bad flag
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
+    except (ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except SparsenessError as err:

@@ -116,6 +116,15 @@ class Lattice:
             return RectInBall(tuple(lo), tuple(hi), support.radius)
         raise TypeError("unsupported support type")
 
+    def power_masses(self, exponent: float, support=None) -> np.ndarray:
+        """Exact integral of |x|^exponent over every cell, clipped to ``support``."""
+        out = np.zeros(self.shape)
+        for idx in np.ndindex(*self.shape):
+            region = self.cell_region(idx, support)
+            if region is not None:
+                out[idx] = power_mass(exponent, region)
+        return out
+
 
 def third_offset(M: int, L: int) -> int:
     """Offset (in cells) of the one-third shifted grid at cube size 2^M cells.
@@ -397,12 +406,7 @@ class GridFunction:
     def from_power(
         cls, lattice: Lattice, exponent: float, support, coeff: float = 1.0
     ) -> "GridFunction":
-        vol = lattice.cell_volume
-        values = np.zeros(lattice.shape)
-        for idx in np.ndindex(*lattice.shape):
-            region = lattice.cell_region(idx, support)
-            if region is not None:
-                values[idx] = coeff * power_mass(exponent, region) / vol
+        values = coeff * lattice.power_masses(exponent, support) / lattice.cell_volume
         return cls(lattice, values, PowerDescriptor(exponent, support, coeff))
 
     @classmethod

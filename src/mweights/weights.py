@@ -30,7 +30,6 @@ from .grid import (
     ShiftedGridFamily,
     cell_average,
 )
-from .powermass import power_mass
 
 __all__ = [
     "ExponentTuple",
@@ -93,9 +92,7 @@ def _power_cell_masses(lattice: Lattice, exponent: float) -> np.ndarray:
     if exponent == 0.0:
         out = np.full(lattice.shape, lattice.cell_volume)
     else:
-        out = np.zeros(lattice.shape)
-        for idx in np.ndindex(*lattice.shape):
-            out[idx] = power_mass(exponent, lattice.cell_region(idx))
+        out = lattice.power_masses(exponent)
     out.flags.writeable = False
     return out
 

@@ -39,7 +39,7 @@ def test_parse_exponents_validation():
 # ------------------------------------------------------------------- apconst
 def test_apconst_reports_json(capsys):
     code = main(
-        ["apconst", "--m", "2", "--p", "2,2", "--w", "power:0.75,const", "--L", "6"]
+        ["apconst", "--p", "2,2", "--w", "power:0.75,const", "--L", "6"]
     )
     assert code == 0
     blob = json.loads(capsys.readouterr().out)
@@ -54,12 +54,6 @@ def test_apconst_constant_weights_give_unit_constant(capsys):
     assert code == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["constant"] == pytest.approx(1.0, rel=1e-12)
-
-
-def test_apconst_slot_count_mismatch_is_config_error(capsys):
-    code = main(["apconst", "--m", "3", "--p", "2,2", "--w", "const,const", "--L", "5"])
-    assert code == 2
-    assert "disagrees" in capsys.readouterr().err
 
 
 def test_apconst_weight_spec_count_mismatch(capsys):
@@ -83,9 +77,38 @@ def test_unknown_subcommand_exits_2():
     assert main(["transmogrify"]) == 2
 
 
-def test_help_exits_zero():
-    with pytest.raises(SystemExit):
-        main_entry()  # no argv: argparse sees pytest's args and errors out
+COMMANDS = ("apconst", "maximal", "sparse", "mw-sweep", "riesz-sweep", "audit", "selftest")
+
+
+def test_help_exits_zero(capsys):
+    for command in COMMANDS:
+        assert main([command, "--help"]) == 0, command
+        assert "--config" in capsys.readouterr().out
+
+
+def test_main_entry_exits_with_main_code(monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["mweights", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        main_entry()
+    assert exc.value.code == 0
+    monkeypatch.setattr("sys.argv", ["mweights", "selftest", "--bogus"])
+    with pytest.raises(SystemExit) as exc:
+        main_entry()
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["apconst", "--p", "2,2", "--w", "power:0.5,const"],
+        ["maximal", "--f", "power:-0.5,const"],
+        ["mw-sweep", "--p", "2,2", "--eps", "2^-2..2^-3"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_dimension_above_two_is_rejected(args, capsys):
+    assert main(args + ["--n", "3", "--L", "2"]) == 2
+    assert "--n" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- maximal
@@ -298,6 +321,26 @@ def test_config_file_unknown_key(tmp_path, capsys):
     code = main(["apconst", "--p", "2,2", "--w", "const,const", "--config", str(cfg)])
     assert code == 2
     assert "banana" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, blob",
+    [
+        (["apconst", "--p", "2,2", "--w", "const,const"], {"L": "abc"}),
+        (["apconst", "--p", "2,2", "--w", "const,const"], {"g_min": None}),
+        (["sparse", "--f", "power:-0.5@pos,power:-0.25@pos"], {"a": "x"}),
+        (["audit", "--p", "2,2"], {"trials": "many"}),
+        (["apconst", "--p", "2,2", "--w", "const,const"], {"L": 5.7}),
+        (["apconst", "--p", "2,2", "--w", "const,const"], {"L": True}),
+    ],
+)
+def test_config_file_values_parse_like_flags(args, blob, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(blob))
+    assert main(args + ["--L", "4", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid" in err and "Traceback" not in err
+    assert f"--{next(iter(blob)).replace('_', '-')}" in err
 
 
 def test_config_file_bad_json(tmp_path):

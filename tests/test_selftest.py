@@ -1,6 +1,7 @@
 """Each shared invariant check reports a failure when the operator it names breaks."""
 import dataclasses
 
+import numpy as np
 import pytest
 
 from mweights import selftest
@@ -78,3 +79,16 @@ def test_check_fails_when_its_operator_breaks(check, mutate, monkeypatch):
     mutate(monkeypatch)
     name, ok, detail = check(0)
     assert not ok, f"{name} passed a broken operator: {detail}"
+
+
+def test_sparse_check_fails_when_no_family_leaves_the_root(monkeypatch):
+    # inputs capped at 1 are too flat for the stopping walk to select a cube
+    # below the root; every other part of the check still passes on them
+    monkeypatch.setattr(
+        selftest,
+        "GridFunction",
+        lambda lattice, values: GridFunction(lattice, np.minimum(values, 1.0)),
+    )
+    name, ok, detail = selftest.check_sparse_domination(0)
+    assert not ok
+    assert "largest 1 cubes, 0 half-volume" in detail
