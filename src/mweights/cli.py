@@ -39,7 +39,7 @@ from .operators import (
     build_sparse_family,
     multilinear_maximal,
 )
-from .powermass import Ball, Interval, Rect
+from .powermass import Ball, Interval, Rect, depth_cap_hits
 from .weights import (
     CubeFamily,
     ExponentTuple,
@@ -394,6 +394,7 @@ def _cmd_sparse(args: argparse.Namespace) -> int:
 
 
 def _run_sweep(args: argparse.Namespace, builder, default_prefix: str, **kwargs) -> int:
+    hits0 = depth_cap_hits()
     rows = run_sweep(
         builder,
         parse_exponents(args.p),
@@ -402,6 +403,7 @@ def _run_sweep(args: argparse.Namespace, builder, default_prefix: str, **kwargs)
         n=args.n,
         **kwargs,
     )
+    hits = depth_cap_hits() - hits0
     prefix = args.out or default_prefix
     csv_path = Path(f"{prefix}.csv")
     write_sweep_csv(rows, csv_path)
@@ -412,7 +414,7 @@ def _run_sweep(args: argparse.Namespace, builder, default_prefix: str, **kwargs)
         fit = None
         fit_blob = {"error": str(err)}
     if fit is not None:
-        write_fit_json(fit, Path(f"{prefix}-fit.json"))
+        write_fit_json(fit, Path(f"{prefix}-fit.json"), depth_cap_hits=hits)
         write_gnuplot(csv_path, Path(f"{prefix}.gp"), fit=fit)
         fit_blob = fit.to_json()
     else:
@@ -422,6 +424,7 @@ def _run_sweep(args: argparse.Namespace, builder, default_prefix: str, **kwargs)
         "csv": str(csv_path),
         "gnuplot": f"{prefix}.gp",
         "fit": fit_blob,
+        "depth_cap_hits": hits,
     }
     print(json.dumps(blob, indent=2))
     return EXIT_OK

@@ -20,6 +20,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..grid import GridFunction, Lattice, default_box, ShiftedGridFamily
+from ..powermass import depth_cap_hits
 from ..operators import (
     SparsenessError,
     bilinear_riesz,
@@ -213,10 +214,14 @@ def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_fit_json(fit: FitResult, path) -> None:
+def write_fit_json(fit: FitResult, path, depth_cap_hits: Optional[int] = None) -> None:
+    """Write the fit, with the run's adaptive depth-cap hits when given."""
     import json
 
-    Path(path).write_text(json.dumps(fit.to_json(), indent=2) + "\n")
+    blob = fit.to_json()
+    if depth_cap_hits is not None:
+        blob["depth_cap_hits"] = depth_cap_hits
+    Path(path).write_text(json.dumps(blob, indent=2) + "\n")
 
 
 def write_gnuplot(csv_path, gp_path, fit: Optional[FitResult] = None) -> None:
@@ -241,7 +246,12 @@ def write_gnuplot(csv_path, gp_path, fit: Optional[FitResult] = None) -> None:
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Random-input check that ratios respect the predicted power."""
+    """Random-input check that ratios respect the predicted power.
+
+    ``largest_family`` is the most cubes in one sparse family (0 for the
+    maximal operator); ``depth_cap_hits`` counts the adaptive quadrature
+    panels of the run that stopped at the depth cap unconverged.
+    """
 
     operator: str
     target_exponent: float
@@ -252,6 +262,8 @@ class AuditReport:
     weight_kind: str
     L: int
     seed: int
+    largest_family: int
+    depth_cap_hits: int
 
     def to_json(self) -> dict:
         return {
@@ -264,6 +276,8 @@ class AuditReport:
             "weight_kind": self.weight_kind,
             "L": self.L,
             "seed": self.seed,
+            "largest_family": self.largest_family,
+            "depth_cap_hits": self.depth_cap_hits,
         }
 
 
@@ -282,6 +296,9 @@ def upper_bound_audit(
     half of the box together with random weights, evaluates the operator,
     and records ``(lhs / prod rhs) / ap_const**target``.  Bounded quotients
     across trials are evidence the predicted exponent is not undershooting.
+    The inputs are log-normal, heavy-tailed enough for the stopping walk to
+    select cubes below the root; a sparse audit in which every family is the
+    root alone never runs that walk and raises ``RuntimeError``.
     """
     if operator not in ("sparse", "maximal"):
         raise ValueError(f"unknown operator {operator!r}: use 'sparse' or 'maximal'")
@@ -300,11 +317,13 @@ def upper_bound_audit(
     support[tuple(slice(s, s + root.size) for s in root.start)] = True
 
     rng = np.random.default_rng(seed)
+    hits0 = depth_cap_hits()
     quotients: List[float] = []
     skipped = 0
+    largest = 0
     for _ in range(trials):
         fs = tuple(
-            GridFunction(lattice, rng.uniform(0.0, 1.0, lattice.shape) * support)
+            GridFunction(lattice, rng.lognormal(0.0, 2.0, lattice.shape) * support)
             for _ in range(et.m)
         )
         if weight_kind == "constant":
@@ -324,6 +343,7 @@ def upper_bound_audit(
         try:
             if operator == "sparse":
                 fam = build_sparse_family(fs, grid, root=root)
+                largest = max(largest, len(fam))
                 out = sparse_operator(fam, fs)
             else:
                 out = multilinear_maximal(fs)[0]
@@ -340,6 +360,8 @@ def upper_bound_audit(
         quotients.append((lhs / rhs_product) / ap**target)
     if not quotients:
         raise RuntimeError("every audit trial was skipped; nothing to report")
+    if operator == "sparse" and largest == 1:
+        raise RuntimeError("every sparse family is the root alone; the stopping walk never ran")
     return AuditReport(
         operator=operator,
         target_exponent=target,
@@ -350,4 +372,6 @@ def upper_bound_audit(
         weight_kind=weight_kind,
         L=L,
         seed=seed,
+        largest_family=largest,
+        depth_cap_hits=depth_cap_hits() - hits0,
     )

@@ -20,7 +20,15 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .powermass import Ball, Interval, Rect, RectInBall, power_mass
+from .powermass import (
+    Ball,
+    Interval,
+    Rect,
+    RectInBall,
+    interval_masses,
+    power_mass,
+    rect_gauss_masses,
+)
 
 __all__ = [
     "Box",
@@ -106,6 +114,9 @@ class Lattice:
             raise TypeError("unsupported 1d support")
         if support is None:
             return Rect(tuple(lo), tuple(hi))
+        if isinstance(support, Rect):
+            lo2, hi2 = np.maximum(lo, support.lo), np.minimum(hi, support.hi)
+            return Rect(tuple(lo2), tuple(hi2)) if np.all(hi2 > lo2) else None
         if isinstance(support, Ball):
             near = np.linalg.norm(np.clip(0.0, lo, hi))
             if near >= support.radius:
@@ -116,10 +127,54 @@ class Lattice:
             return RectInBall(tuple(lo), tuple(hi), support.radius)
         raise TypeError("unsupported support type")
 
+    def _clipped_edges(self, support):
+        """Per axis, every cell's edges clipped to an ``Interval`` or ``Rect``
+        support; a ``Ball`` clips only in one dimension, as [-r, r]."""
+        if isinstance(support, Ball) and self.n == 1:
+            support = Interval(-support.radius, support.radius)
+        if isinstance(support, Interval) and self.n == 1:
+            support = Rect((support.lo,), (support.hi,))
+        if support is None or isinstance(support, Ball):
+            bounds = [(-math.inf, math.inf)] * self.n
+        elif isinstance(support, Rect) and len(support.lo) == self.n:
+            bounds = zip(support.lo, support.hi)
+        else:
+            raise TypeError("unsupported support type")
+        edges = []
+        for lo, (s_lo, s_hi) in zip(self.box.lo, bounds):
+            e0 = lo + self.h * np.arange(self.cells_per_axis, dtype=float)
+            edges.append((np.maximum(e0, s_lo), np.minimum(e0 + self.h, s_hi)))
+        return edges
+
     def power_masses(self, exponent: float, support=None) -> np.ndarray:
-        """Exact integral of |x|^exponent over every cell, clipped to ``support``."""
-        out = np.zeros(self.shape)
-        for idx in np.ndindex(*self.shape):
+        """Exact integral of |x|^exponent over every cell, clipped to ``support``.
+
+        n=1 is the closed form on whole arrays. n=2 uses a 12x12 tensor
+        Gauss-Legendre rule on every cell inside the support whose distance
+        from the origin is at least its longest side; the cells nearer the
+        origin (on the default box, the four that touch it) and the cells a
+        ``Ball`` cuts take the exact polar path of :func:`power_mass`.
+        """
+        edges = self._clipped_edges(support)
+        if self.n == 1:
+            return interval_masses(exponent, *edges[0])
+        if self.n != 2:
+            raise NotImplementedError("cell masses are implemented for n <= 2")
+        (x0, x1), (y0, y1) = edges
+        dx, dy = (np.maximum(np.maximum(lo, -hi), 0.0) for lo, hi in edges)
+        inside = (x1 > x0)[:, None] & (y1 > y0)[None, :]
+        cut = np.zeros(self.shape, dtype=bool)
+        if isinstance(support, Ball):
+            # the edges are unclipped: classify the cells as cell_region does
+            fx, fy = (np.maximum(np.abs(lo), np.abs(hi)) for lo, hi in edges)
+            inside = np.hypot(fx[:, None], fy[None, :]) <= support.radius
+            cut = ~inside & (np.hypot(dx[:, None], dy[None, :]) < support.radius)
+        side = np.maximum((x1 - x0)[:, None], (y1 - y0)[None, :])
+        near_origin = inside & (dx[:, None] ** 2 + dy[None, :] ** 2 < side**2)
+        out = np.where(
+            inside & ~near_origin, rect_gauss_masses(exponent, x0, x1, y0, y1), 0.0
+        )
+        for idx in zip(*np.nonzero(cut | near_origin)):
             region = self.cell_region(idx, support)
             if region is not None:
                 out[idx] = power_mass(exponent, region)
@@ -365,7 +420,9 @@ def _support_to_json(support) -> dict:
         return {"kind": "interval", "lo": support.lo, "hi": support.hi}
     if isinstance(support, Ball):
         return {"kind": "ball", "radius": support.radius, "n": support.n}
-    raise TypeError("unsupported support type for serialization")
+    if isinstance(support, Rect):
+        return {"kind": "rect", "lo": list(support.lo), "hi": list(support.hi)}
+    raise ValueError(f"cannot serialize support {support!r}")
 
 
 def _support_from_json(d: dict):
@@ -373,6 +430,8 @@ def _support_from_json(d: dict):
         return Interval(d["lo"], d["hi"])
     if d["kind"] == "ball":
         return Ball(d["radius"], d["n"])
+    if d["kind"] == "rect":
+        return Rect(tuple(d["lo"]), tuple(d["hi"]))
     raise ValueError(f"unknown support kind {d['kind']!r}")
 
 

@@ -5,6 +5,10 @@ dimension. Planar rectangles (with or without a ball cap) are reduced to
 piecewise-analytic one-dimensional polar integrals and evaluated with adaptive
 Gauss quadrature; origin-touching pieces use the exact radial antiderivative,
 so the singularity of |x|^a never meets a quadrature node.
+
+The array forms serve whole lattices: :func:`interval_masses` is the closed
+form over many intervals at once, and :func:`rect_gauss_masses` a fixed
+tensor Gauss-Legendre rule for planar rectangles away from the origin.
 """
 from __future__ import annotations
 
@@ -19,12 +23,22 @@ __all__ = [
     "Ball",
     "Rect",
     "RectInBall",
+    "depth_cap_hits",
+    "interval_masses",
     "power_mass",
+    "rect_gauss_masses",
     "unit_sphere_area",
 ]
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _MAX_DEPTH = 48
+# panels that stopped at _MAX_DEPTH without meeting their tolerance
+_depth_cap_hits = 0
+
+# tensor rule for rectangles away from the origin, evaluated in row blocks of
+# at most _RULE_BLOCK node values so the temporaries stay a fixed size
+_RULE_NODES, _RULE_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_RULE_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -79,6 +93,55 @@ def _power_diff(base: float, top: float, s: float) -> float:
     return base**s * math.expm1(s * math.log(top / base)) / s
 
 
+def _power_diffs(base: np.ndarray, top: np.ndarray, s: float) -> np.ndarray:
+    """Elementwise :func:`_power_diff` for 0 <= base < top, with numpy."""
+    zero = base == 0.0
+    if s <= 0.0 and np.any(zero):
+        raise ValueError(f"exponent {s - 1.0!r} is not integrable at the origin")
+    if s == 0.0:
+        return np.log(top / base)
+    with np.errstate(divide="ignore"):
+        logr = np.where(zero, 0.0, np.log(top / np.where(zero, 1.0, base)))
+    return np.where(zero, top**s / s, base**s * np.expm1(s * logr) / s)
+
+
+def interval_masses(a: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Integral of |x|^a over every interval [lo[k], hi[k]]; 0 where hi <= lo.
+
+    Each interval is split at the origin and its negative part reflected, so
+    both parts take the closed form of :func:`_power_diff` on whole arrays.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    out = np.zeros(lo.shape)
+    for base, top in ((np.maximum(lo, 0.0), hi), (np.maximum(-hi, 0.0), -lo)):
+        keep = top > base
+        if np.any(keep):
+            out[keep] += _power_diffs(base[keep], top[keep], a + 1.0)
+    return out
+
+
+def rect_gauss_masses(a: float, x0, x1, y0, y1) -> np.ndarray:
+    """Integral of |x|^a over every rectangle [x0[i], x1[i]] x [y0[j], y1[j]].
+
+    A 12 x 12 tensor Gauss-Legendre rule, accurate to a few ulps on
+    rectangles whose distance from the origin is at least their longest
+    side. Nearer rectangles need :func:`power_mass`.
+    """
+    x0, x1, y0, y1 = (np.asarray(v, dtype=float) for v in (x0, x1, y0, y1))
+    xs = 0.5 * (x0 + x1)[:, None] + 0.5 * (x1 - x0)[:, None] * _RULE_NODES
+    ys = 0.5 * (y0 + y1)[:, None] + 0.5 * (y1 - y0)[:, None] * _RULE_NODES
+    ysq = (ys * ys).reshape(-1)
+    out = np.empty((len(x0), len(y0)))
+    rows = max(1, _RULE_BLOCK // (len(_RULE_NODES) * max(ysq.size, 1)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(0, len(x0), rows):
+            r2 = (xs[i : i + rows] ** 2)[:, :, None] + ysq
+            np.power(r2, 0.5 * a, out=r2)
+            by_y = r2.reshape(r2.shape[0], len(_RULE_NODES), len(y0), -1) @ _RULE_WEIGHTS
+            out[i : i + rows] = _RULE_WEIGHTS @ by_y
+        return out * (0.25 * (x1 - x0))[:, None] * (y1 - y0)
+
+
 def _interval_mass(a: float, lo: float, hi: float) -> float:
     if hi <= lo:
         return 0.0
@@ -119,20 +182,8 @@ def _quadrant_integrand(t: np.ndarray, a, x0, x1, y0, y1, radius) -> np.ndarray:
     far = np.minimum(far, radius)
     out = np.zeros_like(t)
     ok = far > near
-    if not np.any(ok):
-        return out
-    nr, fr = near[ok], far[ok]
-    if s == 0.0:
-        vals = np.log(fr / nr)
-    else:
-        with np.errstate(divide="ignore"):
-            logr = np.where(nr > 0.0, np.log(fr / np.where(nr > 0.0, nr, 1.0)), 0.0)
-        vals = np.where(
-            nr > 0.0,
-            nr**s * np.expm1(s * logr) / s,
-            fr**s / s,
-        )
-    out[ok] = vals
+    if np.any(ok):
+        out[ok] = _power_diffs(near[ok], far[ok], s)
     return out
 
 
@@ -142,12 +193,24 @@ def _gauss_panel(f, lo: float, hi: float) -> float:
     return half * float(np.dot(_GAUSS_WEIGHTS, f(mid + half * _GAUSS_NODES)))
 
 
+def depth_cap_hits() -> int:
+    """Adaptive panels, since import, that stopped at the depth cap unconverged.
+
+    Callers read it before and after a run; the difference is the run's count.
+    """
+    return _depth_cap_hits
+
+
 def _adaptive(f, lo: float, hi: float, tol: float, depth: int = 0) -> float:
+    global _depth_cap_hits
     whole = _gauss_panel(f, lo, hi)
     mid = 0.5 * (lo + hi)
     left = _gauss_panel(f, lo, mid)
     right = _gauss_panel(f, mid, hi)
-    if abs(left + right - whole) <= tol or depth >= _MAX_DEPTH:
+    if abs(left + right - whole) <= tol:
+        return left + right
+    if depth >= _MAX_DEPTH:
+        _depth_cap_hits += 1
         return left + right
     return _adaptive(f, lo, mid, tol / 2.0, depth + 1) + _adaptive(
         f, mid, hi, tol / 2.0, depth + 1

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,15 +85,11 @@ class ExponentTuple:
         return hash(self.exponents)
 
 
-@lru_cache(maxsize=64)
 def _power_cell_masses(lattice: Lattice, exponent: float) -> np.ndarray:
-    """Exact integral of |x|^exponent over every lattice cell (read-only)."""
+    """Exact integral of |x|^exponent over every lattice cell."""
     if exponent == 0.0:
-        out = np.full(lattice.shape, lattice.cell_volume)
-    else:
-        out = lattice.power_masses(exponent)
-    out.flags.writeable = False
-    return out
+        return np.full(lattice.shape, lattice.cell_volume)
+    return lattice.power_masses(exponent)
 
 
 class Weight:

@@ -126,6 +126,14 @@ def test_maximal_subcommand_bracket(tmp_path, capsys):
     assert (tmp_path / "mx.json").exists()
 
 
+def test_maximal_planar_positive_quadrant_spec_runs(capsys):
+    # @pos in two dimensions is a Rect support, clipped cell by cell
+    code = main(["maximal", "--n", "2", "--L", "3", "--f", "power:-0.5@pos,const"])
+    assert code == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["slots"] == 2 and blob["max_lower"] > 0
+
+
 def test_maximal_malformed_grid_file_is_config_error(tmp_path, capsys):
     path = tmp_path / "f.gridfn"
     header = '{"n": 1, "L": 3, "box": {"lo": [-2.0], "side": 4.0}, "descriptor": null}'
@@ -187,12 +195,14 @@ def test_mw_sweep_writes_csv_fit_and_gnuplot(tmp_path, capsys):
     assert lines[0] == "eps,ap_const,lhs_norm,rhs_norm_product,ratio,L,ms"
     assert len(lines) == 5
     fit = json.loads((tmp_path / "sweep-fit.json").read_text())
-    assert set(fit) == {"slope", "intercept", "residual", "eps_min", "eps_max"}
+    assert set(fit) == {"slope", "intercept", "residual", "eps_min", "eps_max", "depth_cap_hits"}
+    assert fit["depth_cap_hits"] == 0
     gp = (tmp_path / "sweep.gp").read_text()
     assert "logscale" in gp and "sweep.csv" in gp
     blob = json.loads(capsys.readouterr().out)
     assert blob["rows"] == 4
     assert blob["fit"]["slope"] == pytest.approx(fit["slope"])
+    assert blob["depth_cap_hits"] == 0
 
 
 def test_mw_sweep_repeated_runs_give_identical_bytes(tmp_path, capsys):
@@ -268,19 +278,21 @@ def test_audit_subcommand_json(capsys):
             "--operator",
             "sparse",
             "--L",
-            "5",
+            "6",
             "--trials",
-            "3",
+            "6",
             "--seed",
-            "7",
+            "11",
         ]
     )
     assert code == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["operator"] == "sparse"
-    assert blob["trials"] == 3
+    assert blob["trials"] == 6
     assert blob["max_quotient"] > 0
-    assert len(blob["quotients"]) + blob["skipped"] == 3
+    assert len(blob["quotients"]) + blob["skipped"] == 6
+    assert blob["largest_family"] > 1
+    assert blob["depth_cap_hits"] == 0
 
 
 def test_audit_bad_operator_rejected_by_parser(capsys):

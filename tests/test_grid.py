@@ -21,7 +21,7 @@ from mweights.grid import (
     default_box,
     third_offset,
 )
-from mweights.powermass import Ball, Interval
+from mweights.powermass import Ball, Interval, Rect, RectInBall
 
 
 def make_lattice(n=1, L=3):
@@ -202,6 +202,26 @@ def test_serialization_bit_exact(tmp_path):
     f2.save(p2)
     g2 = GridFunction.load(p2)
     assert np.array_equal(g2.values, f2.values) and g2.descriptor is None
+
+
+def test_serialization_keeps_a_rect_support(tmp_path):
+    lat = Lattice(default_box(2), 3)
+    f = GridFunction.from_power(lat, -0.5, Rect((0.0, 0.0), (1.0, 1.0)))
+    path = tmp_path / "f.gridfn"
+    f.save(path)
+    g = GridFunction.load(path)
+    assert g.descriptor == f.descriptor
+    assert np.array_equal(g.values, f.values)
+
+
+def test_serialization_refuses_an_unknown_support(tmp_path):
+    f = GridFunction(
+        Lattice(default_box(2), 2),
+        np.ones((4, 4)),
+        PowerDescriptor(-0.5, RectInBall((0.0, 0.0), (1.0, 1.0), 1.0)),
+    )
+    with pytest.raises(ValueError, match="cannot serialize"):
+        f.save(tmp_path / "f.gridfn")
 
 
 def test_cell_region():

@@ -2,18 +2,24 @@
 
 Expected values are frozen from closed forms computed independently of the
 implementation (antiderivatives, polar integrals), plus a midpoint-rule
-quadrature oracle for origin-free regions.
+quadrature oracle for origin-free regions, and a 20-digit mpmath oracle for
+the whole-lattice masses of ``Lattice.power_masses``.
 """
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mweights import powermass
+from mweights.grid import Lattice, default_box
 from mweights.powermass import (
     Ball,
     Interval,
     Rect,
     RectInBall,
+    depth_cap_hits,
     power_mass,
 )
 
@@ -162,3 +168,172 @@ def test_interval_in_ball_one_dim():
     got = power_mass(0.5, RectInBall((-2.0,), (0.5,), 1.0))
     want = power_mass(0.5, Interval(-1.0, 0.5))
     assert got == pytest.approx(want, rel=1e-14)
+
+
+def test_adaptive_counts_depth_cap_hits(monkeypatch):
+    # every half-panel down to depth 2 holds a kink of |sin(50 t)|, so no panel
+    # meets a tolerance of 1e-300 and all four at the capped depth 2 stop
+    monkeypatch.setattr(powermass, "_MAX_DEPTH", 2)
+    before = depth_cap_hits()
+    powermass._adaptive(lambda t: np.abs(np.sin(50.0 * t)), 0.0, 1.0, 1e-300)
+    assert depth_cap_hits() - before == 4
+
+
+# ------------------------------------------------- 20-digit mpmath oracle
+#
+# A naive nested mpmath.quad cannot resolve the singularity at the origin
+# cells or the kinks where the circle of a ball support crosses a cell, so
+# the oracle avoids both: origin cells go through the one-dimensional polar
+# form, and elsewhere the outer integral is split at R and wherever the
+# circle crosses a cell edge, with the inner integral in closed form (a
+# hypergeometric function).
+
+CELL_RTOL = 1e-13
+
+
+@pytest.fixture
+def mp():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(20):
+        yield mpmath
+
+
+def _segments(lo, hi):
+    """[lo, hi] split at 0 and reflected to nonnegative segments."""
+    segs = []
+    if lo < 0.0:
+        segs.append((max(0.0, -hi), -lo))
+    if hi > 0.0:
+        segs.append((max(0.0, lo), hi))
+    return [(u, v) for u, v in segs if v > u]
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_quadrant(mp, a, x0, x1, y0, y1, R):
+    """Integral of |x|^a over [x0, x1] x [y0, y1] cap B(0, R), x0, y0 >= 0."""
+    if (y0, y1) > (x0, x1):
+        # the integrand and the ball are symmetric in x and y: integrate
+        # over the axis that stays further from the origin on the outside
+        return _mp_quadrant(mp, a, y0, y1, x0, x1, R)
+    a, R = mp.mpf(a), mp.mpf(R)
+    x0, x1, y0, y1 = (mp.mpf(v) for v in (x0, x1, y0, y1))
+    if x0 == 0:
+        # both lower edges are 0: polar, where the ray at angle t leaves the
+        # cell at min(x1/cos t, y1/sin t) and the ball at R
+        s = a + 2
+        corner = mp.atan2(y1, x1)
+        pts = {mp.mpf(0), corner, mp.pi / 2}
+        if x1 < R:  # where x1/cos t meets the circle
+            pts.add(mp.acos(x1 / R))
+        if y1 < R:  # where y1/sin t meets the circle
+            pts.add(mp.asin(y1 / R))
+
+        def ray(t):
+            edge = x1 / mp.cos(t) if t <= corner else y1 / mp.sin(t)
+            return min(edge, R) ** s / s
+
+        return mp.quad(ray, sorted(pts))
+
+    def below(x, y):
+        # integral of (x^2 + t^2)^(a/2) over 0 <= t <= y
+        if y == 0:
+            return mp.mpf(0)
+        return y * x**a * mp.hyp2f1(-a / 2, 0.5, 1.5, -((y / x) ** 2))
+
+    def outer(x):
+        top = y1 if x * x + y1 * y1 <= R * R else mp.sqrt(max(R * R - x * x, 0))
+        return below(x, top) - below(x, y0) if top > y0 else mp.mpf(0)
+
+    pts = {x0, x1}
+    if R != mp.inf:
+        pts |= {c for c in (R, *(mp.sqrt(R * R - y * y) for y in (y0, y1) if y < R)) if x0 < c < x1}
+    return mp.quad(outer, sorted(pts))
+
+
+def _mp_cell_mass(mp, a, lo, hi, support):
+    """Integral of |x|^a over the cell [lo, hi] cap ``support``, at 20 digits."""
+    R = math.inf
+    if isinstance(support, Ball):
+        R = support.radius
+        if len(lo) == 1:
+            support = Interval(-support.radius, support.radius)
+    if isinstance(support, Interval):
+        support = Rect((support.lo,), (support.hi,))
+    if isinstance(support, Rect):
+        lo = [max(u, v) for u, v in zip(lo, support.lo)]
+        hi = [min(u, v) for u, v in zip(hi, support.hi)]
+    if len(lo) == 1:
+        s = mp.mpf(a) + 1
+        return sum((mp.mpf(v) ** s - mp.mpf(u) ** s) / s for u, v in _segments(lo[0], hi[0]))
+    return sum(
+        _mp_quadrant(mp, a, x0, x1, y0, y1, R)
+        for x0, x1 in _segments(lo[0], hi[0])
+        for y0, y1 in _segments(lo[1], hi[1])
+    )
+
+
+def _check_cells(mp, lat, a, support, cells):
+    got = lat.power_masses(a, support)
+    for idx in cells:
+        lo, hi = lat.cell_bounds(idx)
+        want = _mp_cell_mass(mp, a, lo.tolist(), hi.tolist(), support)
+        if want == 0:
+            assert got[idx] == 0.0, idx
+        else:
+            rel = abs((mp.mpf(got[idx]) - want) / want)
+            assert rel <= CELL_RTOL, (idx, float(got[idx]), want, float(rel))
+
+
+@pytest.mark.parametrize("a", [-1.0 + 2.0**-9, -0.5, 0.7])
+@pytest.mark.parametrize(
+    "support",
+    [None, Ball(1.0, 1), Interval(0.0, 1.0), Interval(-0.3, 0.7)],
+    ids=["none", "ball", "interval", "odd-interval"],
+)
+def test_interval_cell_masses_match_mpmath(mp, a, support):
+    lat = Lattice(default_box(1), 6)
+    _check_cells(mp, lat, a, support, [(k,) for k in range(lat.cells_per_axis)])
+
+
+PLANAR_SUPPORTS = [
+    None,
+    Ball(1.0, 2),
+    Rect((0.0, 0.0), (1.0, 1.0)),
+    Rect((-0.3, 0.2), (1.5, 1.7)),
+]
+PLANAR_IDS = ["none", "ball", "rect", "odd-rect"]
+
+
+@pytest.mark.parametrize("a", [-2.0 + 2.0**-9, -1.0, 0.7])
+@pytest.mark.parametrize("support", PLANAR_SUPPORTS, ids=PLANAR_IDS)
+def test_planar_cell_masses_match_mpmath(mp, a, support):
+    lat = Lattice(default_box(2), 2)
+    _check_cells(mp, lat, a, support, list(np.ndindex(*lat.shape)))
+
+
+@pytest.mark.parametrize("a", [-2.0 + 2.0**-9, -1.0, 0.7])
+@pytest.mark.parametrize("support", PLANAR_SUPPORTS, ids=PLANAR_IDS)
+def test_sampled_fine_planar_cells_match_mpmath(mp, a, support):
+    # the middle 8x8 cells of L=4 hold the origin cells and the ball-cut ones
+    lat = Lattice(default_box(2), 4)
+    rng = np.random.default_rng(4)
+    cells = [tuple(int(i) for i in rng.integers(4, 12, size=2)) for _ in range(8)]
+    _check_cells(mp, lat, a, support, cells)
+
+
+def test_rect_support_masses_sum_to_the_rect_mass():
+    lat = Lattice(default_box(2), 3)
+    for a in (-1.5, -0.5, 0.7):
+        total = float(np.sum(lat.power_masses(a, Rect((0.0, 0.0), (1.0, 1.0)))))
+        assert total == pytest.approx(power_mass(a, Rect((0.0, 0.0), (1.0, 1.0))), rel=1e-13)
+
+
+def test_planar_masses_peak_memory_stays_bounded():
+    lat = Lattice(default_box(2), 8)
+    tracemalloc.start()
+    try:
+        lat.power_masses(-2.0 + 2.0**-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

@@ -18,6 +18,7 @@ from mweights.experiments import (
     write_gnuplot,
     write_sweep_csv,
 )
+from mweights.experiments import sweeps
 from mweights.grid import GridFunction, Lattice, default_box
 from mweights.weights import Weight, WeightVector, ExponentTuple
 
@@ -239,6 +240,31 @@ def test_audit_constant_weights_reduce_to_plain_ratio():
     blob = rep.to_json()
     assert blob["operator"] == "maximal"
     assert blob["max_quotient"] == rep.max_quotient
+
+
+def test_audit_reports_families_and_depth_cap_hits():
+    rep = upper_bound_audit((2.0, 2.0), L=6, trials=6, seed=11, operator="sparse")
+    blob = rep.to_json()
+    assert blob["largest_family"] == rep.largest_family > 1
+    assert blob["depth_cap_hits"] == rep.depth_cap_hits == 0
+
+
+def test_audit_fails_when_every_family_is_the_root(monkeypatch):
+    # inputs capped at 1 are too flat for the stopping walk to select a cube
+    # below the root
+    monkeypatch.setattr(
+        sweeps,
+        "GridFunction",
+        lambda lattice, values: GridFunction(lattice, np.minimum(values, 1.0)),
+    )
+    with pytest.raises(RuntimeError, match="root alone"):
+        upper_bound_audit((2.0, 2.0), L=6, trials=6, seed=11, operator="sparse")
+
+
+def test_planar_sparse_audit_runs_at_tier_one_size():
+    rep = upper_bound_audit((2.0, 2.0), L=6, trials=3, seed=3, operator="sparse", n=2)
+    assert rep.skipped == 0 and len(rep.quotients) == 3
+    assert rep.largest_family > 1
 
 
 def test_audit_rejects_unknown_operator():
