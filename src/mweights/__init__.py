@@ -56,6 +56,7 @@ from .operators import (
     weighted_dyadic_maximal,
 )
 from .experiments import (
+    AuditError,
     AuditReport,
     ExtremalProblem,
     FitResult,
@@ -81,6 +82,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApReport",
+    "AuditError",
     "AuditReport",
     "Ball",
     "Box",

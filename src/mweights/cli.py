@@ -12,7 +12,8 @@ Subcommands
 
 Exit codes: 0 success, 2 configuration error (bad flags, bad values, bad
 files, or a ``ValueError`` from the library on the values given), 3
-invariant failure (sparseness verification, selftest).
+invariant failure (sparseness verification, an audit with no evidence,
+selftest).
 Weight/function specs: ``power:<a>`` (power law on the unit ball),
 ``power:<a>@pos`` (power law on the positive unit cube), ``const`` or
 ``const:<c>``, ``grid:<path>`` (file saved by the grid-function writer).
@@ -39,7 +40,7 @@ from .operators import (
     build_sparse_family,
     multilinear_maximal,
 )
-from .powermass import Ball, Interval, Rect, depth_cap_hits
+from .powermass import Ball, Interval, Rect
 from .weights import (
     CubeFamily,
     ExponentTuple,
@@ -48,6 +49,7 @@ from .weights import (
     ap_constant,
 )
 from .experiments import (
+    AuditError,
     fit_exponent,
     maximal_problem,
     riesz_problem,
@@ -394,7 +396,6 @@ def _cmd_sparse(args: argparse.Namespace) -> int:
 
 
 def _run_sweep(args: argparse.Namespace, builder, default_prefix: str, **kwargs) -> int:
-    hits0 = depth_cap_hits()
     rows = run_sweep(
         builder,
         parse_exponents(args.p),
@@ -403,7 +404,6 @@ def _run_sweep(args: argparse.Namespace, builder, default_prefix: str, **kwargs)
         n=args.n,
         **kwargs,
     )
-    hits = depth_cap_hits() - hits0
     prefix = args.out or default_prefix
     csv_path = Path(f"{prefix}.csv")
     write_sweep_csv(rows, csv_path)
@@ -414,7 +414,7 @@ def _run_sweep(args: argparse.Namespace, builder, default_prefix: str, **kwargs)
         fit = None
         fit_blob = {"error": str(err)}
     if fit is not None:
-        write_fit_json(fit, Path(f"{prefix}-fit.json"), depth_cap_hits=hits)
+        write_fit_json(fit, Path(f"{prefix}-fit.json"))
         write_gnuplot(csv_path, Path(f"{prefix}.gp"), fit=fit)
         fit_blob = fit.to_json()
     else:
@@ -424,7 +424,6 @@ def _run_sweep(args: argparse.Namespace, builder, default_prefix: str, **kwargs)
         "csv": str(csv_path),
         "gnuplot": f"{prefix}.gp",
         "fit": fit_blob,
-        "depth_cap_hits": hits,
     }
     print(json.dumps(blob, indent=2))
     return EXIT_OK
@@ -475,7 +474,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except SparsenessError as err:
+    except (SparsenessError, AuditError) as err:
         print(f"invariant failure: {err}", file=sys.stderr)
         return EXIT_INVARIANT
 

@@ -9,6 +9,7 @@ from .extremals import (
 from .norms import Minorant, analytic_power_norm, grid_lp_norm, hybrid_lower_norm
 from .sweeps import (
     CSV_HEADER,
+    AuditError,
     AuditReport,
     FitResult,
     SweepRow,
@@ -22,6 +23,7 @@ from .sweeps import (
 )
 
 __all__ = [
+    "AuditError",
     "AuditReport",
     "CSV_HEADER",
     "ExtremalProblem",

@@ -20,7 +20,6 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..grid import GridFunction, Lattice, default_box, ShiftedGridFamily
-from ..powermass import depth_cap_hits
 from ..operators import (
     SparsenessError,
     bilinear_riesz,
@@ -35,6 +34,7 @@ from .extremals import ExtremalProblem
 from .norms import grid_lp_norm, hybrid_lower_norm
 
 __all__ = [
+    "AuditError",
     "AuditReport",
     "FitResult",
     "SweepRow",
@@ -214,14 +214,11 @@ def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_fit_json(fit: FitResult, path, depth_cap_hits: Optional[int] = None) -> None:
-    """Write the fit, with the run's adaptive depth-cap hits when given."""
+def write_fit_json(fit: FitResult, path) -> None:
+    """Write the fit as JSON."""
     import json
 
-    blob = fit.to_json()
-    if depth_cap_hits is not None:
-        blob["depth_cap_hits"] = depth_cap_hits
-    Path(path).write_text(json.dumps(blob, indent=2) + "\n")
+    Path(path).write_text(json.dumps(fit.to_json(), indent=2) + "\n")
 
 
 def write_gnuplot(csv_path, gp_path, fit: Optional[FitResult] = None) -> None:
@@ -244,13 +241,17 @@ def write_gnuplot(csv_path, gp_path, fit: Optional[FitResult] = None) -> None:
     Path(gp_path).write_text("\n".join(lines) + "\n")
 
 
+class AuditError(RuntimeError):
+    """An audit produced no evidence: every trial was skipped, or every
+    sparse family was the root alone."""
+
+
 @dataclass(frozen=True)
 class AuditReport:
     """Random-input check that ratios respect the predicted power.
 
     ``largest_family`` is the most cubes in one sparse family (0 for the
-    maximal operator); ``depth_cap_hits`` counts the adaptive quadrature
-    panels of the run that stopped at the depth cap unconverged.
+    maximal operator).
     """
 
     operator: str
@@ -263,7 +264,6 @@ class AuditReport:
     L: int
     seed: int
     largest_family: int
-    depth_cap_hits: int
 
     def to_json(self) -> dict:
         return {
@@ -277,7 +277,6 @@ class AuditReport:
             "L": self.L,
             "seed": self.seed,
             "largest_family": self.largest_family,
-            "depth_cap_hits": self.depth_cap_hits,
         }
 
 
@@ -298,7 +297,8 @@ def upper_bound_audit(
     across trials are evidence the predicted exponent is not undershooting.
     The inputs are log-normal, heavy-tailed enough for the stopping walk to
     select cubes below the root; a sparse audit in which every family is the
-    root alone never runs that walk and raises ``RuntimeError``.
+    root alone never runs that walk and raises :class:`AuditError`, as does
+    an audit whose every trial was skipped.
     """
     if operator not in ("sparse", "maximal"):
         raise ValueError(f"unknown operator {operator!r}: use 'sparse' or 'maximal'")
@@ -317,7 +317,6 @@ def upper_bound_audit(
     support[tuple(slice(s, s + root.size) for s in root.start)] = True
 
     rng = np.random.default_rng(seed)
-    hits0 = depth_cap_hits()
     quotients: List[float] = []
     skipped = 0
     largest = 0
@@ -359,9 +358,9 @@ def upper_bound_audit(
             continue
         quotients.append((lhs / rhs_product) / ap**target)
     if not quotients:
-        raise RuntimeError("every audit trial was skipped; nothing to report")
+        raise AuditError("every audit trial was skipped; nothing to report")
     if operator == "sparse" and largest == 1:
-        raise RuntimeError("every sparse family is the root alone; the stopping walk never ran")
+        raise AuditError("every sparse family is the root alone; the stopping walk never ran")
     return AuditReport(
         operator=operator,
         target_exponent=target,
@@ -373,5 +372,4 @@ def upper_bound_audit(
         L=L,
         seed=seed,
         largest_family=largest,
-        depth_cap_hits=depth_cap_hits() - hits0,
     )

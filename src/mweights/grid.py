@@ -24,9 +24,8 @@ from .powermass import (
     Ball,
     Interval,
     Rect,
-    RectInBall,
     interval_masses,
-    power_mass,
+    planar_masses,
     rect_gauss_masses,
 )
 
@@ -99,34 +98,6 @@ class Lattice:
         lo = np.asarray(self.box.lo) + self.h * np.asarray(cube.start, dtype=float)
         return lo, lo + self.h * cube.size
 
-    def cell_region(self, idx: Sequence[int], support=None):
-        """Powermass region for one cell, optionally clipped to a support set."""
-        lo, hi = self.cell_bounds(idx)
-        if self.n == 1:
-            a, b = lo[0], hi[0]
-            if support is None:
-                return Interval(a, b)
-            if isinstance(support, Ball):
-                support = Interval(-support.radius, support.radius)
-            if isinstance(support, Interval):
-                a2, b2 = max(a, support.lo), min(b, support.hi)
-                return Interval(a2, b2) if b2 > a2 else None
-            raise TypeError("unsupported 1d support")
-        if support is None:
-            return Rect(tuple(lo), tuple(hi))
-        if isinstance(support, Rect):
-            lo2, hi2 = np.maximum(lo, support.lo), np.minimum(hi, support.hi)
-            return Rect(tuple(lo2), tuple(hi2)) if np.all(hi2 > lo2) else None
-        if isinstance(support, Ball):
-            near = np.linalg.norm(np.clip(0.0, lo, hi))
-            if near >= support.radius:
-                return None
-            far = math.sqrt(float(np.sum(np.maximum(np.abs(lo), np.abs(hi)) ** 2)))
-            if far <= support.radius:
-                return Rect(tuple(lo), tuple(hi))
-            return RectInBall(tuple(lo), tuple(hi), support.radius)
-        raise TypeError("unsupported support type")
-
     def _clipped_edges(self, support):
         """Per axis, every cell's edges clipped to an ``Interval`` or ``Rect``
         support; a ``Ball`` clips only in one dimension, as [-r, r]."""
@@ -153,7 +124,8 @@ class Lattice:
         Gauss-Legendre rule on every cell inside the support whose distance
         from the origin is at least its longest side; the cells nearer the
         origin (on the default box, the four that touch it) and the cells a
-        ``Ball`` cuts take the exact polar path of :func:`power_mass`.
+        ``Ball`` cuts take the graded polar rule of :func:`planar_masses`,
+        all in one call.
         """
         edges = self._clipped_edges(support)
         if self.n == 1:
@@ -165,7 +137,8 @@ class Lattice:
         inside = (x1 > x0)[:, None] & (y1 > y0)[None, :]
         cut = np.zeros(self.shape, dtype=bool)
         if isinstance(support, Ball):
-            # the edges are unclipped: classify the cells as cell_region does
+            # the edges are unclipped: a cell is inside when its farthest
+            # corner is, and cut when its nearest point is inside but not all
             fx, fy = (np.maximum(np.abs(lo), np.abs(hi)) for lo, hi in edges)
             inside = np.hypot(fx[:, None], fy[None, :]) <= support.radius
             cut = ~inside & (np.hypot(dx[:, None], dy[None, :]) < support.radius)
@@ -174,10 +147,9 @@ class Lattice:
         out = np.where(
             inside & ~near_origin, rect_gauss_masses(exponent, x0, x1, y0, y1), 0.0
         )
-        for idx in zip(*np.nonzero(cut | near_origin)):
-            region = self.cell_region(idx, support)
-            if region is not None:
-                out[idx] = power_mass(exponent, region)
+        i, j = np.nonzero(cut | near_origin)
+        radius = support.radius if isinstance(support, Ball) else math.inf
+        out[i, j] = planar_masses(exponent, x0[i], x1[i], y0[j], y1[j], radius)
         return out
 
 

@@ -2,13 +2,14 @@
 
 Everything here is exact up to floating point for n = 1 and for balls in any
 dimension. Planar rectangles (with or without a ball cap) are reduced to
-piecewise-analytic one-dimensional polar integrals and evaluated with adaptive
-Gauss quadrature; origin-touching pieces use the exact radial antiderivative,
-so the singularity of |x|^a never meets a quadrature node.
+piecewise-analytic one-dimensional polar integrals and evaluated with a fixed
+graded Gauss rule (:func:`quadrant_masses`); the radial integral is in closed
+form, so the singularity of |x|^a at the origin never meets a quadrature node.
 
-The array forms serve whole lattices: :func:`interval_masses` is the closed
-form over many intervals at once, and :func:`rect_gauss_masses` a fixed
-tensor Gauss-Legendre rule for planar rectangles away from the origin.
+Every form works on whole arrays: :func:`interval_masses` is the closed form
+over many intervals at once, :func:`planar_masses` the polar rule over many
+rectangles, and :func:`rect_gauss_masses` a cheaper fixed tensor
+Gauss-Legendre rule for planar rectangles away from the origin.
 """
 from __future__ import annotations
 
@@ -23,17 +24,16 @@ __all__ = [
     "Ball",
     "Rect",
     "RectInBall",
-    "depth_cap_hits",
     "interval_masses",
+    "planar_masses",
     "power_mass",
+    "quadrant_masses",
     "rect_gauss_masses",
     "unit_sphere_area",
 ]
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(32)
-_MAX_DEPTH = 48
-# panels that stopped at _MAX_DEPTH without meeting their tolerance
-_depth_cap_hits = 0
+# rule for each graded piece of the polar integrals
+_POLAR_NODES, _POLAR_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 # tensor rule for rectangles away from the origin, evaluated in row blocks of
 # at most _RULE_BLOCK node values so the temporaries stay a fixed size
@@ -79,22 +79,11 @@ def unit_sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def _power_diff(base: float, top: float, s: float) -> float:
-    """(top^s - base^s)/s for 0 <= base < top, stable for tiny s.
-
-    s == 0 returns log(top/base). base == 0 requires s > 0.
-    """
-    if base == 0.0:
-        if s <= 0.0:
-            raise ValueError(f"exponent {s - 1.0!r} is not integrable at the origin")
-        return top**s / s
-    if s == 0.0:
-        return math.log(top / base)
-    return base**s * math.expm1(s * math.log(top / base)) / s
-
-
 def _power_diffs(base: np.ndarray, top: np.ndarray, s: float) -> np.ndarray:
-    """Elementwise :func:`_power_diff` for 0 <= base < top, with numpy."""
+    """(top^s - base^s)/s for 0 <= base < top, elementwise and stable for tiny s.
+
+    s == 0 gives log(top/base). base == 0 requires s > 0.
+    """
     zero = base == 0.0
     if s <= 0.0 and np.any(zero):
         raise ValueError(f"exponent {s - 1.0!r} is not integrable at the origin")
@@ -109,7 +98,7 @@ def interval_masses(a: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Integral of |x|^a over every interval [lo[k], hi[k]]; 0 where hi <= lo.
 
     Each interval is split at the origin and its negative part reflected, so
-    both parts take the closed form of :func:`_power_diff` on whole arrays.
+    both parts take the closed form of :func:`_power_diffs` on whole arrays.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     out = np.zeros(lo.shape)
@@ -125,7 +114,7 @@ def rect_gauss_masses(a: float, x0, x1, y0, y1) -> np.ndarray:
 
     A 12 x 12 tensor Gauss-Legendre rule, accurate to a few ulps on
     rectangles whose distance from the origin is at least their longest
-    side. Nearer rectangles need :func:`power_mass`.
+    side. Nearer rectangles need :func:`planar_masses`.
     """
     x0, x1, y0, y1 = (np.asarray(v, dtype=float) for v in (x0, x1, y0, y1))
     xs = 0.5 * (x0 + x1)[:, None] + 0.5 * (x1 - x0)[:, None] * _RULE_NODES
@@ -142,18 +131,6 @@ def rect_gauss_masses(a: float, x0, x1, y0, y1) -> np.ndarray:
         return out * (0.25 * (x1 - x0))[:, None] * (y1 - y0)
 
 
-def _interval_mass(a: float, lo: float, hi: float) -> float:
-    if hi <= lo:
-        return 0.0
-    if lo >= 0.0:
-        return _power_diff(lo, hi, a + 1.0)
-    if hi <= 0.0:
-        return _power_diff(-hi, -lo, a + 1.0)
-    if a <= -1.0:
-        raise ValueError(f"|x|^{a} is not integrable across the origin in n=1")
-    return _power_diff(0.0, -lo, a + 1.0) + _power_diff(0.0, hi, a + 1.0)
-
-
 def _ball_mass(a: float, radius: float, n: int) -> float:
     if radius < 0.0:
         raise ValueError("ball radius must be nonnegative")
@@ -165,141 +142,138 @@ def _ball_mass(a: float, radius: float, n: int) -> float:
     return unit_sphere_area(n) * radius**s / s
 
 
-def _radial_span(t: np.ndarray, x0, x1, y0, y1):
-    """Entry/exit radii of rays at angles t through the first-quadrant rect."""
-    c = np.cos(t)
-    s = np.sin(t)
-    near_x = np.where(x0 > 0.0, x0 / np.maximum(c, 1e-300), 0.0)
-    near_y = np.where(y0 > 0.0, y0 / np.maximum(s, 1e-300), 0.0)
-    far_x = x1 / np.maximum(c, 1e-300)
-    far_y = y1 / np.maximum(s, 1e-300)
-    return np.maximum(near_x, near_y), np.minimum(far_x, far_y)
+def _ray_masses(s: float, near: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """(far^s - near^s)/s for far = near + gap, 0 <= near, 0 < gap.
+
+    Stable for thin gaps and tiny s; near == 0 requires s > 0.
+    """
+    zero = near == 0.0
+    logr = np.log1p(gap / np.where(zero, 1.0, near))
+    if s == 0.0:
+        return logr
+    return np.where(zero, gap**s / s, near**s * np.expm1(s * logr) / s)
 
 
-def _quadrant_integrand(t: np.ndarray, a, x0, x1, y0, y1, radius) -> np.ndarray:
-    s = a + 2.0
-    near, far = _radial_span(t, x0, x1, y0, y1)
-    far = np.minimum(far, radius)
-    out = np.zeros_like(t)
+def _octant_masses(s: float, x0, x1, y0, y1, radius) -> np.ndarray:
+    """Polar integral of (far^s - near^s)/s over the angles t <= pi/4 of
+    each first-quadrant rectangle capped by its ball.
+
+    On [0, pi/4] the angular integrand is analytic between the breakpoints
+    below (corner angles and circle crossings); its nearest singularity is
+    t = 0, from y/sin t. Each piece [u, v] is therefore graded geometrically
+    toward 0, into ceil(log2(v/u)) sub-pieces no longer than their distance
+    from 0, and every sub-piece takes one 16-point Gauss rule. A piece that
+    starts at 0 is regular there and stays whole.
+    """
+    lo = np.arctan2(y0, x1)
+    hi = np.minimum(np.arctan2(y1, x0), 0.25 * math.pi)
+    cuts = np.stack(
+        [
+            lo,
+            hi,
+            np.arctan2(y0, x0),
+            np.arctan2(y1, x1),
+            np.arccos(np.minimum(x0 / radius, 1.0)),
+            np.arccos(np.minimum(x1 / radius, 1.0)),
+            np.arcsin(np.minimum(y0 / radius, 1.0)),
+            np.arcsin(np.minimum(y1 / radius, 1.0)),
+        ],
+        axis=1,
+    )
+    cuts = np.sort(np.clip(cuts, lo[:, None], hi[:, None]), axis=1)
+    u, v = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+    rect = np.repeat(np.arange(len(lo)), cuts.shape[1] - 1)
+    live = v > u
+    u, v, rect = u[live], v[live], rect[live]
+
+    graded = u > 0.0
+    ratio = v / np.where(graded, u, 1.0)
+    m = np.where(graded, np.maximum(np.ceil(np.log2(ratio)), 1.0), 1.0).astype(np.intp)
+    piece = np.repeat(np.arange(len(u)), m)
+    k = np.arange(len(piece)) - np.repeat(np.cumsum(m) - m, m)
+    step = ratio[piece] ** (1.0 / m[piece])
+    t0 = np.where(k == 0, u[piece], u[piece] * step**k)
+    t1 = np.where(k + 1 == m[piece], v[piece], u[piece] * step ** (k + 1))
+
+    rect = rect[piece]
+    half = 0.5 * (t1 - t0)
+    t = (0.5 * (t0 + t1))[:, None] + half[:, None] * _POLAR_NODES
+    cos, sin = np.cos(t), np.sin(t)
+    near_x, near_y = x0[rect, None] / cos, y0[rect, None] / sin
+    far_x, far_y = x1[rect, None] / cos, y1[rect, None] / sin
+    near = np.maximum(near_x, near_y)
+    far = np.minimum(np.minimum(far_x, far_y), radius[rect, None])
+    # between two parallel edges take the gap from the edges' difference, not
+    # the difference of the two radii, which cancels on thin rectangles
+    gap = np.where(
+        (far == far_x) & (near == near_x),
+        (x1 - x0)[rect, None] / cos,
+        np.where((far == far_y) & (near == near_y), (y1 - y0)[rect, None] / sin, far - near),
+    )
+    vals = np.zeros(t.shape)
     ok = far > near
-    if np.any(ok):
-        out[ok] = _power_diffs(near[ok], far[ok], s)
+    vals[ok] = _ray_masses(s, near[ok], gap[ok])
+    return np.bincount(rect, weights=(vals @ _POLAR_WEIGHTS) * half, minlength=len(lo))
+
+
+def quadrant_masses(a: float, x0, x1, y0, y1, radius=math.inf) -> np.ndarray:
+    """Integral of |x|^a over every [x0, x1] x [y0, y1] cap B(0, radius).
+
+    The rectangles lie in the closed first quadrant (0 <= x0, 0 <= y0); empty
+    ones, and ones outside the ball, have mass 0. The part of a rectangle
+    above the diagonal is the part below it of the mirrored rectangle
+    [y0, y1] x [x0, x1], so both halves go through one polar rule on
+    [0, pi/4] (:func:`_octant_masses`). Raises ValueError when a rectangle
+    has a corner at the origin and a <= -2.
+    """
+    x0, x1, y0, y1, radius = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (x0, x1, y0, y1, radius))
+    )
+    out = np.zeros(x0.shape)
+    keep = (x1 > x0) & (y1 > y0) & (np.hypot(x0, y0) < radius)
+    if not np.any(keep):
+        return out
+    x0, x1, y0, y1, radius = (v[keep] for v in (x0, x1, y0, y1, radius))
+    if a + 2.0 <= 0.0 and np.any((x0 == 0.0) & (y0 == 0.0)):
+        raise ValueError(f"|x|^{a} is not integrable at the origin in n=2")
+    below_and_mirrored = ((x0, y0), (x1, y1), (y0, x0), (y1, x1), (radius, radius))
+    halves = _octant_masses(a + 2.0, *(np.concatenate(pair) for pair in below_and_mirrored))
+    out[keep] = halves[: len(x0)] + halves[len(x0) :]
     return out
 
 
-def _gauss_panel(f, lo: float, hi: float) -> float:
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return half * float(np.dot(_GAUSS_WEIGHTS, f(mid + half * _GAUSS_NODES)))
+def planar_masses(a: float, x0, x1, y0, y1, radius=math.inf) -> np.ndarray:
+    """Integral of |x|^a over every [x0, x1] x [y0, y1] cap B(0, radius).
 
-
-def depth_cap_hits() -> int:
-    """Adaptive panels, since import, that stopped at the depth cap unconverged.
-
-    Callers read it before and after a run; the difference is the run's count.
+    Each rectangle is split at the axes and its parts reflected into the
+    first quadrant for :func:`quadrant_masses`.
     """
-    return _depth_cap_hits
+    x0, x1, y0, y1 = (np.asarray(v, dtype=float) for v in (x0, x1, y0, y1))
+    xs = [(np.maximum(x0, 0.0), np.maximum(x1, 0.0)), (np.maximum(-x1, 0.0), np.maximum(-x0, 0.0))]
+    ys = [(np.maximum(y0, 0.0), np.maximum(y1, 0.0)), (np.maximum(-y1, 0.0), np.maximum(-y0, 0.0))]
+    return sum(quadrant_masses(a, *xx, *yy, radius) for xx in xs for yy in ys)
 
 
-def _adaptive(f, lo: float, hi: float, tol: float, depth: int = 0) -> float:
-    global _depth_cap_hits
-    whole = _gauss_panel(f, lo, hi)
-    mid = 0.5 * (lo + hi)
-    left = _gauss_panel(f, lo, mid)
-    right = _gauss_panel(f, mid, hi)
-    if abs(left + right - whole) <= tol:
-        return left + right
-    if depth >= _MAX_DEPTH:
-        _depth_cap_hits += 1
-        return left + right
-    return _adaptive(f, lo, mid, tol / 2.0, depth + 1) + _adaptive(
-        f, mid, hi, tol / 2.0, depth + 1
-    )
-
-
-def _quadrant_mass(a, x0, x1, y0, y1, radius, rel_tol) -> float:
-    """Mass of |x|^a over [x0,x1]x[y0,y1] cap B(0,radius), first quadrant."""
-    if x1 <= x0 or y1 <= y0:
-        return 0.0
-    if x0 * x0 + y0 * y0 >= radius * radius:
-        return 0.0
-    if x0 == 0.0 and y0 == 0.0 and a + 2.0 <= 0.0:
-        raise ValueError(f"|x|^{a} is not integrable at the origin in n=2")
-    t_lo = math.atan2(y0, x1)
-    t_hi = math.atan2(y1, x0) if x0 > 0.0 or y1 == 0.0 else 0.5 * math.pi
-    cuts = {t_lo, t_hi}
-    for xx in (x0, x1):
-        if 0.0 < xx < radius:
-            cuts.add(math.acos(xx / radius))
-        cuts.add(math.atan2(y0, xx) if xx > 0.0 else 0.5 * math.pi)
-        cuts.add(math.atan2(y1, xx) if xx > 0.0 else 0.5 * math.pi)
-    for yy in (y0, y1):
-        if 0.0 < yy < radius:
-            cuts.add(math.asin(yy / radius))
-        if yy > 0.0:
-            cuts.add(math.atan2(yy, x0))
-            cuts.add(math.atan2(yy, x1))
-    angles = sorted(t for t in cuts if t_lo <= t <= t_hi)
-    if not angles or angles[0] > t_lo:
-        angles.insert(0, t_lo)
-    if angles[-1] < t_hi:
-        angles.append(t_hi)
-
-    def f(t):
-        return _quadrant_integrand(np.asarray(t), a, x0, x1, y0, y1, radius)
-
-    rough = sum(abs(_gauss_panel(f, u, v)) for u, v in zip(angles, angles[1:]))
-    tol = max(rel_tol * max(rough, 1e-300), 1e-300)
-    total = 0.0
-    for u, v in zip(angles, angles[1:]):
-        if v - u > 1e-15:
-            total += _adaptive(f, u, v, tol * (v - u) / max(t_hi - t_lo, 1e-300))
-    return total
-
-
-def _axis_segments(lo: float, hi: float):
-    """Split [lo, hi] at 0 and reflect to nonnegative segments."""
-    segs = []
-    if lo < 0.0:
-        segs.append((max(0.0, -hi), -lo))
-    if hi > 0.0:
-        segs.append((max(0.0, lo), hi))
-    return [(u, v) for u, v in segs if v > u]
-
-
-def _rect2_mass(a, lo, hi, radius, rel_tol) -> float:
-    total = 0.0
-    for x0, x1 in _axis_segments(lo[0], hi[0]):
-        for y0, y1 in _axis_segments(lo[1], hi[1]):
-            total += _quadrant_mass(a, x0, x1, y0, y1, radius, rel_tol)
-    return total
-
-
-def power_mass(a: float, region, rel_tol: float = 1e-12) -> float:
+def power_mass(a: float, region) -> float:
     """Integral of |x|^a over the region.
 
-    Closed forms for intervals and balls; adaptive piecewise-polar quadrature
-    for planar rectangles. Raises ValueError when |x|^a is not integrable on
-    the region (exponent a <= -n with the origin inside).
+    Closed forms for intervals and balls; the graded polar rule of
+    :func:`planar_masses` for planar rectangles. Raises ValueError when
+    |x|^a is not integrable on the region (exponent a <= -n with the origin
+    inside).
     """
-    if isinstance(region, Interval):
-        return _interval_mass(a, region.lo, region.hi)
     if isinstance(region, Ball):
         return _ball_mass(a, region.radius, region.n)
-    if isinstance(region, Rect):
-        n = len(region.lo)
-        if n == 1:
-            return _interval_mass(a, region.lo[0], region.hi[0])
-        if n == 2:
-            return _rect2_mass(a, region.lo, region.hi, math.inf, rel_tol)
-        raise NotImplementedError("rectangle masses are implemented for n <= 2")
-    if isinstance(region, RectInBall):
-        n = len(region.lo)
-        if n == 1:
-            lo = max(region.lo[0], -region.radius)
-            hi = min(region.hi[0], region.radius)
-            return _interval_mass(a, lo, hi) if hi > lo else 0.0
-        if n == 2:
-            return _rect2_mass(a, region.lo, region.hi, region.radius, rel_tol)
-        raise NotImplementedError("ball-capped rectangles are implemented for n <= 2")
-    raise TypeError(f"unsupported region type: {type(region).__name__}")
+    if isinstance(region, Interval):
+        lo, hi, radius = (region.lo,), (region.hi,), math.inf
+    elif isinstance(region, Rect):
+        lo, hi, radius = region.lo, region.hi, math.inf
+    elif isinstance(region, RectInBall):
+        lo, hi, radius = region.lo, region.hi, region.radius
+    else:
+        raise TypeError(f"unsupported region type: {type(region).__name__}")
+    if len(lo) == 1:
+        return float(interval_masses(a, max(lo[0], -radius), min(hi[0], radius)))
+    if len(lo) == 2:
+        return float(planar_masses(a, lo[0], hi[0], lo[1], hi[1], radius))
+    raise NotImplementedError("rectangle masses are implemented for n <= 2")

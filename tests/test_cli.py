@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mweights import cli, selftest
+from mweights.experiments import sweeps
 from mweights.cli import main, main_entry, parse_eps, parse_exponents, ConfigError
 from mweights.operators import SparsenessError
 
@@ -195,14 +196,12 @@ def test_mw_sweep_writes_csv_fit_and_gnuplot(tmp_path, capsys):
     assert lines[0] == "eps,ap_const,lhs_norm,rhs_norm_product,ratio,L,ms"
     assert len(lines) == 5
     fit = json.loads((tmp_path / "sweep-fit.json").read_text())
-    assert set(fit) == {"slope", "intercept", "residual", "eps_min", "eps_max", "depth_cap_hits"}
-    assert fit["depth_cap_hits"] == 0
+    assert set(fit) == {"slope", "intercept", "residual", "eps_min", "eps_max"}
     gp = (tmp_path / "sweep.gp").read_text()
     assert "logscale" in gp and "sweep.csv" in gp
     blob = json.loads(capsys.readouterr().out)
     assert blob["rows"] == 4
     assert blob["fit"]["slope"] == pytest.approx(fit["slope"])
-    assert blob["depth_cap_hits"] == 0
 
 
 def test_mw_sweep_repeated_runs_give_identical_bytes(tmp_path, capsys):
@@ -292,7 +291,6 @@ def test_audit_subcommand_json(capsys):
     assert blob["max_quotient"] > 0
     assert len(blob["quotients"]) + blob["skipped"] == 6
     assert blob["largest_family"] > 1
-    assert blob["depth_cap_hits"] == 0
 
 
 def test_audit_bad_operator_rejected_by_parser(capsys):
@@ -384,6 +382,20 @@ def test_sparseness_error_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "build_sparse_family", thin)
     assert main(SPARSE_ARGS) == 3
     assert "invariant failure" in capsys.readouterr().err
+
+
+def test_audit_with_root_only_families_exits_3(capsys):
+    # seed 7's draws at L=5 never push a child past the stopping threshold
+    assert main(["audit", "--p", "2,2", "--L", "5", "--trials", "3", "--seed", "7"]) == 3
+    err = capsys.readouterr().err
+    assert "invariant failure" in err and "root alone" in err and "Traceback" not in err
+
+
+def test_audit_with_every_trial_skipped_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(sweeps, "grid_lp_norm", lambda *args: 0.0)
+    assert main(["audit", "--p", "2,2", "--L", "5", "--trials", "3", "--seed", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "invariant failure" in err and "skipped" in err and "Traceback" not in err
 
 
 def test_failing_selftest_check_exits_3(monkeypatch, capsys):

@@ -12,14 +12,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mweights import powermass
 from mweights.grid import Lattice, default_box
 from mweights.powermass import (
     Ball,
     Interval,
     Rect,
     RectInBall,
-    depth_cap_hits,
     power_mass,
 )
 
@@ -168,15 +166,6 @@ def test_interval_in_ball_one_dim():
     got = power_mass(0.5, RectInBall((-2.0,), (0.5,), 1.0))
     want = power_mass(0.5, Interval(-1.0, 0.5))
     assert got == pytest.approx(want, rel=1e-14)
-
-
-def test_adaptive_counts_depth_cap_hits(monkeypatch):
-    # every half-panel down to depth 2 holds a kink of |sin(50 t)|, so no panel
-    # meets a tolerance of 1e-300 and all four at the capped depth 2 stop
-    monkeypatch.setattr(powermass, "_MAX_DEPTH", 2)
-    before = depth_cap_hits()
-    powermass._adaptive(lambda t: np.abs(np.sin(50.0 * t)), 0.0, 1.0, 1e-300)
-    assert depth_cap_hits() - before == 4
 
 
 # ------------------------------------------------- 20-digit mpmath oracle
@@ -328,12 +317,49 @@ def test_rect_support_masses_sum_to_the_rect_mass():
         assert total == pytest.approx(power_mass(a, Rect((0.0, 0.0), (1.0, 1.0))), rel=1e-13)
 
 
-def test_planar_masses_peak_memory_stays_bounded():
+@pytest.mark.parametrize(
+    "a, lo, hi",
+    [
+        (0.7, (-0.39, -0.01), (0.41, 0.25)),
+        (-0.3, (-0.34, -0.63), (0.63, 0.02)),
+        (-1.5, (-0.05, -0.8), (0.9, 0.001)),
+        (-1.0, (-0.89757, -1.4807), (-0.89745, -0.5059)),
+        (0.0, (0.95934, 0.47573), (0.95935, 0.5272)),
+    ],
+)
+def test_thin_rects_match_mpmath(mp, a, lo, hi):
+    # a strip beside an axis puts the pole of y/sin t (or x/cos t) just
+    # outside a long angular piece, which only the graded rule resolves; a
+    # strip between two close parallel edges needs the gap between its radii
+    # from the edges' difference
+    got = power_mass(a, Rect(lo, hi))
+    want = _mp_cell_mass(mp, a, list(lo), list(hi), None)
+    assert abs((mp.mpf(got) - want) / want) <= CELL_RTOL
+
+
+@pytest.mark.parametrize("a", [-1.5, 0.7])
+def test_sampled_ball_cut_cells_at_l8_match_mpmath(mp, a):
+    # cell (69, 100) is a sliver: the unit circle clips it to under 1e-3 of its mass
+    lat = Lattice(default_box(2), 8)
+    edge = -2.0 + lat.h * np.arange(lat.cells_per_axis)
+    near = np.maximum(np.maximum(edge, -edge - lat.h), 0.0)
+    far = np.maximum(-edge, edge + lat.h)
+    cut = np.argwhere((np.hypot.outer(near, near) < 1.0) & (np.hypot.outer(far, far) > 1.0))
+    rng = np.random.default_rng(8)
+    cells = [tuple(int(i) for i in c) for c in rng.choice(cut, 60, replace=False)]
+    _check_cells(mp, lat, a, Ball(1.0, 2), [(69, 100), *cells])
+
+
+@pytest.mark.parametrize("support", [None, Ball(1.0, 2)], ids=["none", "ball"])
+def test_planar_masses_peak_memory_stays_bounded(support):
+    a = -2.0 + 2.0**-9
     lat = Lattice(default_box(2), 8)
     tracemalloc.start()
     try:
-        lat.power_masses(-2.0 + 2.0**-9)
+        got = lat.power_masses(a, support)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+    if support is not None:
+        assert float(np.sum(got)) == pytest.approx(2.0 * math.pi / (a + 2.0), rel=1e-13)

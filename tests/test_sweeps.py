@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mweights.experiments import (
+    AuditError,
     FitResult,
     SweepRow,
     fit_exponent,
@@ -242,11 +243,10 @@ def test_audit_constant_weights_reduce_to_plain_ratio():
     assert blob["max_quotient"] == rep.max_quotient
 
 
-def test_audit_reports_families_and_depth_cap_hits():
+def test_audit_reports_largest_family():
     rep = upper_bound_audit((2.0, 2.0), L=6, trials=6, seed=11, operator="sparse")
     blob = rep.to_json()
     assert blob["largest_family"] == rep.largest_family > 1
-    assert blob["depth_cap_hits"] == rep.depth_cap_hits == 0
 
 
 def test_audit_fails_when_every_family_is_the_root(monkeypatch):
@@ -257,7 +257,7 @@ def test_audit_fails_when_every_family_is_the_root(monkeypatch):
         "GridFunction",
         lambda lattice, values: GridFunction(lattice, np.minimum(values, 1.0)),
     )
-    with pytest.raises(RuntimeError, match="root alone"):
+    with pytest.raises(AuditError, match="root alone"):
         upper_bound_audit((2.0, 2.0), L=6, trials=6, seed=11, operator="sparse")
 
 
