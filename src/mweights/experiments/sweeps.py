@@ -13,9 +13,10 @@ from __future__ import annotations
 import logging
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -251,7 +252,9 @@ class AuditReport:
     """Random-input check that ratios respect the predicted power.
 
     ``largest_family`` is the most cubes in one sparse family (0 for the
-    maximal operator).
+    maximal operator); ``family_generations`` maps each generation to the
+    number of sparse family cubes selected in it, summed over the trials
+    (empty for the maximal operator).
     """
 
     operator: str
@@ -264,6 +267,7 @@ class AuditReport:
     L: int
     seed: int
     largest_family: int
+    family_generations: Dict[int, int]
 
     def to_json(self) -> dict:
         return {
@@ -277,6 +281,7 @@ class AuditReport:
             "L": self.L,
             "seed": self.seed,
             "largest_family": self.largest_family,
+            "family_generations": {str(g): k for g, k in self.family_generations.items()},
         }
 
 
@@ -320,6 +325,7 @@ def upper_bound_audit(
     quotients: List[float] = []
     skipped = 0
     largest = 0
+    generations: Counter = Counter()
     for _ in range(trials):
         fs = tuple(
             GridFunction(lattice, rng.lognormal(0.0, 2.0, lattice.shape) * support)
@@ -343,6 +349,7 @@ def upper_bound_audit(
             if operator == "sparse":
                 fam = build_sparse_family(fs, grid, root=root)
                 largest = max(largest, len(fam))
+                generations.update(cube.g for cube in fam.cubes)
                 out = sparse_operator(fam, fs)
             else:
                 out = multilinear_maximal(fs)[0]
@@ -372,4 +379,5 @@ def upper_bound_audit(
         L=L,
         seed=seed,
         largest_family=largest,
+        family_generations=dict(sorted(generations.items())),
     )

@@ -12,6 +12,7 @@ assumed.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -248,6 +249,11 @@ class CubeLayout:
 
     def bounds(self):
         """Per-axis cell bounds ``(los, his)`` of every cube, clipped to the box."""
+        return self._bounds
+
+    @functools.cached_property
+    def _bounds(self):
+        # computed once per layout: a layout averages several functions
         N = self.lattice.cells_per_axis
         los = tuple(np.minimum(np.maximum(s, 0), N) for s in self.starts)
         his = tuple(np.minimum(np.maximum(s + self.size, 0), N) for s in self.starts)

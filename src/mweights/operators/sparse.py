@@ -1,8 +1,9 @@
 """Sparse cube families via level-set stopping, and the operators they carry.
 
-The construction walks one grid's cube tree under a root cube: a cube is
-selected when its product of averages first exceeds ``a**k`` times the root
-level for some new threshold index ``k``.  Each selected cube keeps the
+The construction scans one grid's cube tree under a root cube, one
+generation at a time as array passes: a cube is selected when its product
+of averages first exceeds ``a**k`` times the root level for some new
+threshold index ``k``.  Each selected cube keeps the
 cells not claimed by any deeper selected cube; the half-volume guarantee on
 those kept regions is verified, never assumed.
 """
@@ -15,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..grid import (
-    CellRegion, CubeLayout, DyadicCube, DyadicGrid, GridFunction, Lattice, box_sums
+    CellRegion, CubeLayout, DyadicCube, DyadicGrid, GridFunction, Lattice
 )
 
 logger = logging.getLogger(__name__)
@@ -44,6 +45,9 @@ class SparseFamily:
     Invariants (checked at construction): every kept region lies inside its
     cube, the regions are pairwise disjoint, every cube lies inside the box,
     and each region keeps at least half of its cube's cells.
+
+    A built family lists its cubes coarse to fine: the root first, then each
+    generation's selected cubes in C order of their index ``j``.
     """
 
     grid_id: str
@@ -142,11 +146,12 @@ def build_sparse_family(
     tables = {}
     size = root.size
     while size >= 1:
-        los = tuple(s + np.arange(root.size // size) * size for s in root.start)
-        his = tuple(lo + size for lo in los)
-        table = np.ones((root.size // size,) * lat.n)
-        for g in gs:
-            table = table * (box_sums(g.prefix(), los, his) / float(size) ** lat.n)
+        layout = CubeLayout(
+            lat, size, tuple(s + np.arange(root.size // size) * size for s in root.start)
+        )
+        table = layout.averages(gs[0])
+        for g in gs[1:]:
+            table = table * layout.averages(g)
         tables[size] = table
         size //= 2
     lambda0 = float(tables[root.size].flat[0])
@@ -157,34 +162,35 @@ def build_sparse_family(
     if lambda0 == 0.0:
         logger.debug("root product average is zero; family is the root alone")
     else:
-        # depth-first walk: (start, size, env) where env is the largest
-        # threshold index any ancestor has exceeded
-        stack = [(root.start, root.size, 0)]
-        while stack:
-            start, size, env = stack.pop()
-            if size == 1:
-                continue
-            half = size // 2
-            for offsets in np.ndindex(*(2,) * lat.n):
-                cstart = tuple(s + o * half for s, o in zip(start, offsets))
-                offset = tuple((s - r) // half for s, r in zip(cstart, root.start))
-                val = float(tables[half][offset])
-                if val == 0.0:
-                    continue
-                exceed = 0
-                tau = a * lambda0
-                while val > tau:
-                    exceed += 1
-                    tau *= a
-                if exceed > env:
-                    M = half.bit_length() - 1
-                    j = tuple(
-                        (s - b) // half for s, b in zip(cstart, grid.base(M))
-                    )
-                    cube = grid.cube(lat.L - M, j)
-                    owner[_cube_slices(cube, lat)] = len(cubes)
-                    cubes.append(cube)
-                stack.append((cstart, half, max(env, exceed)))
+        # the thresholds tau = a*lambda0, a*(a*lambda0), ... as a scalar loop
+        # makes them, up to the first one no value exceeds; a value's
+        # threshold index is the number of thresholds below it
+        top = max(float(t.max()) for t in tables.values())
+        taus = [a * lambda0]
+        while top > taus[-1]:
+            taus.append(taus[-1] * a)
+        # one pass per generation, coarse to fine, painting the owner of
+        # each selected cube's cells over its ancestors'.  A cube is alive
+        # when its parent is alive and its own value is nonzero (zero
+        # subtrees are pruned); env is the largest threshold index any
+        # ancestor exceeded
+        alive = np.ones((1,) * lat.n, dtype=bool)
+        env = np.zeros((1,) * lat.n, dtype=np.int64)
+        size = root.size // 2
+        while size >= 1:
+            for axis in range(lat.n):
+                alive = alive.repeat(2, axis=axis)
+                env = env.repeat(2, axis=axis)
+            vals = tables[size]
+            alive &= vals != 0.0
+            exceed = np.searchsorted(taus, vals)
+            for index in np.argwhere(alive & (exceed > env)):
+                start = [s + int(k) * size for s, k in zip(root.start, index)]
+                cube = grid.cube_containing_cell(start, lat.L - size.bit_length() + 1)
+                owner[_cube_slices(cube, lat)] = len(cubes)
+                cubes.append(cube)
+            env = np.maximum(env, exceed)
+            size //= 2
 
     regions: List[CellRegion] = []
     for idx, cube in enumerate(cubes):

@@ -15,7 +15,15 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .grid import CellRegion, GridFunction, Lattice, ShiftedGridFamily, default_box
+from .grid import (
+    CellRegion,
+    DyadicCube,
+    GridFunction,
+    Lattice,
+    ShiftedGridFamily,
+    box_sums,
+    default_box,
+)
 from .operators import (
     SparsenessError,
     bilinear_riesz,
@@ -175,13 +183,110 @@ def _direct_sparse_operator(fam, fs: Sequence[GridFunction]) -> np.ndarray:
     return out
 
 
+def stopping_oracle(
+    fs: Sequence[GridFunction], grid, a: float, root
+) -> List[Tuple[DyadicCube, np.ndarray]]:
+    """The stopping-time family under ``root``, by a depth-first walk.
+
+    Each cube's product of averages comes from its own box sums; a cube is
+    selected when it exceeds a threshold index ``k`` (value above
+    ``a**k * lambda0``) that no ancestor exceeded, and zero cubes end their
+    subtree.  Returns ``(cube, kept cells)`` pairs in depth-first order,
+    without the half-volume check.
+    """
+    lat = fs[0].lattice
+    n = lat.n
+    tables = {}
+    size = root.size
+    while size >= 1:
+        los = tuple(s + np.arange(root.size // size) * size for s in root.start)
+        his = tuple(lo + size for lo in los)
+        table = np.ones((root.size // size,) * n)
+        for f in fs:
+            table = table * (box_sums(f.prefix(), los, his) / float(size) ** n)
+        tables[size] = table
+        size //= 2
+    lambda0 = float(tables[root.size].flat[0])
+    owner = np.full(lat.shape, -1, dtype=np.int64)
+    cubes = [root]
+    owner[tuple(slice(s, s + root.size) for s in root.start)] = 0
+    # (start, size, env): env is the largest threshold index any ancestor exceeded
+    stack = [(root.start, root.size, 0)] if lambda0 != 0.0 else []
+    while stack:
+        start, size, env = stack.pop()
+        if size == 1:
+            continue
+        half = size // 2
+        for offsets in np.ndindex(*(2,) * n):
+            cstart = tuple(s + o * half for s, o in zip(start, offsets))
+            offset = tuple((s - r) // half for s, r in zip(cstart, root.start))
+            val = float(tables[half][offset])
+            if val == 0.0:
+                continue
+            exceed = 0
+            tau = a * lambda0
+            while val > tau:
+                exceed += 1
+                tau *= a
+            if exceed > env:
+                M = half.bit_length() - 1
+                j = tuple((s - b) // half for s, b in zip(cstart, grid.base(M)))
+                cube = grid.cube(lat.L - M, j)
+                owner[tuple(slice(s, s + half) for s in cube.start)] = len(cubes)
+                cubes.append(cube)
+            stack.append((cstart, half, max(env, exceed)))
+    return [(cube, owner == k) for k, cube in enumerate(cubes)]
+
+
+def matches_oracle(fam, fs: Sequence[GridFunction], grid) -> bool:
+    """The family holds the oracle's cubes, each with the oracle's kept cells."""
+    want = stopping_oracle(fs, grid, fam.a, fam.root)
+    got = {cube: region.mask for cube, region in zip(fam.cubes, fam.regions)}
+    return len(fam.cubes) == len(want) and all(
+        cube in got and np.array_equal(got[cube], mask) for cube, mask in want
+    )
+
+
+def stopping_edge_cases():
+    """Single-input families on which a wrong stopping rule selects other cubes.
+
+    On a 1-D lattice at L=10 with the root of generation 1 (512 cells from
+    cell 512) and a = 8:
+
+    - a one-cell spike: lambda0 = 2^-9, so the cubes of 64, 8 and 1 cells
+      average exactly a, a^2 and a^3 times lambda0, ties that a non-strict
+      threshold test would select;
+    - a chain [96, 0, 128, 128] on the root's first four cells with 0.625
+      on its second half, so lambda0 = 1: the four-cell cube reaches index
+      2, its left half only index 1, and the spike cell index 2 again, which
+      is selected if the rule reads the parent's index in place of the
+      largest of all its ancestors'.
+
+    Pruning zero cubes cannot change a family: inputs are nonnegative, so a
+    zero cube's descendants are zero and never exceed a threshold.
+
+    Returns the grid, the root and the input tuples.
+    """
+    lattice = Lattice(default_box(1), 10)
+    grid = ShiftedGridFamily(lattice).standard
+    root = grid.cube(1, (0,))
+    first, half = root.start[0], root.size // 2
+    spike, chain = np.zeros(lattice.shape), np.zeros(lattice.shape)
+    spike[first] = 1.0
+    chain[first : first + 4] = (96.0, 0.0, 128.0, 128.0)
+    chain[first + half : first + root.size] = 0.625
+    inputs = [(GridFunction(lattice, v),) for v in (spike, chain)]
+    return grid, root, inputs
+
+
 def check_sparse_domination(seed: int, L: int = 6, families: int = 8) -> CheckResult:
-    """Stopping-time families are sparse, and a times their operator
-    dominates the dyadic maximal.
+    """Stopping-time families match the depth-first oracle, are sparse, and
+    a times their operator dominates the dyadic maximal.
 
     Inputs are log-normal, heavy-tailed enough for the stopping walk to
     select cubes below the root; a run in which every family is the root
-    alone never exercises sparseness and fails.
+    alone never exercises sparseness and fails.  The edge cases of
+    :func:`stopping_edge_cases` are compared with the oracle only.
     """
     rng = np.random.default_rng(seed)
     lattice = Lattice(default_box(1), L)
@@ -193,6 +298,7 @@ def check_sparse_domination(seed: int, L: int = 6, families: int = 8) -> CheckRe
     worst_oracle = 0.0
     built = 0
     faults = 0
+    mismatched = 0
     largest = 0
     for m in (1, 2):
         a = 2.0 ** (m * lattice.n + 2)
@@ -210,6 +316,8 @@ def check_sparse_domination(seed: int, L: int = 6, families: int = 8) -> CheckRe
                 continue
             built += 1
             largest = max(largest, len(fam))
+            if not matches_oracle(fam, fs, grid):
+                mismatched += 1
             # sparseness, re-verified from the returned family itself
             taken = np.zeros(lattice.shape, dtype=bool)
             for cube, region in zip(fam.cubes, fam.regions):
@@ -225,8 +333,18 @@ def check_sparse_domination(seed: int, L: int = 6, families: int = 8) -> CheckRe
             with np.errstate(divide="ignore", invalid="ignore"):
                 quot = np.where(dominated > 0.0, dominated / (a * sparse), 0.0)
             worst_quot = max(worst_quot, float(np.max(quot)))
+    edge_grid, edge_root, edge_inputs = stopping_edge_cases()
+    for fs in edge_inputs:
+        try:
+            fam = build_sparse_family(fs, edge_grid, a=8.0, root=edge_root)
+        except (SparsenessError, ValueError):
+            faults += 1
+            continue
+        if not matches_oracle(fam, fs, edge_grid):
+            mismatched += 1
     ok = (
         faults == 0
+        and mismatched == 0
         and largest > 1
         and worst_oracle <= 1e-12
         and worst_quot <= 1.0 + 1e-9
@@ -235,7 +353,8 @@ def check_sparse_domination(seed: int, L: int = 6, families: int = 8) -> CheckRe
         "sparse domination",
         ok,
         f"{built} sparse families at a=2^(mn+2), largest {largest} cubes, {faults} "
-        f"half-volume or disjointness faults; sparse operator vs direct sums {worst_oracle:.1e} "
+        f"half-volume or disjointness faults, {mismatched} differ from the depth-first "
+        f"oracle (with {len(edge_inputs)} edge cases); sparse operator vs direct sums {worst_oracle:.1e} "
         f"<= 1e-12; worst maximal/(a*sparse) = {worst_quot:.9f} <= 1 + 1e-9",
     )
 

@@ -1,5 +1,9 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +89,19 @@ def test_help_exits_zero(capsys):
     for command in COMMANDS:
         assert main([command, "--help"]) == 0, command
         assert "--config" in capsys.readouterr().out
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mweights", "selftest", "--help"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "--config" in proc.stdout
 
 
 def test_main_entry_exits_with_main_code(monkeypatch, capsys):
@@ -291,6 +308,7 @@ def test_audit_subcommand_json(capsys):
     assert blob["max_quotient"] > 0
     assert len(blob["quotients"]) + blob["skipped"] == 6
     assert blob["largest_family"] > 1
+    assert sum(blob["family_generations"].values()) > 6
 
 
 def test_audit_bad_operator_rejected_by_parser(capsys):

@@ -32,6 +32,17 @@ def _sparse_operator_halved(mp):
     )
 
 
+def _family_at_a_lower_ratio(mp):
+    # selects at three quarters of the stated ratio: still sparse and still
+    # dominating, so only the oracle comparison sees the wrong rule
+    real = selftest.build_sparse_family
+
+    def lowered(fs, grid, a=None, root=None):
+        return dataclasses.replace(real(fs, grid, a=0.75 * a, root=root), a=a)
+
+    mp.setattr(selftest, "build_sparse_family", lowered)
+
+
 def _mass_on_scaled(mp):
     real = Weight.mass_on
     mp.setattr(Weight, "mass_on", lambda self, region: 1e-3 * real(self, region))
@@ -67,6 +78,7 @@ def _second_sweep_differs(mp):
         (selftest.check_duality_identity, _dualize_returns_input),
         (selftest.check_weighted_maximal_ceiling, _weighted_maximal_scaled),
         (selftest.check_sparse_domination, _sparse_operator_halved),
+        (selftest.check_sparse_domination, _family_at_a_lower_ratio),
         (selftest.check_holder_step, _mass_on_scaled),
         (selftest.check_maximal_bracket, _upper_envelope_halved),
         (selftest.check_sweep_determinism, _second_sweep_differs),
@@ -92,3 +104,13 @@ def test_sparse_check_fails_when_no_family_leaves_the_root(monkeypatch):
     name, ok, detail = selftest.check_sparse_domination(0)
     assert not ok
     assert "largest 1 cubes, 0 half-volume" in detail
+
+
+def test_sparse_check_fails_on_a_wrong_selection_rule_alone(monkeypatch):
+    _family_at_a_lower_ratio(monkeypatch)
+    name, ok, detail = selftest.check_sparse_domination(0)
+    assert not ok
+    assert " 0 half-volume or disjointness faults, 0 differ" not in detail
+    assert " 0 half-volume or disjointness faults, " in detail
+    quotient = float(detail.rsplit("= ", 1)[1].split()[0])
+    assert quotient <= 1.0

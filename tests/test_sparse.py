@@ -1,5 +1,6 @@
 """Oracle tests for sparse family construction and sparse operators."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from mweights.operators import (
     sparse_operator,
 )
 from mweights.powermass import Interval
+from mweights.selftest import matches_oracle, stopping_edge_cases, stopping_oracle
 from mweights.weights import ExponentTuple, Weight, WeightVector
 
 
@@ -105,6 +107,75 @@ def test_stacked_levels_violate_half_sparseness_with_small_ratio():
     # the same input is fine at the default ratio
     fam = build_sparse_family([g], grid, root=root)
     assert len(fam.cubes) == 1
+
+
+def test_stacked_levels_fail_where_the_oracle_keeps_a_thin_region():
+    # the depth-first oracle finds the same thin kept region that makes the
+    # generation walk raise, and agrees with it at the default ratio
+    lat = lattice(7)
+    grid = std_grid(lat)
+    root = cube_for(grid, (64,), 32)
+    vals = np.zeros(128)
+    vals[64:70] = 9.3
+    vals[70] = 5.0
+    vals[80:96] = 0.04
+    gs = [GridFunction(lat, vals)]
+    thin = [c for c, mask in stopping_oracle(gs, grid, 2.2, root) if mask.sum() < c.size / 2.0]
+    first = min(thin, key=lambda c: (-c.size, c.j))
+    with pytest.raises(SparsenessError, match=re.escape(f"cube {first.key()} keeps")):
+        build_sparse_family(gs, grid, a=2.2, root=root)
+    assert matches_oracle(build_sparse_family(gs, grid, root=root), gs, grid)
+
+
+def test_stopping_edge_cases_select_the_hand_derived_cubes():
+    # spike: cubes of 32 and 4 cells reach indices 1 and 2 strictly, while
+    # those of 64, 8 and 1 cells only tie; chain: the 32-cell cube reaches
+    # index 1 and the four-cell cube index 2, and nothing under it is new
+    grid, root, inputs = stopping_edge_cases()
+    want = [root, cube_for(grid, root.start, 32), cube_for(grid, root.start, 4)]
+    for gs in inputs:
+        fam = build_sparse_family(gs, grid, a=8.0, root=root)
+        assert list(fam.cubes) == want
+        assert [c for c, _ in stopping_oracle(gs, grid, 8.0, root)] == want
+        assert matches_oracle(fam, gs, grid)
+
+
+@pytest.mark.parametrize("n,L,trials", [(1, 10, 20), (2, 6, 20), (2, 8, 3)])
+def test_generation_walk_matches_depth_first_oracle(n, L, trials):
+    # log-normal inputs give families of many sizes; the walk must select the
+    # oracle's cubes with the oracle's kept cells, list them coarse to fine,
+    # and its operator must equal, bit for bit, the one summed in the
+    # oracle's depth-first order
+    lat = lattice(L, n)
+    grid = std_grid(lat)
+    root = grid.cube(1, (0,) * n)
+    support = np.zeros(lat.shape, dtype=bool)
+    support[tuple(slice(s, s + root.size) for s in root.start)] = True
+    rng = np.random.default_rng(L)
+    largest = 0
+    for _ in range(trials):
+        gs = [GridFunction(lat, rng.lognormal(0.0, 2.0, lat.shape) * support) for _ in range(2)]
+        fam = build_sparse_family(gs, grid, root=root)
+        largest = max(largest, len(fam))
+        assert matches_oracle(fam, gs, grid)
+        assert fam.cubes[0] == root
+        assert [c.g for c in fam.cubes] == sorted(c.g for c in fam.cubes)
+        for g in {c.g for c in fam.cubes}:
+            js = [c.j for c in fam.cubes if c.g == g]
+            assert js == sorted(js)
+        oracle = stopping_oracle(gs, grid, fam.a, root)
+        depth_first = SparseFamily(
+            grid_id=grid.grid_id,
+            cubes=tuple(c for c, _ in oracle),
+            regions=tuple(CellRegion(lat, mask) for _, mask in oracle),
+            a=fam.a,
+            lambda0=fam.lambda0,
+            root=root,
+        )
+        assert np.array_equal(
+            sparse_operator(fam, gs).values, sparse_operator(depth_first, gs).values
+        )
+    assert largest > 2
 
 
 def test_ratio_precondition():

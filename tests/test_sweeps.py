@@ -249,6 +249,26 @@ def test_audit_reports_largest_family():
     assert blob["largest_family"] == rep.largest_family > 1
 
 
+def test_audit_family_generations_add_up_to_the_family_cubes(monkeypatch):
+    built = []
+    real = sweeps.build_sparse_family
+
+    def recording(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(sweeps, "build_sparse_family", recording)
+    rep = upper_bound_audit((2.0, 2.0), L=6, trials=6, seed=11, operator="sparse")
+    assert len(built) == 6
+    assert sum(rep.family_generations.values()) == sum(len(fam) for fam in built)
+    assert rep.family_generations[1] == 6  # every family holds its root
+    assert len(rep.family_generations) > 1
+    blob = json.loads(json.dumps(rep.to_json()))
+    assert blob["family_generations"] == {str(g): k for g, k in rep.family_generations.items()}
+    maximal = upper_bound_audit((2.0, 2.0), L=6, trials=2, seed=3, operator="maximal")
+    assert maximal.family_generations == {} and maximal.to_json()["family_generations"] == {}
+
+
 def test_audit_fails_when_every_family_is_the_root(monkeypatch):
     # inputs capped at 1 are too flat for the stopping walk to select a cube
     # below the root
