@@ -80,18 +80,15 @@ def unit_sphere_area(n: int) -> float:
 
 
 def _power_diffs(base: np.ndarray, top: np.ndarray, s: float) -> np.ndarray:
-    """(top^s - base^s)/s for 0 <= base < top, elementwise and stable for tiny s.
+    """(top^s - base^s)/s for 0 <= base < top, elementwise and stable for tiny s
+    and for thin intervals away from the origin.
 
-    s == 0 gives log(top/base). base == 0 requires s > 0.
+    s == 0 gives log(top/base), taken as log1p((top - base)/base). base == 0
+    requires s > 0.
     """
-    zero = base == 0.0
-    if s <= 0.0 and np.any(zero):
+    if s <= 0.0 and np.any(base == 0.0):
         raise ValueError(f"exponent {s - 1.0!r} is not integrable at the origin")
-    if s == 0.0:
-        return np.log(top / base)
-    with np.errstate(divide="ignore"):
-        logr = np.where(zero, 0.0, np.log(top / np.where(zero, 1.0, base)))
-    return np.where(zero, top**s / s, base**s * np.expm1(s * logr) / s)
+    return _ray_masses(s, base, top - base)
 
 
 def interval_masses(a: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from mweights.powermass import (
     Interval,
     Rect,
     RectInBall,
+    interval_masses,
     power_mass,
 )
 
@@ -315,6 +316,25 @@ def test_rect_support_masses_sum_to_the_rect_mass():
     for a in (-1.5, -0.5, 0.7):
         total = float(np.sum(lat.power_masses(a, Rect((0.0, 0.0), (1.0, 1.0)))))
         assert total == pytest.approx(power_mass(a, Rect((0.0, 0.0), (1.0, 1.0))), rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "a, lo, hi",
+    [
+        (-0.5, 1.3, 1.3 + 1e-6),
+        (-1.5, 0.7, 0.7001),
+        (-1.0, 1.3, 1.3 + 1e-6),
+        (0.7, -0.9, -0.9 + 1e-7),
+    ],
+)
+def test_thin_intervals_match_mpmath(mp, a, lo, hi):
+    # a thin interval away from the origin needs log1p of its relative width;
+    # log(hi/lo) lost up to 1e-10 here.  a = -1 takes the logarithmic branch
+    got = float(interval_masses(a, lo, hi))
+    with mp.workdps(40):
+        u, v = sorted(abs(mp.mpf(x)) for x in (lo, hi))
+        want = mp.log(v / u) if a == -1.0 else (v ** (a + 1) - u ** (a + 1)) / (a + 1)
+        assert abs((mp.mpf(got) - want) / want) <= CELL_RTOL
 
 
 @pytest.mark.parametrize(
