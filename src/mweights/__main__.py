@@ -1,4 +1,5 @@
 """``python -m mweights``: the same command line as the ``mweights`` script."""
 from .cli import main_entry
 
-main_entry()
+if __name__ == "__main__":
+    main_entry()

@@ -188,10 +188,10 @@ def stopping_oracle(
 ) -> List[Tuple[DyadicCube, np.ndarray]]:
     """The stopping-time family under ``root``, by a depth-first walk.
 
-    Each cube's product of averages comes from its own box sums; a cube is
-    selected when it exceeds a threshold index ``k`` (value above
-    ``a**k * lambda0``) that no ancestor exceeded, and zero cubes end their
-    subtree.  Returns ``(cube, kept cells)`` pairs in depth-first order,
+    Products of averages come from each size's box sums divided by the
+    cube volume, not through ``CubeLayout``; a cube is selected when it
+    exceeds a threshold index ``k`` (value above ``a**k * lambda0``) that no
+    ancestor exceeded, and zero cubes end their subtree.  Returns ``(cube, kept cells)`` pairs in depth-first order,
     without the half-volume check.
     """
     lat = fs[0].lattice
@@ -258,7 +258,7 @@ def stopping_edge_cases():
       threshold test would select;
     - a chain [96, 0, 128, 128] on the root's first four cells with 0.625
       on its second half, so lambda0 = 1: the four-cell cube reaches index
-      2, its left half only index 1, and the spike cell index 2 again, which
+      2, its left half only index 1, and the cell of 96 index 2 again, which
       is selected if the rule reads the parent's index in place of the
       largest of all its ancestors'.
 
