@@ -46,16 +46,14 @@ fam = build_sparse_family(fs, grid, a=a, root=root)
 print(f"stopping construction under [0,2), ladder ratio a = {a:g}:")
 print(f"  base level (product of root averages): {fam.lambda0:.6f}")
 print(f"  cubes selected: {len(fam)}")
-for cube, region in zip(fam.cubes, fam.regions):
-    kept = region.count / cube.size**n
+for cube, count in zip(fam.cubes, fam.kept):
+    kept = count / cube.size**n
     print(f"    generation {cube.g:2d}, {cube.size:3d} cells: keeps {kept:.0%}")
 
-# kept regions are pairwise disjoint by construction; show the coverage
-taken = np.zeros(lattice.shape, dtype=bool)
-for region in fam.regions:
-    assert not np.any(taken & region.mask)
-    taken |= region.mask
-print(f"  kept regions tile {int(np.sum(taken))} cells with no overlap")
+# the family's owner array names the one cube keeping each cell (or -1), so
+# the kept regions are pairwise disjoint by construction; show the coverage
+covered = int(np.count_nonzero(fam.owner >= 0))
+print(f"  kept regions tile {covered} cells with no overlap")
 
 # the domination that makes sparse operators useful
 dominated = dyadic_maximal(fs, grid, g_min=root.g).values

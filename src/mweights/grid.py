@@ -528,24 +528,6 @@ class CellRegion:
     def measure(self) -> float:
         return self.count * self.lattice.cell_volume
 
-    @classmethod
-    def from_cube(cls, lattice: Lattice, cube: DyadicCube) -> "CellRegion":
-        N = lattice.cells_per_axis
-        mask = np.zeros(lattice.shape, dtype=bool)
-        sl = tuple(slice(max(0, s), min(N, s + cube.size)) for s in cube.start)
-        if all(s.start < s.stop for s in sl):
-            mask[sl] = True
-        return cls(lattice, mask)
-
-    def intersect(self, other: "CellRegion") -> "CellRegion":
-        return CellRegion(self.lattice, self.mask & other.mask)
-
-    def minus(self, other: "CellRegion") -> "CellRegion":
-        return CellRegion(self.lattice, self.mask & ~other.mask)
-
-    def union(self, other: "CellRegion") -> "CellRegion":
-        return CellRegion(self.lattice, self.mask | other.mask)
-
 
 def cell_average(f: GridFunction, cube: DyadicCube) -> float:
     """Average of f over the cube, normalizing by the full cube volume.

@@ -48,14 +48,12 @@ def dyadic_maximal(
     lat = _check_inputs(fs, g_min)
     if grid.lattice != lat:
         raise ValueError("grid and functions must share one lattice")
-    prefixes = [f.prefix() for f in fs]
     out = np.zeros(lat.shape)
     for g in range(g_min, lat.L + 1):
         layout = grid.layout(g)
-        los, his = layout.bounds()
-        vals = np.ones(layout.shape)
-        for prefix in prefixes:
-            vals = vals * (box_sums(prefix, los, his) / float(layout.size) ** lat.n)
+        vals = layout.averages(fs[0])
+        for f in fs[1:]:
+            vals = vals * layout.averages(f)
         per_cell = vals[np.ix_(*layout.cell_slots())]
         np.maximum(out, per_cell, out=out)
     return GridFunction(lat, out)

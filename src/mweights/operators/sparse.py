@@ -3,9 +3,10 @@
 The construction scans one grid's cube tree under a root cube, one
 generation at a time as array passes: a cube is selected when its product
 of averages first exceeds ``a**k`` times the root level for some new
-threshold index ``k``.  Each selected cube keeps the
-cells not claimed by any deeper selected cube; the half-volume guarantee on
-those kept regions is verified, never assumed.
+threshold index ``k``.  Each selected cube keeps the cells not claimed by
+any deeper selected cube.  A family stores its kept regions as one owner
+array over the lattice, so they are pairwise disjoint by their format; the
+half-volume guarantee on them is verified, never assumed.
 """
 from __future__ import annotations
 
@@ -42,9 +43,12 @@ def _cube_inside_box(cube: DyadicCube, lat: Lattice) -> bool:
 class SparseFamily:
     """Selected cubes with their pairwise-disjoint kept regions.
 
-    Invariants (checked at construction): every kept region lies inside its
-    cube, the regions are pairwise disjoint, every cube lies inside the box,
-    and each region keeps at least half of its cube's cells.
+    ``owner`` is an integer array of the lattice's shape giving each cell
+    the index in ``cubes`` of the cube that keeps it, or -1 where no cube
+    does, so every cell belongs to at most one kept region.  Invariants,
+    checked at construction cube by cube in family order: every cube lies
+    inside the box, every kept cell lies inside its cube, and each cube
+    keeps at least half of its cells.
 
     A built family lists its cubes coarse to fine: the root first, then each
     generation's selected cubes in C order of their index ``j``.
@@ -52,51 +56,58 @@ class SparseFamily:
 
     grid_id: str
     cubes: Tuple[DyadicCube, ...]
-    regions: Tuple[CellRegion, ...]
+    lattice: Lattice
+    owner: np.ndarray
     a: float
     lambda0: float
     root: DyadicCube
 
     def __post_init__(self):
-        if len(self.cubes) != len(self.regions):
-            raise ValueError("cubes and regions must pair up one to one")
         if not self.cubes:
             raise ValueError("a sparse family holds at least the root cube")
-        lat = self.regions[0].lattice
-        taken = np.zeros(lat.shape, dtype=bool)
-        for cube, region in zip(self.cubes, self.regions):
-            if region.lattice != lat:
-                raise ValueError("all regions must share one lattice")
+        lat, owner = self.lattice, self.owner
+        if owner.shape != lat.shape or not np.issubdtype(owner.dtype, np.integer):
+            raise ValueError(f"owner must be an integer array of the lattice's shape {lat.shape}")
+        if owner.min() < -1 or owner.max() >= len(self.cubes):
+            raise ValueError(f"owner names a cube outside 0..{len(self.cubes) - 1} or -1")
+        kept = self.kept
+        for k, cube in enumerate(self.cubes):
             if not _cube_inside_box(cube, lat):
                 raise ValueError(f"cube {cube.key()} sticks out of the box")
-            outside = np.ones(lat.shape, dtype=bool)
-            outside[_cube_slices(cube, lat)] = False
-            if np.any(region.mask & outside):
+            if np.count_nonzero(owner[_cube_slices(cube, lat)] == k) != kept[k]:
                 raise ValueError(f"kept region of {cube.key()} leaves its cube")
-            if np.any(taken & region.mask):
-                raise ValueError("kept regions must be pairwise disjoint")
-            taken |= region.mask
-            if region.count < cube.size**lat.n / 2.0:
+            total = cube.size**lat.n
+            if kept[k] < total / 2.0:
                 raise SparsenessError(
-                    f"cube {cube.key()} keeps {region.count} of "
-                    f"{cube.size ** lat.n} cells, below one half"
+                    f"cube {cube.key()} keeps only {kept[k]} of {total} cells; "
+                    f"the stopping ratio a={self.a:g} is too small for these "
+                    f"inputs — retry with a larger ratio (for example "
+                    f"a={4 * self.a:g})"
                 )
 
     def __len__(self) -> int:
         return len(self.cubes)
 
+    @property
+    def kept(self) -> np.ndarray:
+        """The number of cells each cube keeps, in family order."""
+        return np.bincount(self.owner.ravel() + 1, minlength=len(self.cubes) + 1)[1:]
+
+    @property
+    def regions(self) -> Tuple[CellRegion, ...]:
+        """Each cube's kept cells as a lattice mask, in family order."""
+        return tuple(CellRegion(self.lattice, self.owner == k) for k in range(len(self.cubes)))
+
     def to_json(self) -> List[dict]:
-        out = []
-        for cube, region in zip(self.cubes, self.regions):
-            out.append(
-                {
-                    "grid": self.grid_id,
-                    "g": cube.g,
-                    "j": None if cube.j is None else list(cube.j),
-                    "eq_cells": region.count,
-                }
-            )
-        return out
+        return [
+            {
+                "grid": self.grid_id,
+                "g": cube.g,
+                "j": None if cube.j is None else list(cube.j),
+                "eq_cells": int(count),
+            }
+            for cube, count in zip(self.cubes, self.kept)
+        ]
 
 
 def build_sparse_family(
@@ -109,8 +120,9 @@ def build_sparse_family(
 
     The base level is the product of root averages; threshold ``k`` is
     ``a**k`` times that.  Selected cubes are the maximal ones exceeding a
-    threshold no ancestor reached, plus the root itself.  Fails loudly if
-    any kept region drops below half of its cube.
+    threshold no ancestor reached, plus the root itself.  Raises
+    :class:`SparsenessError` if any kept region drops below half of its
+    cube.
     """
     if not gs:
         raise ValueError("need at least one grid function")
@@ -170,21 +182,17 @@ def build_sparse_family(
         while top > taus[-1]:
             taus.append(taus[-1] * a)
         # one pass per generation, coarse to fine, painting the owner of
-        # each selected cube's cells over its ancestors'.  A cube is alive
-        # when its parent is alive and its own value is nonzero (zero
-        # subtrees are pruned); env is the largest threshold index any
-        # ancestor exceeded
-        alive = np.ones((1,) * lat.n, dtype=bool)
+        # each selected cube's cells over its ancestors'.  env is the largest
+        # threshold index any ancestor exceeded.  A zero cube has index 0, so
+        # it is never selected, and inputs are nonnegative, so neither are
+        # its descendants: they are zero too
         env = np.zeros((1,) * lat.n, dtype=np.int64)
         size = root.size // 2
         while size >= 1:
             for axis in range(lat.n):
-                alive = alive.repeat(2, axis=axis)
                 env = env.repeat(2, axis=axis)
-            vals = tables[size]
-            alive &= vals != 0.0
-            exceed = np.searchsorted(taus, vals)
-            for index in np.argwhere(alive & (exceed > env)):
+            exceed = np.searchsorted(taus, tables[size])
+            for index in np.argwhere(exceed > env):
                 start = [s + int(k) * size for s, k in zip(root.start, index)]
                 cube = grid.cube_containing_cell(start, lat.L - size.bit_length() + 1)
                 owner[_cube_slices(cube, lat)] = len(cubes)
@@ -192,24 +200,11 @@ def build_sparse_family(
             env = np.maximum(env, exceed)
             size //= 2
 
-    regions: List[CellRegion] = []
-    for idx, cube in enumerate(cubes):
-        mask = owner == idx
-        kept = int(np.count_nonzero(mask))
-        total = cube.size**lat.n
-        if kept < total / 2.0:
-            raise SparsenessError(
-                f"cube {cube.key()} keeps only {kept} of {total} cells; "
-                f"the stopping ratio a={a:g} is too small for m={m}, "
-                f"n={lat.n} — retry with a larger ratio (for example "
-                f"a={4 * a:g})"
-            )
-        regions.append(CellRegion(lat, mask))
-
     return SparseFamily(
         grid_id=grid.grid_id,
         cubes=tuple(cubes),
-        regions=tuple(regions),
+        lattice=lat,
+        owner=owner,
         a=float(a),
         lambda0=float(lambda0),
         root=root,

@@ -241,9 +241,9 @@ def stopping_oracle(
 def matches_oracle(fam, fs: Sequence[GridFunction], grid) -> bool:
     """The family holds the oracle's cubes, each with the oracle's kept cells."""
     want = stopping_oracle(fs, grid, fam.a, fam.root)
-    got = {cube: region.mask for cube, region in zip(fam.cubes, fam.regions)}
+    index = {cube: k for k, cube in enumerate(fam.cubes)}
     return len(fam.cubes) == len(want) and all(
-        cube in got and np.array_equal(got[cube], mask) for cube, mask in want
+        cube in index and np.array_equal(fam.owner == index[cube], mask) for cube, mask in want
     )
 
 
@@ -318,13 +318,15 @@ def check_sparse_domination(seed: int, L: int = 6, families: int = 8) -> CheckRe
             largest = max(largest, len(fam))
             if not matches_oracle(fam, fs, grid):
                 mismatched += 1
-            # sparseness, re-verified from the returned family itself
-            taken = np.zeros(lattice.shape, dtype=bool)
-            for cube, region in zip(fam.cubes, fam.regions):
-                thin = region.count < cube.size**lattice.n / 2.0
-                if thin or np.any(taken & region.mask):
+            # sparseness, re-verified from the returned family's owner array,
+            # whose format makes the kept regions disjoint: each cube keeps at
+            # least half of its cells, and no cell outside it
+            owner = fam.owner
+            kept = np.bincount(owner.ravel() + 1, minlength=len(fam) + 1)[1:]
+            for k, cube in enumerate(fam.cubes):
+                inside = np.count_nonzero(owner[cube.start[0] : cube.start[0] + cube.size] == k)
+                if inside < cube.size**lattice.n / 2.0 or inside != kept[k]:
                     faults += 1
-                taken |= region.mask
             sparse = sparse_operator(fam, fs).values
             direct = _direct_sparse_operator(fam, fs)
             err = float(np.max(np.abs(sparse - direct)) / np.max(direct))

@@ -231,9 +231,6 @@ def test_cell_region():
     reg = CellRegion(lat, mask)
     assert reg.count == 3
     assert reg.measure == pytest.approx(1.5)
-    cub = CellRegion.from_cube(lat, DyadicCube.aligned((0,), 4))
-    assert (reg.minus(cub)).count == 1
-    assert (reg.intersect(cub)).count == 2
 
 
 def test_gridfunction_rejects_negative_values():

@@ -1,6 +1,7 @@
 """Oracle tests for sparse family construction and sparse operators."""
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,10 +165,14 @@ def test_generation_walk_matches_depth_first_oracle(n, L, trials):
             js = [c.j for c in fam.cubes if c.g == g]
             assert js == sorted(js)
         oracle = stopping_oracle(gs, grid, fam.a, root)
+        owner = np.full(lat.shape, -1)
+        for k, (_, mask) in enumerate(oracle):
+            owner[mask] = k
         depth_first = SparseFamily(
             grid_id=grid.grid_id,
             cubes=tuple(c for c, _ in oracle),
-            regions=tuple(CellRegion(lat, mask) for _, mask in oracle),
+            lattice=lat,
+            owner=owner,
             a=fam.a,
             lambda0=fam.lambda0,
             root=root,
@@ -249,14 +254,14 @@ def test_sparse_operator_two_cube_hand_sum():
     grid = std_grid(lat)
     q_big = cube_for(grid, (16,), 8)
     q_small = cube_for(grid, (16,), 4)
-    mask_big = np.zeros(32, dtype=bool)
-    mask_big[20:24] = True
-    mask_small = np.zeros(32, dtype=bool)
-    mask_small[16:20] = True
+    owner = np.full(32, -1)
+    owner[20:24] = 0
+    owner[16:20] = 1
     fam = SparseFamily(
         grid_id=grid.grid_id,
         cubes=(q_big, q_small),
-        regions=(CellRegion(lat, mask_big), CellRegion(lat, mask_small)),
+        lattice=lat,
+        owner=owner,
         a=4.0,
         lambda0=1.0,
         root=q_big,
@@ -304,17 +309,104 @@ def test_sparse_family_validation_rejects_thin_region():
     lat = lattice(5)
     grid = std_grid(lat)
     q = cube_for(grid, (16,), 8)
-    thin = np.zeros(32, dtype=bool)
-    thin[16] = True
+    thin = np.full(32, -1)
+    thin[16] = 0
     with pytest.raises(SparsenessError):
         SparseFamily(
             grid_id=grid.grid_id,
             cubes=(q,),
-            regions=(CellRegion(lat, thin),),
+            lattice=lat,
+            owner=thin,
             a=4.0,
             lambda0=1.0,
             root=q,
         )
+
+
+def _short_owner(cube, owner):
+    return cube, owner[:16]
+
+
+def _float_owner(cube, owner):
+    return cube, owner.astype(float)
+
+
+def _owner_past_the_last_cube(cube, owner):
+    owner[16] = 1
+    return cube, owner
+
+
+def _owner_below_minus_one(cube, owner):
+    owner[0] = -2
+    return cube, owner
+
+
+def _kept_cell_outside_its_cube(cube, owner):
+    owner[30] = 0
+    return cube, owner
+
+
+def _cube_out_of_the_box(cube, owner):
+    # cells 16..48 of a 32-cell box, keeping the 16 inside it: half its cells
+    owner[16:32] = 0
+    return DyadicCube.aligned((16,), 32), owner
+
+
+_MALFORMED = [
+    (_short_owner, "lattice's shape"),
+    (_float_owner, "integer array"),
+    (_owner_past_the_last_cube, "outside 0..0"),
+    (_owner_below_minus_one, "outside 0..0"),
+    (_kept_cell_outside_its_cube, "leaves its cube"),
+    (_cube_out_of_the_box, "sticks out of the box"),
+]
+
+
+@pytest.mark.parametrize(
+    "fault, match", _MALFORMED, ids=[fault.__name__.lstrip("_") for fault, _ in _MALFORMED]
+)
+def test_sparse_family_validation_rejects_malformed_owner(fault, match):
+    # each fault breaks one invariant of a valid one-cube family keeping
+    # its eight cells
+    lat = lattice(5)
+    grid = std_grid(lat)
+    q = cube_for(grid, (16,), 8)
+    owner = np.full(32, -1)
+    owner[16:24] = 0
+    cube, owner = fault(q, owner)
+    with pytest.raises(ValueError, match=re.escape(match)):
+        SparseFamily(
+            grid_id=grid.grid_id,
+            cubes=(cube,),
+            lattice=lat,
+            owner=owner,
+            a=4.0,
+            lambda0=1.0,
+            root=cube,
+        )
+
+
+def test_built_family_retains_one_owner_array():
+    # the kept regions of a 42-cube family live in one int64 owner array
+    # over the 256 x 256 lattice (512 KiB), not in one 64 KiB mask per cube;
+    # measured 0.52 MiB retained, where per-cube masks retain 2.65 MiB
+    lat = lattice(8, 2)
+    grid = std_grid(lat)
+    root = grid.cube(1, (0, 0))
+    support = np.zeros(lat.shape, dtype=bool)
+    support[tuple(slice(s, s + root.size) for s in root.start)] = True
+    rng = np.random.default_rng(10)
+    gs = [GridFunction(lat, rng.lognormal(0.0, 2.0, lat.shape) * support) for _ in range(2)]
+    for g in gs:
+        g.prefix()  # cached on the input, so not the family's to retain
+    tracemalloc.start()
+    try:
+        fam = build_sparse_family(gs, grid, root=root)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(fam) >= 30
+    assert retained < 8 * 256**2 + 2**16
 
 
 def test_sparse_operator_multilinearity():
