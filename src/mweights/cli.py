@@ -29,6 +29,7 @@ import argparse
 import json
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -71,10 +72,16 @@ class ConfigError(Exception):
 
 
 # --------------------------------------------------------------- spec parsing
+def _exponent(token: str) -> float:
+    """A decimal such as ``1.5``, or a ratio of integers such as ``4/3``,
+    taken exactly and rounded once."""
+    return float(Fraction(token)) if "/" in token else float(token)
+
+
 def parse_exponents(text: str) -> ExponentTuple:
     try:
-        values = tuple(float(tok) for tok in str(text).split(",") if tok.strip())
-    except ValueError as err:
+        values = tuple(_exponent(tok) for tok in str(text).split(",") if tok.strip())
+    except (ValueError, ZeroDivisionError, OverflowError) as err:
         raise ConfigError(f"cannot parse exponent tuple {text!r}: {err}") from None
     if not values:
         raise ConfigError("exponent tuple is empty")
@@ -221,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", type=str, default=None, help="output path/prefix")
 
     sp = command("apconst", _cmd_apconst, "weight-constant report")
-    sp.add_argument("--p", type=str, required=True, help="exponents, e.g. 2,2")
+    sp.add_argument("--p", type=str, required=True, help="exponents, e.g. 2,2 or 4,4/3")
     sp.add_argument("--w", type=str, required=True, help="weight specs per slot")
     sp.add_argument(
         "--family",
@@ -248,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         lambda args: _run_sweep(args, maximal_problem, "mw_sweep"),
         "maximal-operator sharpness sweep",
     )
-    sp.add_argument("--p", type=str, required=True, help="exponents, e.g. 2,2")
+    sp.add_argument("--p", type=str, required=True, help="exponents, e.g. 2,2 or 4,4/3")
     sp.add_argument("--eps", type=str, required=True, help="e.g. 2^-2..2^-9")
     common(sp)
 
@@ -257,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         lambda args: _run_sweep(args, riesz_problem, "riesz_sweep", variant=args.variant),
         "singular-integral sharpness sweep",
     )
-    sp.add_argument("--p", type=str, required=True, help="exponents, e.g. 2,2")
+    sp.add_argument("--p", type=str, required=True, help="exponents, e.g. 2,2 or 4,4/3")
     sp.add_argument("--eps", type=str, required=True, help="e.g. 2^-2..2^-7")
     sp.add_argument(
         "--variant",
@@ -268,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = command("audit", _cmd_audit, "randomized upper-bound audit")
-    sp.add_argument("--p", type=str, required=True, help="exponents, e.g. 2,2")
+    sp.add_argument("--p", type=str, required=True, help="exponents, e.g. 2,2 or 4,4/3")
     sp.add_argument(
         "--operator", type=str, default="sparse", choices=("sparse", "maximal")
     )

@@ -321,6 +321,7 @@ def upper_bound_audit(
     support = np.zeros(lattice.shape, dtype=bool)
     support[tuple(slice(s, s + root.size) for s in root.start)] = True
 
+    family = CubeFamily(lattice, kind="shifted")  # its cube table is built once
     rng = np.random.default_rng(seed)
     quotients: List[float] = []
     skipped = 0
@@ -358,7 +359,7 @@ def upper_bound_audit(
             logger.debug("audit trial skipped: %s", err)
             continue
         lhs = grid_lp_norm(out.values, et.p, wv.joint)
-        ap = float(ap_constant(wv, CubeFamily(lattice, kind="shifted")).constant)
+        ap = float(ap_constant(wv, family).constant)
         if lhs <= 0.0 or not np.isfinite(lhs) or not np.isfinite(ap) or ap <= 0.0:
             skipped += 1
             logger.debug("audit trial skipped: degenerate lhs=%s ap=%s", lhs, ap)

@@ -42,6 +42,7 @@ __all__ = [
     "GridFunction",
     "CellRegion",
     "CubeLayout",
+    "CubeTable",
     "box_sums",
     "cell_average",
     "prefix_sums",
@@ -179,15 +180,44 @@ def prefix_sums(values: np.ndarray) -> np.ndarray:
 
 
 def box_sums(prefix: np.ndarray, los, his) -> np.ndarray:
-    """Sums over the boxes ``[los[0][i], his[0][i]) x [los[1][k], his[1][k]) x ...``.
+    """Sums over the boxes ``[los[0], his[0]) x [los[1], his[1]) x ...``.
 
-    ``prefix`` comes from :func:`prefix_sums`; the result holds one sum per
-    combination of per-axis bounds, computed one axis at a time.
+    ``prefix`` comes from :func:`prefix_sums`.  The bounds are integer
+    arrays that broadcast together, and the sums come back in their
+    broadcast shape.  They take one of two forms: one entry per cube (1-D
+    arrays of one length), or a layout's per-axis bounds through ``np.ix_``
+    (axis a's bounds vary along dimension a only), which gives every
+    combination in C order.  Either way each sum differences its box's 2^n
+    prefix corners one axis at a time, the first axis innermost: at n=2 it
+    is ``(P[h0,h1] - P[l0,h1]) - (P[h0,l1] - P[l0,l1])``, so a box gets the
+    same bits in both forms.  Per-cube bounds read the corners from the
+    raveled prefix by 1-D ``take``.  Product bounds take whole slabs of the
+    prefix along each axis in turn, reusing each axis's few bounds: on a
+    257 x 257 layout that is about three times faster than reading every
+    corner.
     """
-    out = prefix
-    for axis in range(prefix.ndim):
-        out = out.take(his[axis], axis=axis) - out.take(los[axis], axis=axis)
-    return out
+    if prefix.ndim > 1 and np.ndim(los[0]) == prefix.ndim:
+        out = prefix
+        for axis in range(prefix.ndim):
+            out = out.take(np.ravel(his[axis]), axis=axis) - out.take(np.ravel(los[axis]), axis=axis)
+        return out
+    # raveled offsets of every corner: corner k takes axis a's upper bound
+    # where bit a of k is 0 and its lower bound where it is 1
+    corners = [0]
+    for axis in reversed(range(prefix.ndim)):
+        stride = math.prod(prefix.shape[axis + 1 :])
+        ends = [np.multiply(b[axis], stride, dtype=np.intp) for b in (his, los)]
+        corners = [e + c for c in corners for e in ends]
+    flat = prefix.ravel()
+    sums = [flat.take(c) for c in corners]
+    while len(sums) > 1:  # upper minus lower along axis 0, then axis 1, ...
+        sums = [hi - lo for hi, lo in zip(sums[::2], sums[1::2])]
+    return sums[0]
+
+
+def _full_volume(lattice: Lattice, size: int) -> float:
+    """Volume of a cube of ``size`` cells per axis, inside the box or not."""
+    return (size * lattice.h) ** lattice.n
 
 
 @dataclass(frozen=True)
@@ -247,23 +277,40 @@ class CubeLayout:
     def shape(self) -> Tuple[int, ...]:
         return tuple(len(s) for s in self.starts)
 
-    def bounds(self):
-        """Per-axis cell bounds ``(los, his)`` of every cube, clipped to the box."""
-        return self._bounds
+    @property
+    def full_volume(self) -> float:
+        return _full_volume(self.lattice, self.size)
 
-    @functools.cached_property
-    def _bounds(self):
-        # computed once per layout: a layout averages several functions
+    def bounds(self):
+        """Per-axis cell bounds ``(los, his)`` of the cube starts, clipped to the box."""
         N = self.lattice.cells_per_axis
         los = tuple(np.minimum(np.maximum(s, 0), N) for s in self.starts)
         his = tuple(np.minimum(np.maximum(s + self.size, 0), N) for s in self.starts)
         return los, his
 
+    def rows(self, start: int, stop: int) -> "CubeLayout":
+        """The cubes of first-axis rows ``start:stop``, as a layout of their own."""
+        j0 = (self.j0[0] + start,) + self.j0[1:] if self.j0 else ()
+        starts = (self.starts[0][start:stop],) + self.starts[1:]
+        return CubeLayout(self.lattice, self.size, starts, self.grid, self.g, j0)
+
+    @functools.cached_property
+    def _product_bounds(self):
+        # computed once per layout: a layout sums several functions
+        los, his = self.bounds()
+        return np.ix_(*los), np.ix_(*his)
+
+    def sums(self, prefix: np.ndarray) -> np.ndarray:
+        """Sums of a prefix table (:func:`prefix_sums`) over every cube, in
+        the layout's shape: :func:`box_sums` on the product of its bounds."""
+        return box_sums(prefix, *self._product_bounds)
+
     def averages(self, f: "GridFunction") -> np.ndarray:
         """Averages of ``f`` over every cube, normalized by the full cube volume."""
-        lat = self.lattice
-        full_volume = (self.size * lat.h) ** lat.n
-        return box_sums(f.prefix(), *self.bounds()) * lat.cell_volume / full_volume
+        out = self.sums(f.prefix())
+        out *= self.lattice.cell_volume
+        out /= self.full_volume
+        return out
 
     def cell_slots(self) -> Tuple[np.ndarray, ...]:
         """Per axis, the index of the cube holding each cell (grid layouts)."""
@@ -278,6 +325,73 @@ class CubeLayout:
     def cubes(self) -> Iterator[DyadicCube]:
         for index in np.ndindex(*self.shape):
             yield self.cube(index)
+
+
+@dataclass(frozen=True, eq=False)
+class CubeTable:
+    """Cubes of several runs ("segments") in one table, segment after segment.
+
+    The cubes of segment ``s`` are rows ``offsets[s]:offsets[s + 1]`` and
+    share the full volume ``volumes[s]``; a segment is a layout (its cubes
+    in C order) or one cube.  ``los`` and ``his`` are the cubes' cell bounds
+    clipped to the box, in either form :func:`box_sums` takes: per axis one
+    entry per cube, or, for a table of one layout, the layout's per-axis
+    bounds through ``np.ix_``.
+    """
+
+    lattice: Lattice
+    los: Tuple[np.ndarray, ...]
+    his: Tuple[np.ndarray, ...]
+    volumes: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def of_layouts(cls, lattice: Lattice, layouts: Sequence[CubeLayout]) -> "CubeTable":
+        """The cubes of ``layouts``, one segment each, in order."""
+        counts = [math.prod(layout.shape) for layout in layouts]
+        offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
+        volumes = np.array([layout.full_volume for layout in layouts], dtype=float)
+        if len(layouts) == 1:
+            return cls(lattice, *layouts[0]._product_bounds, volumes, offsets)
+        los, his = (tuple(np.empty(offsets[-1], np.intp) for _ in range(lattice.n)) for _ in "lh")
+        for layout, a, b in zip(layouts, offsets[:-1], offsets[1:]):
+            # expand each layout's product of bounds in C order into its rows
+            for out, product in zip((los, his), layout._product_bounds):
+                for column, v in zip(out, product):
+                    column[a:b].reshape(layout.shape)[...] = v
+        return cls(lattice, los, his, volumes, offsets)
+
+    @classmethod
+    def of_cubes(cls, lattice: Lattice, cubes: Sequence[DyadicCube]) -> "CubeTable":
+        """The cubes one segment each, in order."""
+        N = lattice.cells_per_axis
+        starts = np.array([cube.start for cube in cubes], dtype=np.intp).reshape(-1, lattice.n)
+        sizes = np.array([cube.size for cube in cubes], dtype=np.intp)
+        los = tuple(np.clip(s, 0, N) for s in starts.T)
+        his = tuple(np.clip(s + sizes, 0, N) for s in starts.T)
+        volumes = np.array([_full_volume(lattice, cube.size) for cube in cubes], dtype=float)
+        return cls(lattice, los, his, volumes, np.arange(len(cubes) + 1))
+
+    def __len__(self) -> int:
+        return int(self.offsets[-1])
+
+    def averages(self, f: "GridFunction") -> np.ndarray:
+        """Averages of ``f`` over every cube in table order, normalized by the
+        full cube volume."""
+        out = box_sums(f.prefix(), self.los, self.his).ravel()
+        out *= self.lattice.cell_volume
+        out /= np.repeat(self.volumes, self.counts)
+        return out
+
+    @functools.cached_property
+    def counts(self) -> np.ndarray:
+        """The number of cubes in each segment."""
+        return np.diff(self.offsets)
+
+    def segment(self, row: int) -> Tuple[int, int]:
+        """The segment holding ``row``, and the row's index within it."""
+        s = int(np.searchsorted(self.offsets, row, side="right")) - 1
+        return s, row - int(self.offsets[s])
 
 
 class DyadicGrid:

@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..grid import DyadicGrid, GridFunction, Lattice, ShiftedGridFamily, box_sums, prefix_sums
+from ..grid import DyadicGrid, GridFunction, Lattice, ShiftedGridFamily, prefix_sums
 from ..weights import Weight
 
 logger = logging.getLogger(__name__)
@@ -101,9 +101,8 @@ def weighted_dyadic_maximal(
     out = np.zeros(lat.shape)
     for g in range(g_min, lat.L + 1):
         layout = grid.layout(g)
-        los, his = layout.bounds()
-        num = box_sums(num_prefix, los, his)
-        den = box_sums(den_prefix, los, his)
+        num = layout.sums(num_prefix)
+        den = layout.sums(den_prefix)
         empty = den <= 0.0
         if np.any(empty):
             logger.debug(

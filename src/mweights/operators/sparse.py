@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..grid import (
-    CellRegion, CubeLayout, DyadicCube, DyadicGrid, GridFunction, Lattice
+    CellRegion, CubeLayout, CubeTable, DyadicCube, DyadicGrid, GridFunction, Lattice
 )
 
 logger = logging.getLogger(__name__)
@@ -153,19 +153,22 @@ def build_sparse_family(
         if np.any(g.values[outside] != 0.0):
             raise ValueError("root cube must contain the joint support")
 
-    # products of averages of every cube under the root, one table per size,
-    # indexed by the cube's offset from the root start in cubes of that size
-    tables = {}
-    size = root.size
-    while size >= 1:
-        layout = CubeLayout(
-            lat, size, tuple(s + np.arange(root.size // size) * size for s in root.start)
-        )
-        table = layout.averages(gs[0])
-        for g in gs[1:]:
-            table = table * layout.averages(g)
-        tables[size] = table
-        size //= 2
+    # products of averages of every cube under the root, from one table of
+    # them (a segment per size), then one array per size indexed by the
+    # cube's offset from the root start in cubes of that size
+    sizes = [root.size >> k for k in range(root.size.bit_length())]
+    layouts = [
+        CubeLayout(lat, size, tuple(s + np.arange(root.size // size) * size for s in root.start))
+        for size in sizes
+    ]
+    table = CubeTable.of_layouts(lat, layouts)
+    products = table.averages(gs[0])
+    for g in gs[1:]:
+        products = products * table.averages(g)
+    tables = {
+        size: products[a:b].reshape((root.size // size,) * lat.n)
+        for size, a, b in zip(sizes, table.offsets[:-1], table.offsets[1:])
+    }
     lambda0 = float(tables[root.size].flat[0])
     owner = np.full(lat.shape, -1, dtype=np.int64)
     cubes: List[DyadicCube] = [root]
@@ -219,17 +222,10 @@ def sparse_operator(fam: SparseFamily, fs: Sequence[GridFunction]) -> GridFuncti
     for f in fs[1:]:
         if f.lattice != lat:
             raise ValueError("all grid functions must share one lattice")
-    # one box-sum table per input and cube size, over the distinct starts of
-    # that size's cubes per axis; each cube reads its entry of the tables
-    prods = np.ones(len(fam.cubes))
-    for size in sorted({cube.size for cube in fam.cubes}):
-        members = [k for k, cube in enumerate(fam.cubes) if cube.size == size]
-        corners = tuple(zip(*(fam.cubes[k].start for k in members)))
-        starts = tuple(np.array(sorted(set(axis))) for axis in corners)
-        slots = tuple(np.searchsorted(s, axis) for s, axis in zip(starts, corners))
-        layout = CubeLayout(lat, size, starts)
-        for f in fs:
-            prods[members] = prods[members] * layout.averages(f)[slots]
+    table = CubeTable.of_cubes(lat, fam.cubes)
+    prods = table.averages(fs[0])
+    for f in fs[1:]:
+        prods = prods * table.averages(f)
     out = np.zeros(lat.shape)
     for cube, prod in zip(fam.cubes, prods):
         out[_cube_slices(cube, lat)] += prod

@@ -199,11 +199,14 @@ def stopping_oracle(
     tables = {}
     size = root.size
     while size >= 1:
-        los = tuple(s + np.arange(root.size // size) * size for s in root.start)
+        shape = (root.size // size,) * n
+        los = tuple(
+            (s + k * size).ravel() for s, k in zip(root.start, np.indices(shape))
+        )
         his = tuple(lo + size for lo in los)
-        table = np.ones((root.size // size,) * n)
+        table = np.ones(shape)
         for f in fs:
-            table = table * (box_sums(f.prefix(), los, his) / float(size) ** n)
+            table = table * (box_sums(f.prefix(), los, his).reshape(shape) / float(size) ** n)
         tables[size] = table
         size //= 2
     lambda0 = float(tables[root.size].flat[0])

@@ -14,15 +14,19 @@ whose supremand values are diluted accordingly and never dominate.
 """
 from __future__ import annotations
 
+import functools
 import logging
+import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .grid import (
     CellRegion,
     CubeLayout,
+    CubeTable,
     DyadicCube,
     GridFunction,
     Lattice,
@@ -46,6 +50,10 @@ logger = logging.getLogger(__name__)
 
 # treat p within this distance of 1 as p == 1 (dual exponent undefined)
 _P_ONE_TOL = 1e-9
+
+# cubes per pass of the supremand in ap_constant: bounds its temporaries
+# (a few arrays of this length) on large families
+_BLOCK = 1 << 14
 
 
 class ExponentTuple:
@@ -223,22 +231,27 @@ class WeightVector:
         return self._sigmas[i]
 
 
-def _supremand(wv: WeightVector, layout: CubeLayout) -> Tuple[np.ndarray, np.ndarray]:
-    """avg_Q(joint) * prod_i avg_Q(sigma_i)^(p/p_i') on every cube of the layout,
-    and the mask of cubes where an average has zero mass (through underflow
-    of extreme exponents) and the supremand is set to 0.  Once every cube is
-    degenerate the remaining duals, which may not be finite, are skipped.
+def _supremand(
+    wv: WeightVector, averages: Callable[[GridFunction], np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """avg_Q(joint) * prod_i avg_Q(sigma_i)^(p/p_i') on every cube ``averages``
+    reads, and the mask of cubes where an average has zero mass (through
+    underflow of extreme exponents) and the supremand is set to 0.  Once every
+    cube is degenerate the remaining duals, which may not be finite, are
+    skipped.
     """
     P = wv.exponents
-    out = layout.averages(wv.joint.density())
+    out = averages(wv.joint.density())
     degenerate = out == 0.0
     for i in range(P.m):
         if degenerate.all():
             break
-        avg_sig = layout.averages(wv.sigma(i).density())
+        avg_sig = averages(wv.sigma(i).density())
         degenerate |= avg_sig == 0.0
-        out = out * avg_sig ** (P.p / P.conjugates[i])
-    return np.where(degenerate, 0.0, out), degenerate
+        avg_sig **= P.p / P.conjugates[i]
+        out *= avg_sig
+    out[degenerate] = 0.0
+    return out, degenerate
 
 
 def per_cube_ap(wv: WeightVector, Q: DyadicCube) -> float:
@@ -249,7 +262,7 @@ def per_cube_ap(wv: WeightVector, Q: DyadicCube) -> float:
     returns the very value the scan saw for ``Q``.  Returns 0 (and logs) when
     an average degenerates to zero mass.
     """
-    vals, degenerate = _supremand(wv, CubeLayout.of_cube(wv.lattice, Q))
+    vals, degenerate = _supremand(wv, CubeLayout.of_cube(wv.lattice, Q).averages)
     if degenerate.any():
         logger.debug("degenerate zero-mass average on %s; returning 0", Q)
     return float(vals.flat[0])
@@ -296,6 +309,38 @@ class CubeFamily:
         for layout in self.layouts():
             yield from layout.cubes()
 
+    @functools.cached_property
+    def blocks(self) -> Tuple[Tuple[Tuple[CubeLayout, ...], CubeTable], ...]:
+        """The family in scan order as tables of at most ``_BLOCK`` cubes,
+        each with the layouts it holds: runs of whole layouts, and a layout
+        larger than that cut into runs of its first-axis rows.  Built once
+        per family."""
+        runs: List[List[CubeLayout]] = [[]]
+        count = 0
+        for layout in self.layouts():
+            step = max(1, _BLOCK // math.prod(layout.shape[1:]))
+            for r in range(0, layout.shape[0], step):
+                piece = layout if step >= layout.shape[0] else layout.rows(r, r + step)
+                size = math.prod(piece.shape)
+                if count + size > _BLOCK and runs[-1]:
+                    runs.append([])
+                    count = 0
+                runs[-1].append(piece)
+                count += size
+        return tuple(
+            (tuple(run), CubeTable.of_layouts(self.lattice, run)) for run in runs if run
+        )
+
+    @functools.cached_property
+    def scanned_per_generation(self) -> Dict[Optional[int], int]:
+        """Cubes per generation, summed over the grids, in scan order; aligned
+        cubes, which have no generation, count under ``None``."""
+        out: Counter = Counter()
+        for layouts, table in self.blocks:
+            for layout, count in zip(layouts, table.counts):
+                out[layout.g] += int(count)
+        return dict(out)
+
     @property
     def describe(self) -> str:
         return f"{self.kind}:g[{self.g_min},{self.effective_g_max}]:L{self.lattice.L}"
@@ -303,13 +348,19 @@ class CubeFamily:
 
 @dataclass(frozen=True)
 class ApReport:
-    """Result of maximizing the per-cube supremand over a cube family."""
+    """Result of maximizing the per-cube supremand over a cube family.
+
+    ``scanned_per_generation`` counts the cubes scanned per generation,
+    summed over the grids, in scan order; aligned cubes, which have no
+    generation, are counted under ``None`` (``"aligned"`` in JSON).
+    """
 
     constant: float
     argmax: Optional[DyadicCube]
     scanned: int
     family: str
     degenerate: int  # cubes whose supremand was set to 0 for zero mass
+    scanned_per_generation: Dict[Optional[int], int]
 
     def to_json(self) -> dict:
         arg = None
@@ -327,34 +378,42 @@ class ApReport:
             "scanned": self.scanned,
             "family": self.family,
             "degenerate": self.degenerate,
+            "scanned_per_generation": {
+                "aligned" if g is None else str(g): k
+                for g, k in self.scanned_per_generation.items()
+            },
         }
 
 
 def ap_constant(wv: WeightVector, family: CubeFamily) -> ApReport:
     """Maximum of per_cube_ap over the family, with the argmax recorded.
 
-    Deterministic: layouts are scanned in the family's order, each in C
-    order, and ties keep the first maximizer.  A family containing no cubes
-    is rejected.
+    Scans the family's cube tables (:attr:`CubeFamily.blocks`), one pass per
+    density over each.  Deterministic: the tables list the cubes in the
+    family's scan order, and ties keep the first maximizer.  A family
+    containing no cubes is rejected.
     """
     best = float("-inf")
     arg: Optional[DyadicCube] = None
     scanned = degenerate = 0
-    for layout in family.layouts():
-        vals, degen = _supremand(wv, layout)
-        scanned += vals.size
+    for layouts, table in family.blocks:
+        vals, degen = _supremand(wv, table.averages)
+        scanned += len(table)
         degenerate += int(np.count_nonzero(degen))
         k = int(np.argmax(vals))
-        if vals.flat[k] > best:
-            best = float(vals.flat[k])
-            arg = layout.cube(np.unravel_index(k, layout.shape))
+        if vals[k] > best:
+            best = float(vals[k])
+            s, index = table.segment(k)
+            arg = layouts[s].cube(np.unravel_index(index, layouts[s].shape))
     if scanned == 0:
         raise ValueError(f"cube family {family.describe} is empty")
     if degenerate:
         logger.debug(
             "%d of %d cubes degenerate to zero mass; their supremand is 0", degenerate, scanned
         )
-    return ApReport(best, arg, scanned, family.describe, degenerate)
+    return ApReport(
+        best, arg, scanned, family.describe, degenerate, dict(family.scanned_per_generation)
+    )
 
 
 def dualize(wv: WeightVector, i: int) -> WeightVector:

@@ -48,10 +48,16 @@ def test_apconst_reports_json(capsys):
     )
     assert code == 0
     blob = json.loads(capsys.readouterr().out)
-    assert set(blob) == {"constant", "argmax", "scanned", "family", "degenerate"}
+    assert set(blob) == {
+        "constant", "argmax", "scanned", "family", "degenerate", "scanned_per_generation"
+    }
     assert blob["degenerate"] == 0
     assert blob["constant"] > 1.0
     assert blob["scanned"] > 0
+    # generations -2..L of the 2^n shifted grids, keyed by their string
+    per_generation = blob["scanned_per_generation"]
+    assert list(per_generation) == [str(g) for g in range(-2, 7)]
+    assert sum(per_generation.values()) == blob["scanned"]
 
 
 def test_apconst_constant_weights_give_unit_constant(capsys):
@@ -227,6 +233,22 @@ def test_mw_sweep_repeated_runs_give_identical_bytes(tmp_path, capsys):
     assert main(args + ["--out", str(tmp_path / "second")]) == 0
     capsys.readouterr()
     assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
+
+
+def test_mw_sweep_takes_a_ratio_exponent(tmp_path, capsys):
+    # 4/3 is rounded once, to the double that 1.3333333333333333 names
+    args = ["mw-sweep", "--eps", "2^-2..2^-5", "--L", "5"]
+    assert main(args + ["--p", "4,4/3", "--out", str(tmp_path / "ratio")]) == 0
+    assert main(args + ["--p", "4,1.3333333333333333", "--out", str(tmp_path / "decimal")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "ratio.csv").read_bytes() == (tmp_path / "decimal.csv").read_bytes()
+
+
+@pytest.mark.parametrize("p", ["4,4/0", "4,/3", "4,a/3", "4,1/2/3"])
+def test_malformed_ratio_exponent_exits_2(p, capsys):
+    assert main(["mw-sweep", "--p", p, "--eps", "2^-2..2^-5", "--L", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "cannot parse exponent tuple" in err and "Traceback" not in err
 
 
 def test_riesz_sweep_direct_and_regime_error(tmp_path, capsys):

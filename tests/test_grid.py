@@ -12,16 +12,21 @@ import pytest
 from mweights.grid import (
     Box,
     CellRegion,
+    CubeLayout,
+    CubeTable,
     DyadicCube,
     GridFunction,
     Lattice,
     PowerDescriptor,
     ShiftedGridFamily,
+    box_sums,
     cell_average,
     default_box,
+    prefix_sums,
     third_offset,
 )
 from mweights.powermass import Ball, Interval, Rect, RectInBall
+from mweights.weights import CubeFamily
 
 
 def make_lattice(n=1, L=3):
@@ -266,3 +271,76 @@ def test_load_rejects_repeated_index(tmp_path):
 def test_load_rejects_missing_rows(tmp_path):
     with pytest.raises(ValueError, match="7 of 8 cells"):
         GridFunction.load(_write_gridfn(tmp_path / "f.gridfn", 3, ["0,1.0"]))
+
+
+# ------------------------------------------------------- the box-sum kernel
+def per_axis_box_sums(prefix, los, his):
+    """Oracle: difference the prefix along each axis in turn, over the
+    product of the per-axis bounds."""
+    out = prefix
+    for axis in range(prefix.ndim):
+        out = out.take(his[axis], axis=axis) - out.take(los[axis], axis=axis)
+    return out
+
+
+def family_layouts(lat, kind):
+    return list(CubeFamily(lat, kind=kind).layouts())
+
+
+@pytest.mark.parametrize("kind", ["shifted", "aligned", "both"])
+@pytest.mark.parametrize(
+    "box, L",
+    [(Box((-2.0,), 4.0), 6), (Box((-1.0,), 3.0), 5), (Box((-2.0, -2.0), 4.0), 4),
+     (Box((-1.0, -2.0), 3.0), 3)],
+)
+def test_box_sums_match_a_per_axis_oracle_bitwise(box, L, kind):
+    # per-cube bounds, a layout's product of bounds and a table of many
+    # layouts all give the oracle's bits, cubes sticking out of the box
+    # (the coarse shifted generations) included
+    lat = Lattice(box, L)
+    N = lat.cells_per_axis
+    rng = np.random.default_rng(L)
+    f = GridFunction(lat, rng.lognormal(0.0, 2.0, lat.shape))
+    prefix = prefix_sums(f.values)
+    layouts = family_layouts(lat, kind)
+    want_sums, want_averages = [], []
+    for layout in layouts:
+        los = [np.clip(s, 0, N) for s in layout.starts]
+        his = [np.clip(s + layout.size, 0, N) for s in layout.starts]
+        want = per_axis_box_sums(prefix, los, his)
+        assert np.array_equal(layout.sums(prefix), want)
+        per_cube = [np.meshgrid(*b, indexing="ij") for b in (los, his)]
+        got = box_sums(prefix, *([a.ravel() for a in b] for b in per_cube))
+        assert np.array_equal(got, want.ravel())
+        want_sums.append(want.ravel())
+        average = want.ravel() * lat.cell_volume / (layout.size * lat.h) ** lat.n
+        assert np.array_equal(layout.averages(f).ravel(), average)
+        want_averages.append(average)
+    sticking_out = [layout for layout in layouts
+                    if any(np.any(s < 0) or np.any(s + layout.size > N) for s in layout.starts)]
+    assert bool(sticking_out) == (kind != "aligned")
+    table = CubeTable.of_layouts(lat, layouts)
+    assert len(table) == sum(len(s) for s in want_sums)
+    assert np.array_equal(table.averages(f), np.concatenate(want_averages))
+    cubes = [cube for layout in layouts for cube in layout.cubes()]
+    assert np.array_equal(CubeTable.of_cubes(lat, cubes).averages(f),
+                          np.concatenate(want_averages))
+
+
+def test_cube_table_names_each_row_by_its_segment():
+    lat = Lattice(default_box(2), 3)
+    layouts = family_layouts(lat, "shifted")
+    table = CubeTable.of_layouts(lat, layouts)
+    rows = [(s, k) for s, layout in enumerate(layouts) for k in range(math.prod(layout.shape))]
+    assert [table.segment(row) for row in range(len(table))] == rows
+    assert list(table.counts) == [math.prod(layout.shape) for layout in layouts]
+
+
+def test_layout_rows_keep_their_cubes():
+    grid = ShiftedGridFamily(Lattice(default_box(2), 4)).grids[3]
+    layout = grid.layout(3)
+    cubes = list(layout.cubes())
+    width = layout.shape[1]
+    pieces = [layout.rows(r, r + 3) for r in range(0, layout.shape[0], 3)]
+    assert [c for piece in pieces for c in piece.cubes()] == cubes
+    assert pieces[1].cube((0, 0)) == cubes[3 * width]

@@ -287,6 +287,18 @@ def test_planar_sparse_audit_runs_at_tier_one_size():
     assert rep.largest_family > 1
 
 
+@pytest.mark.parametrize(
+    "exponents, largest", [((1.5, 1.5), 4), ((2.0, 2.0, 2.0), 2), ((1.2, 3.0), 4)]
+)
+def test_sparse_audit_below_p_one_and_at_three_slots(exponents, largest):
+    # p = 0.75, 0.667 and 0.857: the regime below p = 1 the paper's bound
+    # covers, with three dual densities in the m = 3 weight scan
+    rep = upper_bound_audit(exponents, L=8, trials=10, seed=3, operator="sparse")
+    assert rep.skipped == 0 and len(rep.quotients) == 10
+    assert all(np.isfinite(q) and q > 0.0 for q in rep.quotients)
+    assert rep.largest_family == largest > 1
+
+
 def test_audit_rejects_unknown_operator():
     with pytest.raises(ValueError, match="operator"):
         upper_bound_audit((2.0, 2.0), L=5, trials=2, seed=1, operator="fourier")

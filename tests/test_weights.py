@@ -3,10 +3,12 @@ and the slot-duality transform."""
 import json
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mweights import weights
 from mweights.grid import DyadicCube, Lattice, ShiftedGridFamily, default_box
 from mweights.weights import (
     ApReport,
@@ -279,6 +281,85 @@ def test_ap_constant_argmax_is_first_strict_maximizer(n, L, kind, weights):
     assert key(report.argmax) == key(arg)
     if weights == "constant":
         assert best == 1.0 and ties > 1
+
+
+def per_layout_scan(wv, family):
+    """The scan one layout at a time: first maximizer within a layout,
+    strictly larger across layouts."""
+    best, arg, scanned, degenerate = float("-inf"), None, 0, 0
+    for layout in family.layouts():
+        vals, degen = weights._supremand(wv, layout.averages)
+        scanned += vals.size
+        degenerate += int(np.count_nonzero(degen))
+        k = int(np.argmax(vals))
+        if vals.flat[k] > best:
+            best, arg = float(vals.flat[k]), layout.cube(np.unravel_index(k, layout.shape))
+    return best, arg, scanned, degenerate
+
+
+@pytest.mark.parametrize("block", [1, 7, 100, 1 << 14])
+@pytest.mark.parametrize("kind", ["shifted", "aligned", "both"])
+@pytest.mark.parametrize("n, L", [(1, 5), (2, 4)])
+def test_ap_constant_in_blocks_matches_a_per_layout_scan(monkeypatch, n, L, kind, block):
+    # however the family is cut into blocks (whole layouts, runs of rows of
+    # one, single rows), the scan finds what a layout-by-layout scan finds.
+    # The step weight's dual w^(1-p') = w^-100 underflows to zero on its
+    # corner of large values, so the cubes inside it are degenerate, and is
+    # 1 elsewhere, so its sums are exact
+    monkeypatch.setattr(weights, "_BLOCK", block)
+    lat = Lattice(default_box(n), L)
+    values = np.ones(lat.shape)
+    values[(slice(0, 2),) * n] = 1e5
+    wv = WeightVector([Weight.from_values(lat, values), Weight.power(lat, 0.25)],
+                      ExponentTuple((1.01, 3.0)))
+    family = CubeFamily(lat, kind=kind)
+    best, arg, scanned, degenerate = per_layout_scan(wv, family)
+    report = ap_constant(wv, family)
+    assert len(family.blocks) > 1 or block == 1 << 14
+    assert all(len(table) <= block for _, table in family.blocks) or block < 2**L + 1
+    assert report.constant == best
+    assert report.argmax == arg
+    assert (report.scanned, report.degenerate) == (scanned, degenerate)
+    assert degenerate > 0
+
+
+@pytest.mark.parametrize("kind", ["shifted", "aligned", "both"])
+def test_ap_report_counts_cubes_per_generation(kind):
+    lat = Lattice(default_box(2), 3)
+    wv = WeightVector([Weight.power(lat, 0.5)], ExponentTuple((2.0,)))
+    family = CubeFamily(lat, kind=kind)
+    report = ap_constant(wv, family)
+    want = {}
+    for layout in family.layouts():
+        want[layout.g] = want.get(layout.g, 0) + math.prod(layout.shape)
+    assert report.scanned_per_generation == want
+    assert list(report.scanned_per_generation) == list(want)  # scan order
+    assert sum(report.scanned_per_generation.values()) == report.scanned
+    blob = report.to_json()["scanned_per_generation"]
+    assert blob == {"aligned" if g is None else str(g): k for g, k in want.items()}
+    if kind != "aligned":
+        assert list(want)[:-1 if kind == "both" else None] == list(range(-2, 4))
+
+
+def test_ap_constant_scan_stays_small_on_a_large_family():
+    # n=2, L=8: 350,577 cubes.  The blocked scan peaks at about 2.5 MiB
+    # over the densities it reads; one flat table of the whole family peaks
+    # at about 49 MiB
+    lat = Lattice(default_box(2), 8)
+    rng = np.random.default_rng(2)
+    steps = Weight.from_values(lat, 2.0 ** rng.integers(-3, 4, size=lat.shape).astype(float))
+    wv = WeightVector([steps, Weight.power(lat, 0.3)], ExponentTuple((2.0, 2.0)))
+    for density in (wv.joint.density(), wv.sigma(0).density(), wv.sigma(1).density()):
+        density.prefix()
+    family = CubeFamily(lat)
+    tracemalloc.start()
+    try:
+        report = ap_constant(wv, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.scanned == 350577
+    assert peak < 8 * 2**20
 
 
 def test_ap_constant_rejects_empty_family():
