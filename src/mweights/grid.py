@@ -190,16 +190,16 @@ def box_sums(prefix: np.ndarray, los, his) -> np.ndarray:
     combination in C order.  Either way each sum differences its box's 2^n
     prefix corners one axis at a time, the first axis innermost: at n=2 it
     is ``(P[h0,h1] - P[l0,h1]) - (P[h0,l1] - P[l0,l1])``, so a box gets the
-    same bits in both forms.  Per-cube bounds read the corners from the
-    raveled prefix by 1-D ``take``.  Product bounds take whole slabs of the
-    prefix along each axis in turn, reusing each axis's few bounds: on a
-    257 x 257 layout that is about three times faster than reading every
-    corner.
+    same bits in both forms.  Product bounds (and per-cube bounds at n=1,
+    the same thing there) take whole slabs of the prefix along each axis in
+    turn, reusing each axis's few bounds: on a 257 x 257 layout that is
+    about three times faster than reading every corner.  Per-cube bounds
+    at n >= 2 read the corners from the raveled prefix by 1-D ``take``.
     """
-    if prefix.ndim > 1 and np.ndim(los[0]) == prefix.ndim:
+    if los[0].ndim == prefix.ndim:
         out = prefix
         for axis in range(prefix.ndim):
-            out = out.take(np.ravel(his[axis]), axis=axis) - out.take(np.ravel(los[axis]), axis=axis)
+            out = out.take(his[axis].ravel(), axis=axis) - out.take(los[axis].ravel(), axis=axis)
         return out
     # raveled offsets of every corner: corner k takes axis a's upper bound
     # where bit a of k is 0 and its lower bound where it is 1
@@ -213,6 +213,15 @@ def box_sums(prefix: np.ndarray, los, his) -> np.ndarray:
     while len(sums) > 1:  # upper minus lower along axis 0, then axis 1, ...
         sums = [hi - lo for hi, lo in zip(sums[::2], sums[1::2])]
     return sums[0]
+
+
+def _clipped_bounds(lattice: Lattice, starts, sizes):
+    """Per axis, the cell bounds ``(los, his)`` of cubes starting at ``starts``
+    with ``sizes`` cells per axis, clipped to the box."""
+    N = lattice.cells_per_axis
+    los = tuple(np.minimum(np.maximum(s, 0), N) for s in starts)
+    his = tuple(np.minimum(np.maximum(s + sizes, 0), N) for s in starts)
+    return los, his
 
 
 def _full_volume(lattice: Lattice, size: int) -> float:
@@ -273,7 +282,7 @@ class CubeLayout:
             raise ValueError(f"cube start={cube.start} size={cube.size} misses the root box")
         return cls(lattice, cube.size, tuple(np.array([s]) for s in cube.start))
 
-    @property
+    @functools.cached_property
     def shape(self) -> Tuple[int, ...]:
         return tuple(len(s) for s in self.starts)
 
@@ -282,11 +291,25 @@ class CubeLayout:
         return _full_volume(self.lattice, self.size)
 
     def bounds(self):
-        """Per-axis cell bounds ``(los, his)`` of the cube starts, clipped to the box."""
-        N = self.lattice.cells_per_axis
-        los = tuple(np.minimum(np.maximum(s, 0), N) for s in self.starts)
-        his = tuple(np.minimum(np.maximum(s + self.size, 0), N) for s in self.starts)
-        return los, his
+        """Per-axis cell bounds ``(los, his)`` of the cubes, clipped to the box
+        and shaped as ``np.ix_`` shapes them, so that they broadcast to the
+        layout's shape."""
+        return self._bounds
+
+    @functools.cached_property
+    def _bounds(self):
+        # computed once per layout: a layout sums several functions
+        n = len(self.starts)
+        starts = [s.reshape((-1,) + (1,) * (n - 1 - axis)) for axis, s in enumerate(self.starts)]
+        return _clipped_bounds(self.lattice, starts, self.size)
+
+    def cube_starts(self) -> Tuple[np.ndarray, ...]:
+        """Per axis, the start cell of every cube, in C order."""
+        out = []
+        for axis, s in enumerate(self.starts):
+            inner, outer = math.prod(self.shape[axis + 1 :]), math.prod(self.shape[:axis])
+            out.append(s if inner == outer == 1 else np.tile(np.repeat(s, inner), outer))
+        return tuple(out)
 
     def rows(self, start: int, stop: int) -> "CubeLayout":
         """The cubes of first-axis rows ``start:stop``, as a layout of their own."""
@@ -294,23 +317,14 @@ class CubeLayout:
         starts = (self.starts[0][start:stop],) + self.starts[1:]
         return CubeLayout(self.lattice, self.size, starts, self.grid, self.g, j0)
 
-    @functools.cached_property
-    def _product_bounds(self):
-        # computed once per layout: a layout sums several functions
-        los, his = self.bounds()
-        return np.ix_(*los), np.ix_(*his)
-
     def sums(self, prefix: np.ndarray) -> np.ndarray:
         """Sums of a prefix table (:func:`prefix_sums`) over every cube, in
         the layout's shape: :func:`box_sums` on the product of its bounds."""
-        return box_sums(prefix, *self._product_bounds)
+        return box_sums(prefix, *self.bounds())
 
     def averages(self, f: "GridFunction") -> np.ndarray:
         """Averages of ``f`` over every cube, normalized by the full cube volume."""
-        out = self.sums(f.prefix())
-        out *= self.lattice.cell_volume
-        out /= self.full_volume
-        return out
+        return self.sums(f.prefix()) * self.lattice.cell_volume / self.full_volume
 
     def cell_slots(self) -> Tuple[np.ndarray, ...]:
         """Per axis, the index of the cube holding each cell (grid layouts)."""
@@ -352,25 +366,19 @@ class CubeTable:
         offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
         volumes = np.array([layout.full_volume for layout in layouts], dtype=float)
         if len(layouts) == 1:
-            return cls(lattice, *layouts[0]._product_bounds, volumes, offsets)
-        los, his = (tuple(np.empty(offsets[-1], np.intp) for _ in range(lattice.n)) for _ in "lh")
-        for layout, a, b in zip(layouts, offsets[:-1], offsets[1:]):
-            # expand each layout's product of bounds in C order into its rows
-            for out, product in zip((los, his), layout._product_bounds):
-                for column, v in zip(out, product):
-                    column[a:b].reshape(layout.shape)[...] = v
-        return cls(lattice, los, his, volumes, offsets)
+            return cls(lattice, *layouts[0].bounds(), volumes, offsets)
+        starts = [np.concatenate(axis) for axis in zip(*(layout.cube_starts() for layout in layouts))]
+        sizes = np.repeat([layout.size for layout in layouts], counts)
+        return cls(lattice, *_clipped_bounds(lattice, starts, sizes), volumes, offsets)
 
     @classmethod
     def of_cubes(cls, lattice: Lattice, cubes: Sequence[DyadicCube]) -> "CubeTable":
         """The cubes one segment each, in order."""
-        N = lattice.cells_per_axis
         starts = np.array([cube.start for cube in cubes], dtype=np.intp).reshape(-1, lattice.n)
         sizes = np.array([cube.size for cube in cubes], dtype=np.intp)
-        los = tuple(np.clip(s, 0, N) for s in starts.T)
-        his = tuple(np.clip(s + sizes, 0, N) for s in starts.T)
         volumes = np.array([_full_volume(lattice, cube.size) for cube in cubes], dtype=float)
-        return cls(lattice, los, his, volumes, np.arange(len(cubes) + 1))
+        return cls(lattice, *_clipped_bounds(lattice, starts.T, sizes), volumes,
+                   np.arange(len(cubes) + 1))
 
     def __len__(self) -> int:
         return int(self.offsets[-1])
@@ -378,10 +386,8 @@ class CubeTable:
     def averages(self, f: "GridFunction") -> np.ndarray:
         """Averages of ``f`` over every cube in table order, normalized by the
         full cube volume."""
-        out = box_sums(f.prefix(), self.los, self.his).ravel()
-        out *= self.lattice.cell_volume
-        out /= np.repeat(self.volumes, self.counts)
-        return out
+        sums = box_sums(f.prefix(), self.los, self.his).ravel()
+        return sums * self.lattice.cell_volume / np.repeat(self.volumes, self.counts)
 
     @functools.cached_property
     def counts(self) -> np.ndarray:

@@ -248,10 +248,8 @@ def _supremand(
             break
         avg_sig = averages(wv.sigma(i).density())
         degenerate |= avg_sig == 0.0
-        avg_sig **= P.p / P.conjugates[i]
-        out *= avg_sig
-    out[degenerate] = 0.0
-    return out, degenerate
+        out = out * avg_sig ** (P.p / P.conjugates[i])
+    return np.where(degenerate, 0.0, out), degenerate
 
 
 def per_cube_ap(wv: WeightVector, Q: DyadicCube) -> float:
