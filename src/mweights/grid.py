@@ -17,7 +17,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +45,7 @@ __all__ = [
     "CubeTable",
     "box_sums",
     "cell_average",
+    "cube_tables",
     "prefix_sums",
 ]
 
@@ -179,6 +180,15 @@ def prefix_sums(values: np.ndarray) -> np.ndarray:
     return out
 
 
+# the most cubes in one table of :func:`cube_tables`: bounds the temporaries
+# of a pass over a table on large families
+_BLOCK = 1 << 14
+
+# cubes per pass of the per-cube box sums: keeps each of their temporaries
+# under 128 KiB, which the allocator reuses instead of mapping fresh pages
+_CHUNK = 8192
+
+
 def box_sums(prefix: np.ndarray, los, his) -> np.ndarray:
     """Sums over the boxes ``[los[0], his[0]) x [los[1], his[1]) x ...``.
 
@@ -194,25 +204,31 @@ def box_sums(prefix: np.ndarray, los, his) -> np.ndarray:
     the same thing there) take whole slabs of the prefix along each axis in
     turn, reusing each axis's few bounds: on a 257 x 257 layout that is
     about three times faster than reading every corner.  Per-cube bounds
-    at n >= 2 read the corners from the raveled prefix by 1-D ``take``.
+    at n >= 2 read the corners from the raveled prefix by 1-D ``take``,
+    ``_CHUNK`` cubes at a time.
     """
     if los[0].ndim == prefix.ndim:
         out = prefix
         for axis in range(prefix.ndim):
             out = out.take(his[axis].ravel(), axis=axis) - out.take(los[axis].ravel(), axis=axis)
         return out
-    # raveled offsets of every corner: corner k takes axis a's upper bound
-    # where bit a of k is 0 and its lower bound where it is 1
-    corners = [0]
-    for axis in reversed(range(prefix.ndim)):
-        stride = math.prod(prefix.shape[axis + 1 :])
-        ends = [np.multiply(b[axis], stride, dtype=np.intp) for b in (his, los)]
-        corners = [e + c for c in corners for e in ends]
     flat = prefix.ravel()
-    sums = [flat.take(c) for c in corners]
-    while len(sums) > 1:  # upper minus lower along axis 0, then axis 1, ...
-        sums = [hi - lo for hi, lo in zip(sums[::2], sums[1::2])]
-    return sums[0]
+    count = len(los[0])
+    out = np.empty(count)
+    for start in range(0, count, _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        # raveled offsets of every corner: corner k takes axis a's upper
+        # bound where bit a of k is 0 and its lower bound where it is 1
+        corners = [None]
+        for axis in reversed(range(prefix.ndim)):
+            stride = math.prod(prefix.shape[axis + 1 :])
+            ends = [np.multiply(b[axis][rows], stride, dtype=np.intp) for b in (his, los)]
+            corners = [e if c is None else e + c for c in corners for e in ends]
+        sums = [flat.take(c) for c in corners]
+        while len(sums) > 1:  # upper minus lower along axis 0, then axis 1, ...
+            sums = [hi - lo for hi, lo in zip(sums[::2], sums[1::2])]
+        out[rows] = sums[0]
+    return out
 
 
 def _clipped_bounds(lattice: Lattice, starts, sizes):
@@ -398,6 +414,28 @@ class CubeTable:
         """The segment holding ``row``, and the row's index within it."""
         s = int(np.searchsorted(self.offsets, row, side="right")) - 1
         return s, row - int(self.offsets[s])
+
+
+def cube_tables(
+    lattice: Lattice, layouts: Iterable[CubeLayout]
+) -> Tuple[Tuple[Tuple[CubeLayout, ...], CubeTable], ...]:
+    """``layouts`` in order as tables of at most ``_BLOCK`` cubes, each with
+    the layouts it holds: runs of whole layouts, read cube by cube, and a
+    larger layout cut into runs of its first-axis rows, each a table of its
+    own, read slab by slab."""
+    runs: List[List[CubeLayout]] = [[]]
+    count = 0
+    for layout in layouts:
+        step = max(1, _BLOCK // math.prod(layout.shape[1:]))
+        for r in range(0, layout.shape[0], step):
+            piece = layout if step >= layout.shape[0] else layout.rows(r, r + step)
+            size = math.prod(piece.shape)
+            if count + size > _BLOCK and runs[-1]:
+                runs.append([])
+                count = 0
+            runs[-1].append(piece)
+            count += size
+    return tuple((tuple(run), CubeTable.of_layouts(lattice, run)) for run in runs if run)
 
 
 class DyadicGrid:

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..grid import (
-    CellRegion, CubeLayout, CubeTable, DyadicCube, DyadicGrid, GridFunction, Lattice
+    CellRegion, CubeLayout, CubeTable, DyadicCube, DyadicGrid, GridFunction, Lattice, cube_tables
 )
 
 logger = logging.getLogger(__name__)
@@ -153,21 +153,26 @@ def build_sparse_family(
         if np.any(g.values[outside] != 0.0):
             raise ValueError("root cube must contain the joint support")
 
-    # products of averages of every cube under the root, from one table of
-    # them (a segment per size), then one array per size indexed by the
-    # cube's offset from the root start in cubes of that size
+    # products of averages of every cube under the root, from tables of
+    # them, then one array per size indexed by the cube's offset from the
+    # root start in cubes of that size
     sizes = [root.size >> k for k in range(root.size.bit_length())]
     layouts = [
         CubeLayout(lat, size, tuple(s + np.arange(root.size // size) * size for s in root.start))
         for size in sizes
     ]
-    table = CubeTable.of_layouts(lat, layouts)
-    products = table.averages(gs[0])
+    blocks = cube_tables(lat, layouts)
+
+    def averages(g: GridFunction) -> np.ndarray:
+        return np.concatenate([table.averages(g) for _, table in blocks])
+
+    products = averages(gs[0])
     for g in gs[1:]:
-        products = products * table.averages(g)
+        products = products * averages(g)
+    offsets = np.cumsum([0] + [(root.size // size) ** lat.n for size in sizes])
     tables = {
         size: products[a:b].reshape((root.size // size,) * lat.n)
-        for size, a, b in zip(sizes, table.offsets[:-1], table.offsets[1:])
+        for size, a, b in zip(sizes, offsets[:-1], offsets[1:])
     }
     lambda0 = float(tables[root.size].flat[0])
     owner = np.full(lat.shape, -1, dtype=np.int64)

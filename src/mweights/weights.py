@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import functools
 import logging
-import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from .grid import (
     Lattice,
     ShiftedGridFamily,
     cell_average,
+    cube_tables,
 )
 
 __all__ = [
@@ -50,10 +50,6 @@ logger = logging.getLogger(__name__)
 
 # treat p within this distance of 1 as p == 1 (dual exponent undefined)
 _P_ONE_TOL = 1e-9
-
-# cubes per pass of the supremand in ap_constant: bounds its temporaries
-# (a few arrays of this length) on large families
-_BLOCK = 1 << 14
 
 
 class ExponentTuple:
@@ -309,25 +305,9 @@ class CubeFamily:
 
     @functools.cached_property
     def blocks(self) -> Tuple[Tuple[Tuple[CubeLayout, ...], CubeTable], ...]:
-        """The family in scan order as tables of at most ``_BLOCK`` cubes,
-        each with the layouts it holds: runs of whole layouts, and a layout
-        larger than that cut into runs of its first-axis rows.  Built once
+        """The family in scan order as :func:`grid.cube_tables`; built once
         per family."""
-        runs: List[List[CubeLayout]] = [[]]
-        count = 0
-        for layout in self.layouts():
-            step = max(1, _BLOCK // math.prod(layout.shape[1:]))
-            for r in range(0, layout.shape[0], step):
-                piece = layout if step >= layout.shape[0] else layout.rows(r, r + step)
-                size = math.prod(piece.shape)
-                if count + size > _BLOCK and runs[-1]:
-                    runs.append([])
-                    count = 0
-                runs[-1].append(piece)
-                count += size
-        return tuple(
-            (tuple(run), CubeTable.of_layouts(self.lattice, run)) for run in runs if run
-        )
+        return cube_tables(self.lattice, self.layouts())
 
     @functools.cached_property
     def scanned_per_generation(self) -> Dict[Optional[int], int]:

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from mweights import grid
 from mweights.grid import (
     Box,
     CellRegion,
@@ -287,16 +288,19 @@ def family_layouts(lat, kind):
     return list(CubeFamily(lat, kind=kind).layouts())
 
 
+@pytest.mark.parametrize("chunk", [7, grid._CHUNK])
 @pytest.mark.parametrize("kind", ["shifted", "aligned", "both"])
 @pytest.mark.parametrize(
     "box, L",
     [(Box((-2.0,), 4.0), 6), (Box((-1.0,), 3.0), 5), (Box((-2.0, -2.0), 4.0), 4),
      (Box((-1.0, -2.0), 3.0), 3)],
 )
-def test_box_sums_match_a_per_axis_oracle_bitwise(box, L, kind):
+def test_box_sums_match_a_per_axis_oracle_bitwise(monkeypatch, box, L, kind, chunk):
     # per-cube bounds, a layout's product of bounds and a table of many
     # layouts all give the oracle's bits, cubes sticking out of the box
-    # (the coarse shifted generations) included
+    # (the coarse shifted generations) included, however the per-cube
+    # sums are chunked
+    monkeypatch.setattr(grid, "_CHUNK", chunk)
     lat = Lattice(box, L)
     N = lat.cells_per_axis
     rng = np.random.default_rng(L)
@@ -337,8 +341,8 @@ def test_cube_table_names_each_row_by_its_segment():
 
 
 def test_layout_rows_keep_their_cubes():
-    grid = ShiftedGridFamily(Lattice(default_box(2), 4)).grids[3]
-    layout = grid.layout(3)
+    shifted = ShiftedGridFamily(Lattice(default_box(2), 4)).grids[3]
+    layout = shifted.layout(3)
     cubes = list(layout.cubes())
     width = layout.shape[1]
     pieces = [layout.rows(r, r + 3) for r in range(0, layout.shape[0], 3)]

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mweights import weights
+from mweights import grid, weights
 from mweights.grid import DyadicCube, Lattice, ShiftedGridFamily, default_box
 from mweights.weights import (
     ApReport,
@@ -306,7 +306,7 @@ def test_ap_constant_in_blocks_matches_a_per_layout_scan(monkeypatch, n, L, kind
     # The step weight's dual w^(1-p') = w^-100 underflows to zero on its
     # corner of large values, so the cubes inside it are degenerate, and is
     # 1 elsewhere, so its sums are exact
-    monkeypatch.setattr(weights, "_BLOCK", block)
+    monkeypatch.setattr(grid, "_BLOCK", block)
     lat = Lattice(default_box(n), L)
     values = np.ones(lat.shape)
     values[(slice(0, 2),) * n] = 1e5
