@@ -13,7 +13,6 @@ from mweights import grid
 from mweights.grid import (
     Box,
     CellRegion,
-    CubeLayout,
     CubeTable,
     DyadicCube,
     GridFunction,
