@@ -321,7 +321,7 @@ def upper_bound_audit(
     support = np.zeros(lattice.shape, dtype=bool)
     support[tuple(slice(s, s + root.size) for s in root.start)] = True
 
-    family = CubeFamily(lattice, kind="shifted")  # its cube table is built once
+    family = CubeFamily(lattice, kind="shifted")
     rng = np.random.default_rng(seed)
     quotients: List[float] = []
     skipped = 0

@@ -9,6 +9,12 @@ keeps every grid nested and keeps every cube a union of lattice cells. The
 classical covering property, each cell-aligned cube sits inside some family
 cube at most six times as wide, is exercised by the test suite rather than
 assumed.
+
+Because the grids nest, a grid cube's sum is the sum of its 2^n children's:
+every sum over grid cubes is read from a child-sum pyramid, a whole grid's
+(:meth:`DyadicGrid.pyramid`) or one cube's subtree (:func:`cube_levels`),
+whose terms are nonnegative and cannot cancel.  Cell-aligned cubes do not
+nest; their sums are differences of prefix sums (:func:`box_sums`).
 """
 from __future__ import annotations
 
@@ -17,7 +23,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,10 +48,10 @@ __all__ = [
     "GridFunction",
     "CellRegion",
     "CubeLayout",
-    "CubeTable",
     "box_sums",
     "cell_average",
-    "cube_tables",
+    "cube_averages",
+    "cube_levels",
     "prefix_sums",
 ]
 
@@ -92,6 +98,10 @@ class Lattice:
     @property
     def cell_volume(self) -> float:
         return self.h**self.n
+
+    def cube_volume(self, size: int) -> float:
+        """Volume of a cube of ``size`` cells per axis, inside the box or not."""
+        return (size * self.h) ** self.n
 
     def cell_bounds(self, idx: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
         lo = np.asarray(self.box.lo) + self.h * np.asarray(idx, dtype=float)
@@ -163,11 +173,8 @@ def third_offset(M: int, L: int) -> int:
     and to 2/3 when L-M is odd, matching the alternating-sign shift while
     keeping t(M) == t(M-1) (mod 2^(M-1)), which is exactly grid nesting.
     """
-    t = 0
-    for k in range(1, M + 1):
-        if (L - k) % 2 == 1:
-            t |= 1 << (k - 1)
-    return t
+    # bits M-1, M-3, ... when L-M is odd, and M-2, M-4, ... when it is even
+    return (1 << (M + (L - M) % 2)) // 3
 
 
 def prefix_sums(values: np.ndarray) -> np.ndarray:
@@ -180,69 +187,83 @@ def prefix_sums(values: np.ndarray) -> np.ndarray:
     return out
 
 
-# the most cubes in one table of :func:`cube_tables`: bounds the temporaries
-# of a pass over a table on large families
-_BLOCK = 1 << 14
-
-# cubes per pass of the per-cube box sums: keeps each of their temporaries
-# under 128 KiB, which the allocator reuses instead of mapping fresh pages
-_CHUNK = 8192
-
-
 def box_sums(prefix: np.ndarray, los, his) -> np.ndarray:
     """Sums over the boxes ``[los[0], his[0]) x [los[1], his[1]) x ...``.
 
-    ``prefix`` comes from :func:`prefix_sums`.  The bounds are integer
-    arrays that broadcast together, and the sums come back in their
-    broadcast shape.  They take one of two forms: one entry per cube (1-D
-    arrays of one length), or a layout's per-axis bounds through ``np.ix_``
-    (axis a's bounds vary along dimension a only), which gives every
-    combination in C order.  Either way each sum differences its box's 2^n
-    prefix corners one axis at a time, the first axis innermost: at n=2 it
-    is ``(P[h0,h1] - P[l0,h1]) - (P[h0,l1] - P[l0,l1])``, so a box gets the
-    same bits in both forms.  Product bounds (and per-cube bounds at n=1,
-    the same thing there) take whole slabs of the prefix along each axis in
-    turn, reusing each axis's few bounds: on a 257 x 257 layout that is
-    about three times faster than reading every corner.  Per-cube bounds
-    at n >= 2 read the corners from the raveled prefix by 1-D ``take``,
-    ``_CHUNK`` cubes at a time.
+    ``prefix`` comes from :func:`prefix_sums`, and the bounds are a
+    layout's per-axis cell bounds in ``np.ix_`` shape (axis a's bounds vary
+    along dimension a only); the sums come back in their broadcast shape,
+    every combination in C order.  Each sum differences its box's 2^n
+    prefix corners one axis at a time, the first axis innermost, taking
+    whole slabs of the prefix along each axis in turn.  Differences of
+    prefix sums cancel when the values span many orders of magnitude; grid
+    cubes, which nest, take the child-sum pyramid (:func:`_pyramid`)
+    instead.
     """
-    if los[0].ndim == prefix.ndim:
-        out = prefix
-        for axis in range(prefix.ndim):
-            out = out.take(his[axis].ravel(), axis=axis) - out.take(los[axis].ravel(), axis=axis)
-        return out
-    flat = prefix.ravel()
-    count = len(los[0])
-    out = np.empty(count)
-    for start in range(0, count, _CHUNK):
-        rows = slice(start, start + _CHUNK)
-        # raveled offsets of every corner: corner k takes axis a's upper
-        # bound where bit a of k is 0 and its lower bound where it is 1
-        corners = [None]
-        for axis in reversed(range(prefix.ndim)):
-            stride = math.prod(prefix.shape[axis + 1 :])
-            ends = [np.multiply(b[axis][rows], stride, dtype=np.intp) for b in (his, los)]
-            corners = [e if c is None else e + c for c in corners for e in ends]
-        sums = [flat.take(c) for c in corners]
-        while len(sums) > 1:  # upper minus lower along axis 0, then axis 1, ...
-            sums = [hi - lo for hi, lo in zip(sums[::2], sums[1::2])]
-        out[rows] = sums[0]
+    out = prefix
+    for axis in range(prefix.ndim):
+        out = out.take(his[axis].ravel(), axis=axis) - out.take(los[axis].ravel(), axis=axis)
     return out
 
 
-def _clipped_bounds(lattice: Lattice, starts, sizes):
-    """Per axis, the cell bounds ``(los, his)`` of cubes starting at ``starts``
-    with ``sizes`` cells per axis, clipped to the box."""
+def _pyramid(
+    values: np.ndarray, lattice: "Lattice", starts: Sequence[int], size: int, counts: Sequence[int]
+) -> List[np.ndarray]:
+    """The child-sum pyramid of ``counts[a]`` consecutive cubes of one grid
+    along each axis a, of ``size`` cells from cell ``starts[a]``, each
+    meeting the box.
+
+    ``values`` holds the cells on its last n axes; leading axes, one per
+    function, are carried along.  Level k holds the sums over the sub-cubes
+    of 2^k cells that meet the box, in C order, from the cells (k = 0) up to
+    the cubes themselves; only cells inside the box are read.  The grids
+    nest, so each level adds the 2^n children of every cube pairwise, along
+    the first axis, then the second, and so on.  A child that misses the
+    box is not stored: at most the first and the last cube along an axis
+    lose one that way, and their other child passes up unchanged, as if
+    added to an exact zero.  Every term is nonnegative, so nothing cancels,
+    and a cube's sum has the same bits in every pyramid that holds it.
+    """
     N = lattice.cells_per_axis
-    los = tuple(np.minimum(np.maximum(s, 0), N) for s in starts)
-    his = tuple(np.minimum(np.maximum(s + sizes, 0), N) for s in starts)
-    return los, his
+    ends = [min(s + size * c, N) for s, c in zip(starts, counts)]
+    lead = values.ndim - len(starts)
+    heads = [(slice(None),) * axis for axis in range(lead, values.ndim)]
+    # per axis, the index of the first sub-cube of the current width meeting the box
+    firsts = [max(0, -s) for s in starts]
+    sums = values[(Ellipsis,) + tuple(slice(s + f, e) for s, f, e in zip(starts, firsts, ends))]
+    levels = [sums]
+    width = 2
+    while width <= size:
+        for a, (head, s, e) in enumerate(zip(heads, starts, ends)):
+            first = max(0, -s // width)
+            count = -((s - e) // width) - first
+            front = firsts[a] - 2 * first  # 1 when the first parent's first child misses the box
+            firsts[a] = first
+            have = sums.shape[lead + a]
+            back = 2 * count - front - have
+            lo = sums[head + (slice(front, have - back, 2),)]
+            hi = sums[head + (slice(front + 1, have - back, 2),)]
+            if not (front or back):
+                sums = lo + hi
+                continue
+            out = np.empty(sums.shape[: lead + a] + (count,) + sums.shape[lead + a + 1 :])
+            np.add(lo, hi, out=out[head + (slice(front, count - back),)])
+            if front:
+                out[head + (0,)] = sums[head + (0,)]
+            if back:
+                out[head + (-1,)] = sums[head + (-1,)]
+            sums = out
+        levels.append(sums)
+        width *= 2
+    return levels
 
 
-def _full_volume(lattice: Lattice, size: int) -> float:
-    """Volume of a cube of ``size`` cells per axis, inside the box or not."""
-    return (size * lattice.h) ** lattice.n
+def cube_levels(values: np.ndarray, lattice: "Lattice", cube: "DyadicCube") -> List[np.ndarray]:
+    """The child-sum pyramid (:func:`_pyramid`) of one grid cube's subtree:
+    level k holds the sums over its sub-cubes of 2^k cells per axis that
+    meet the box, the last level the cube itself.  A cube of 1024^2 cells
+    sticking out of a 256^2 lattice reads the lattice's cells alone."""
+    return _pyramid(values, lattice, cube.start, cube.size, (1,) * lattice.n)
 
 
 @dataclass(frozen=True)
@@ -304,39 +325,23 @@ class CubeLayout:
 
     @property
     def full_volume(self) -> float:
-        return _full_volume(self.lattice, self.size)
+        return self.lattice.cube_volume(self.size)
 
+    @functools.cached_property
     def bounds(self):
         """Per-axis cell bounds ``(los, his)`` of the cubes, clipped to the box
         and shaped as ``np.ix_`` shapes them, so that they broadcast to the
-        layout's shape."""
-        return self._bounds
-
-    @functools.cached_property
-    def _bounds(self):
-        # computed once per layout: a layout sums several functions
-        n = len(self.starts)
-        starts = [s.reshape((-1,) + (1,) * (n - 1 - axis)) for axis, s in enumerate(self.starts)]
-        return _clipped_bounds(self.lattice, starts, self.size)
-
-    def cube_starts(self) -> Tuple[np.ndarray, ...]:
-        """Per axis, the start cell of every cube, in C order."""
-        out = []
-        for axis, s in enumerate(self.starts):
-            inner, outer = math.prod(self.shape[axis + 1 :]), math.prod(self.shape[:axis])
-            out.append(s if inner == outer == 1 else np.tile(np.repeat(s, inner), outer))
-        return tuple(out)
-
-    def rows(self, start: int, stop: int) -> "CubeLayout":
-        """The cubes of first-axis rows ``start:stop``, as a layout of their own."""
-        j0 = (self.j0[0] + start,) + self.j0[1:] if self.j0 else ()
-        starts = (self.starts[0][start:stop],) + self.starts[1:]
-        return CubeLayout(self.lattice, self.size, starts, self.grid, self.g, j0)
+        layout's shape; computed once, as a layout sums several functions."""
+        N = self.lattice.cells_per_axis
+        starts = np.ix_(*self.starts)
+        los = tuple(np.minimum(np.maximum(s, 0), N) for s in starts)
+        his = tuple(np.minimum(np.maximum(s + self.size, 0), N) for s in starts)
+        return los, his
 
     def sums(self, prefix: np.ndarray) -> np.ndarray:
         """Sums of a prefix table (:func:`prefix_sums`) over every cube, in
         the layout's shape: :func:`box_sums` on the product of its bounds."""
-        return box_sums(prefix, *self.bounds())
+        return box_sums(prefix, *self.bounds)
 
     def averages(self, f: "GridFunction") -> np.ndarray:
         """Averages of ``f`` over every cube, normalized by the full cube volume."""
@@ -355,87 +360,6 @@ class CubeLayout:
     def cubes(self) -> Iterator[DyadicCube]:
         for index in np.ndindex(*self.shape):
             yield self.cube(index)
-
-
-@dataclass(frozen=True, eq=False)
-class CubeTable:
-    """Cubes of several runs ("segments") in one table, segment after segment.
-
-    The cubes of segment ``s`` are rows ``offsets[s]:offsets[s + 1]`` and
-    share the full volume ``volumes[s]``; a segment is a layout (its cubes
-    in C order) or one cube.  ``los`` and ``his`` are the cubes' cell bounds
-    clipped to the box, in either form :func:`box_sums` takes: per axis one
-    entry per cube, or, for a table of one layout, the layout's per-axis
-    bounds through ``np.ix_``.
-    """
-
-    lattice: Lattice
-    los: Tuple[np.ndarray, ...]
-    his: Tuple[np.ndarray, ...]
-    volumes: np.ndarray
-    offsets: np.ndarray
-
-    @classmethod
-    def of_layouts(cls, lattice: Lattice, layouts: Sequence[CubeLayout]) -> "CubeTable":
-        """The cubes of ``layouts``, one segment each, in order."""
-        counts = [math.prod(layout.shape) for layout in layouts]
-        offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
-        volumes = np.array([layout.full_volume for layout in layouts], dtype=float)
-        if len(layouts) == 1:
-            return cls(lattice, *layouts[0].bounds(), volumes, offsets)
-        starts = [np.concatenate(axis) for axis in zip(*(layout.cube_starts() for layout in layouts))]
-        sizes = np.repeat([layout.size for layout in layouts], counts)
-        return cls(lattice, *_clipped_bounds(lattice, starts, sizes), volumes, offsets)
-
-    @classmethod
-    def of_cubes(cls, lattice: Lattice, cubes: Sequence[DyadicCube]) -> "CubeTable":
-        """The cubes one segment each, in order."""
-        starts = np.array([cube.start for cube in cubes], dtype=np.intp).reshape(-1, lattice.n)
-        sizes = np.array([cube.size for cube in cubes], dtype=np.intp)
-        volumes = np.array([_full_volume(lattice, cube.size) for cube in cubes], dtype=float)
-        return cls(lattice, *_clipped_bounds(lattice, starts.T, sizes), volumes,
-                   np.arange(len(cubes) + 1))
-
-    def __len__(self) -> int:
-        return int(self.offsets[-1])
-
-    def averages(self, f: "GridFunction") -> np.ndarray:
-        """Averages of ``f`` over every cube in table order, normalized by the
-        full cube volume."""
-        sums = box_sums(f.prefix(), self.los, self.his).ravel()
-        return sums * self.lattice.cell_volume / np.repeat(self.volumes, self.counts)
-
-    @functools.cached_property
-    def counts(self) -> np.ndarray:
-        """The number of cubes in each segment."""
-        return np.diff(self.offsets)
-
-    def segment(self, row: int) -> Tuple[int, int]:
-        """The segment holding ``row``, and the row's index within it."""
-        s = int(np.searchsorted(self.offsets, row, side="right")) - 1
-        return s, row - int(self.offsets[s])
-
-
-def cube_tables(
-    lattice: Lattice, layouts: Iterable[CubeLayout]
-) -> Tuple[Tuple[Tuple[CubeLayout, ...], CubeTable], ...]:
-    """``layouts`` in order as tables of at most ``_BLOCK`` cubes, each with
-    the layouts it holds: runs of whole layouts, read cube by cube, and a
-    larger layout cut into runs of its first-axis rows, each a table of its
-    own, read slab by slab."""
-    runs: List[List[CubeLayout]] = [[]]
-    count = 0
-    for layout in layouts:
-        step = max(1, _BLOCK // math.prod(layout.shape[1:]))
-        for r in range(0, layout.shape[0], step):
-            piece = layout if step >= layout.shape[0] else layout.rows(r, r + step)
-            size = math.prod(piece.shape)
-            if count + size > _BLOCK and runs[-1]:
-                runs.append([])
-                count = 0
-            runs[-1].append(piece)
-            count += size
-    return tuple((tuple(run), CubeTable.of_layouts(lattice, run)) for run in runs if run)
 
 
 class DyadicGrid:
@@ -485,6 +409,13 @@ class DyadicGrid:
             j0.append(j_min)
             starts.append(np.arange(j_min, j_max + 1) * size + b)
         return CubeLayout(self.lattice, size, tuple(starts), self, g, tuple(j0))
+
+    def pyramid(self, values: np.ndarray, g_min: int) -> List[np.ndarray]:
+        """The grid's child-sum pyramid (:func:`_pyramid`) over every cube of
+        generations L, L-1, ..., ``g_min``: level ``L - g`` holds the sums
+        over generation g, in the shape and C order of :meth:`layout`."""
+        top = self.layout(g_min)
+        return _pyramid(values, self.lattice, [s[0] for s in top.starts], top.size, top.shape)
 
 
 class ShiftedGridFamily:
@@ -687,10 +618,22 @@ class CellRegion:
         return self.count * self.lattice.cell_volume
 
 
-def cell_average(f: GridFunction, cube: DyadicCube) -> float:
-    """Average of f over the cube, normalizing by the full cube volume.
+def cube_averages(f: GridFunction, cube: DyadicCube) -> np.ndarray:
+    """Average of ``f`` over one cube, as an array of shape (1,)*n,
+    normalizing by the full cube volume.
 
-    Cells outside the root box contribute zero. The cube must intersect the
-    box and must not be finer than the lattice.
+    A grid cube's sum is the top of its subtree's child-sum pyramid
+    (:func:`cube_levels`), so it has the bits of the cube's entry in its
+    grid's pyramid; a cell-aligned cube's is a difference of prefix sums
+    (:meth:`CubeLayout.sums`).  Cells outside the root box contribute zero.
+    The cube must intersect the box and must not be finer than the lattice.
     """
-    return float(CubeLayout.of_cube(f.lattice, cube).averages(f).flat[0])
+    layout = CubeLayout.of_cube(f.lattice, cube)
+    if cube.g is None:
+        return layout.averages(f)
+    return cube_levels(f.values, f.lattice, cube)[-1] * f.lattice.cell_volume / layout.full_volume
+
+
+def cell_average(f: GridFunction, cube: DyadicCube) -> float:
+    """Average of f over the cube (:func:`cube_averages`) as a float."""
+    return float(cube_averages(f, cube).flat[0])

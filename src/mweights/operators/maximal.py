@@ -1,11 +1,12 @@
 """Dyadic and multilinear maximal operators over shifted grids.
 
-Every scan walks whole generations at once: for generation ``g`` the cube
-averages of all cubes meeting the box are computed from prefix sums in one
-vectorized pass, then scattered back onto the cells they cover.  Averages
-always divide by the full cube volume, so cubes sticking out of the box are
-diluted by the mass they miss; this keeps the lower/upper bracket of
-``multilinear_maximal`` valid.  The weighted variant instead divides by the
+Every scan walks whole generations at once: the sums over all cubes of a
+grid meeting the box come from the grid's child-sum pyramid
+(:meth:`grid.DyadicGrid.pyramid`), one pass per grid for all the inputs,
+and each generation's averages are then scattered back onto the cells they
+cover.  Averages always divide by the full cube volume, so cubes sticking
+out of the box are diluted by the mass they miss; this keeps the
+lower/upper bracket of ``multilinear_maximal`` valid.  The weighted variant instead divides by the
 weight mass actually inside the box, which is the natural normalization for
 a weight living on the box alone.
 """
@@ -16,7 +17,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..grid import DyadicGrid, GridFunction, Lattice, ShiftedGridFamily, prefix_sums
+from ..grid import DyadicGrid, GridFunction, Lattice, ShiftedGridFamily
 from ..weights import Weight
 
 logger = logging.getLogger(__name__)
@@ -48,12 +49,11 @@ def dyadic_maximal(
     lat = _check_inputs(fs, g_min)
     if grid.lattice != lat:
         raise ValueError("grid and functions must share one lattice")
+    levels = grid.pyramid(np.stack([f.values for f in fs]), g_min)
     out = np.zeros(lat.shape)
     for g in range(g_min, lat.L + 1):
         layout = grid.layout(g)
-        vals = layout.averages(fs[0])
-        for f in fs[1:]:
-            vals = vals * layout.averages(f)
+        vals = (levels[lat.L - g] * lat.cell_volume / layout.full_volume).prod(axis=0)
         per_cell = vals[np.ix_(*layout.cell_slots())]
         np.maximum(out, per_cell, out=out)
     return GridFunction(lat, out)
@@ -96,13 +96,11 @@ def weighted_dyadic_maximal(
     if w.lattice != lat or grid.lattice != lat:
         raise ValueError("function, weight, and grid must share one lattice")
     wm = w.cell_masses()
-    num_prefix = prefix_sums(f.values * wm)
-    den_prefix = prefix_sums(wm)
+    levels = grid.pyramid(np.stack([f.values * wm, wm]), g_min)
     out = np.zeros(lat.shape)
     for g in range(g_min, lat.L + 1):
         layout = grid.layout(g)
-        num = layout.sums(num_prefix)
-        den = layout.sums(den_prefix)
+        num, den = levels[lat.L - g]
         empty = den <= 0.0
         if np.any(empty):
             logger.debug(

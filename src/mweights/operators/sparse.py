@@ -16,9 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..grid import (
-    CellRegion, CubeLayout, CubeTable, DyadicCube, DyadicGrid, GridFunction, Lattice, cube_tables
-)
+from ..grid import CellRegion, DyadicCube, DyadicGrid, GridFunction, Lattice, cube_levels
 
 logger = logging.getLogger(__name__)
 
@@ -46,9 +44,10 @@ class SparseFamily:
     ``owner`` is an integer array of the lattice's shape giving each cell
     the index in ``cubes`` of the cube that keeps it, or -1 where no cube
     does, so every cell belongs to at most one kept region.  Invariants,
-    checked at construction cube by cube in family order: every cube lies
-    inside the box, every kept cell lies inside its cube, and each cube
-    keeps at least half of its cells.
+    checked at construction cube by cube in family order: the first cube is
+    the root, every cube lies inside the box and is a cube of the root's
+    grid inside the root, every kept cell lies inside its cube, and each
+    cube keeps at least half of its cells.
 
     A built family lists its cubes coarse to fine: the root first, then each
     generation's selected cubes in C order of their index ``j``.
@@ -70,10 +69,17 @@ class SparseFamily:
             raise ValueError(f"owner must be an integer array of the lattice's shape {lat.shape}")
         if owner.min() < -1 or owner.max() >= len(self.cubes):
             raise ValueError(f"owner names a cube outside 0..{len(self.cubes) - 1} or -1")
+        if self.cubes[0] != self.root:
+            raise ValueError("the first cube of a sparse family must be its root")
         kept = self.kept
         for k, cube in enumerate(self.cubes):
             if not _cube_inside_box(cube, lat):
                 raise ValueError(f"cube {cube.key()} sticks out of the box")
+            if cube.grid_id != self.root.grid_id or not all(
+                r <= s and s + cube.size <= r + self.root.size
+                for s, r in zip(cube.start, self.root.start)
+            ):
+                raise ValueError(f"cube {cube.key()} is not a cube of the root's subtree")
             if np.count_nonzero(owner[_cube_slices(cube, lat)] == k) != kept[k]:
                 raise ValueError(f"kept region of {cube.key()} leaves its cube")
             total = cube.size**lat.n
@@ -108,6 +114,12 @@ class SparseFamily:
             }
             for cube, count in zip(self.cubes, self.kept)
         ]
+
+
+def _products(lat: Lattice, sums: np.ndarray, size: int) -> np.ndarray:
+    """Products over the inputs (the leading axis of ``sums``) of their
+    averages over cubes of ``size`` cells, from their sums."""
+    return (sums * lat.cell_volume / lat.cube_volume(size)).prod(axis=0)
 
 
 def build_sparse_family(
@@ -153,27 +165,8 @@ def build_sparse_family(
         if np.any(g.values[outside] != 0.0):
             raise ValueError("root cube must contain the joint support")
 
-    # products of averages of every cube under the root, from tables of
-    # them, then one array per size indexed by the cube's offset from the
-    # root start in cubes of that size
-    sizes = [root.size >> k for k in range(root.size.bit_length())]
-    layouts = [
-        CubeLayout(lat, size, tuple(s + np.arange(root.size // size) * size for s in root.start))
-        for size in sizes
-    ]
-    blocks = cube_tables(lat, layouts)
-
-    def averages(g: GridFunction) -> np.ndarray:
-        return np.concatenate([table.averages(g) for _, table in blocks])
-
-    products = averages(gs[0])
-    for g in gs[1:]:
-        products = products * averages(g)
-    offsets = np.cumsum([0] + [(root.size // size) ** lat.n for size in sizes])
-    tables = {
-        size: products[a:b].reshape((root.size // size,) * lat.n)
-        for size, a, b in zip(sizes, offsets[:-1], offsets[1:])
-    }
+    levels = cube_levels(np.stack([g.values for g in gs]), lat, root)
+    tables = {2**k: _products(lat, sums, 2**k) for k, sums in enumerate(levels)}
     lambda0 = float(tables[root.size].flat[0])
     owner = np.full(lat.shape, -1, dtype=np.int64)
     cubes: List[DyadicCube] = [root]
@@ -220,18 +213,23 @@ def build_sparse_family(
 
 
 def sparse_operator(fam: SparseFamily, fs: Sequence[GridFunction]) -> GridFunction:
-    """Sum over selected cubes of the product of averages times the cube."""
+    """Sum over selected cubes of the product of averages times the cube.
+
+    Every cube lies under the family's root, so the averages come from the
+    root's child-sum pyramid (:func:`grid.cube_levels`), level k holding
+    every cube of 2^k cells by its offset from the root's start, with the
+    bits of :func:`grid.cell_average`.
+    """
     if not fs:
         raise ValueError("need at least one grid function")
     lat = fs[0].lattice
     for f in fs[1:]:
         if f.lattice != lat:
             raise ValueError("all grid functions must share one lattice")
-    table = CubeTable.of_cubes(lat, fam.cubes)
-    prods = table.averages(fs[0])
-    for f in fs[1:]:
-        prods = prods * table.averages(f)
+    levels = cube_levels(np.stack([f.values for f in fs]), lat, fam.root)
     out = np.zeros(lat.shape)
-    for cube, prod in zip(fam.cubes, prods):
-        out[_cube_slices(cube, lat)] += prod
+    for cube in fam.cubes:
+        index = tuple((s - r) // cube.size for s, r in zip(cube.start, fam.root.start))
+        sums = levels[cube.size.bit_length() - 1][(slice(None),) + index]
+        out[_cube_slices(cube, lat)] += _products(lat, sums, cube.size)
     return GridFunction(lat, out)

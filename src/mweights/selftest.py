@@ -188,8 +188,9 @@ def stopping_oracle(
 ) -> List[Tuple[DyadicCube, np.ndarray]]:
     """The stopping-time family under ``root``, by a depth-first walk.
 
-    Products of averages come from each size's box sums divided by the
-    cube volume, not through ``CubeLayout``; a cube is selected when it
+    Products of averages come from each size's prefix-sum box sums
+    (:func:`grid.box_sums`, independent of the child-sum pyramid the
+    builder reads) divided by the cube volume; a cube is selected when it
     exceeds a threshold index ``k`` (value above ``a**k * lambda0``) that no
     ancestor exceeded, and zero cubes end their subtree.  Returns ``(cube, kept cells)`` pairs in depth-first order,
     without the half-volume check.
@@ -199,14 +200,11 @@ def stopping_oracle(
     tables = {}
     size = root.size
     while size >= 1:
-        shape = (root.size // size,) * n
-        los = tuple(
-            (s + k * size).ravel() for s, k in zip(root.start, np.indices(shape))
-        )
+        los = np.ix_(*(s + np.arange(root.size // size) * size for s in root.start))
         his = tuple(lo + size for lo in los)
-        table = np.ones(shape)
+        table = 1.0
         for f in fs:
-            table = table * (box_sums(f.prefix(), los, his).reshape(shape) / float(size) ** n)
+            table = table * (box_sums(f.prefix(), los, his) / float(size) ** n)
         tables[size] = table
         size //= 2
     lambda0 = float(tables[root.size].flat[0])

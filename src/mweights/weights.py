@@ -16,22 +16,23 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .grid import (
     CellRegion,
     CubeLayout,
-    CubeTable,
     DyadicCube,
+    DyadicGrid,
     GridFunction,
     Lattice,
     ShiftedGridFamily,
     cell_average,
-    cube_tables,
+    cube_averages,
 )
 
 __all__ = [
@@ -227,36 +228,43 @@ class WeightVector:
         return self._sigmas[i]
 
 
-def _supremand(
-    wv: WeightVector, averages: Callable[[GridFunction], np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """avg_Q(joint) * prod_i avg_Q(sigma_i)^(p/p_i') on every cube ``averages``
-    reads, and the mask of cubes where an average has zero mass (through
-    underflow of extreme exponents) and the supremand is set to 0.  Once every
-    cube is degenerate the remaining duals, which may not be finite, are
-    skipped.
+def _supremand(P: ExponentTuple, averages: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """avg_Q(joint) * prod_i avg_Q(sigma_i)^(p/p_i') on every cube, from the
+    averages of the joint weight and then of each dual stacked on a leading
+    axis, and the mask of cubes where an average has zero mass (through
+    underflow of extreme exponents) and the supremand is set to 0.  The
+    duals may be left out when the joint average is zero on every cube.
+    Works in place: the supremand is ``averages[0]``.
     """
-    P = wv.exponents
-    out = averages(wv.joint.density())
+    out = averages[0]
     degenerate = out == 0.0
-    for i in range(P.m):
-        if degenerate.all():
-            break
-        avg_sig = averages(wv.sigma(i).density())
+    for i, avg_sig in enumerate(averages[1:]):
         degenerate |= avg_sig == 0.0
-        out = out * avg_sig ** (P.p / P.conjugates[i])
-    return np.where(degenerate, 0.0, out), degenerate
+        out *= np.power(avg_sig, P.p / P.conjugates[i], out=avg_sig)
+    out[degenerate] = 0.0
+    return out, degenerate
+
+
+def _densities(wv: WeightVector, averages: Callable[[GridFunction], np.ndarray]) -> np.ndarray:
+    """``averages`` of the joint weight's density and then of each dual's,
+    stacked; the duals, which may not be finite, are left out when the
+    joint's are all zero, which makes every cube degenerate."""
+    out = [averages(wv.joint.density())]
+    if out[0].any():
+        out += [averages(wv.sigma(i).density()) for i in range(wv.m)]
+    return np.stack(out)
 
 
 def per_cube_ap(wv: WeightVector, Q: DyadicCube) -> float:
     """Supremand of the joint-weight condition on one cube:
     avg_Q(joint) * prod_i avg_Q(sigma_i)^(p/p_i').
 
-    Runs the array kernel of :func:`ap_constant` on a one-cube layout, so it
+    Runs the array kernel of :func:`ap_constant` on the cube's averages
+    (:func:`grid.cube_averages`), which have the bits the scan read, so it
     returns the very value the scan saw for ``Q``.  Returns 0 (and logs) when
     an average degenerates to zero mass.
     """
-    vals, degenerate = _supremand(wv, CubeLayout.of_cube(wv.lattice, Q).averages)
+    vals, degenerate = _supremand(wv.exponents, _densities(wv, lambda f: cube_averages(f, Q)))
     if degenerate.any():
         logger.debug("degenerate zero-mass average on %s; returning 0", Q)
     return float(vals.flat[0])
@@ -271,6 +279,12 @@ class CubeFamily:
     including cubes sticking out of it. kind "aligned": every cell-aligned
     cube fully inside the box, any integer size (brute force; small lattices
     only). kind "both": union of the two.
+
+    Scan order is grid by grid (the standard grid first), each grid's
+    generations coarse to fine and each generation in C order of ``j``; then
+    the aligned cubes by size.  The grid cubes' sums come from one child-sum
+    pyramid per grid (:meth:`grid.DyadicGrid.pyramid`), which cannot
+    cancel; cell-aligned cubes do not nest, and take prefix sums.
     """
 
     lattice: Lattice
@@ -281,19 +295,24 @@ class CubeFamily:
     def __post_init__(self):
         if self.kind not in ("shifted", "aligned", "both"):
             raise ValueError(f"unknown cube family kind {self.kind!r}")
+        if self.effective_g_max > self.lattice.L:
+            raise ValueError(f"g_max={self.g_max} is finer than the lattice resolution L={self.lattice.L}")
 
     @property
     def effective_g_max(self) -> int:
         return self.lattice.L if self.g_max is None else self.g_max
 
+    @property
+    def generations(self) -> range:
+        """The generations of the grid cubes, coarse to fine; none for "aligned"."""
+        return range(self.g_min, self.effective_g_max + 1) if self.kind != "aligned" else range(0)
+
     def layouts(self) -> Iterator[CubeLayout]:
-        """The family in scan order: one layout per (generation, grid) for
-        "shifted", then one per cube size for "aligned"."""
-        if self.kind in ("shifted", "both"):
-            family = ShiftedGridFamily(self.lattice)
-            for g in range(self.g_min, self.effective_g_max + 1):
-                for grid in family.grids:
-                    yield grid.layout(g)
+        """The family in scan order: one layout per (grid, generation), then
+        one per cube size for "aligned"."""
+        for grid in ShiftedGridFamily(self.lattice).grids:
+            for g in self.generations:
+                yield grid.layout(g)
         if self.kind in ("aligned", "both"):
             for size in range(1, self.lattice.cells_per_axis + 1):
                 yield CubeLayout.aligned(self.lattice, size)
@@ -302,22 +321,6 @@ class CubeFamily:
         """Every cube one at a time, in scan order."""
         for layout in self.layouts():
             yield from layout.cubes()
-
-    @functools.cached_property
-    def blocks(self) -> Tuple[Tuple[Tuple[CubeLayout, ...], CubeTable], ...]:
-        """The family in scan order as :func:`grid.cube_tables`; built once
-        per family."""
-        return cube_tables(self.lattice, self.layouts())
-
-    @functools.cached_property
-    def scanned_per_generation(self) -> Dict[Optional[int], int]:
-        """Cubes per generation, summed over the grids, in scan order; aligned
-        cubes, which have no generation, count under ``None``."""
-        out: Counter = Counter()
-        for layouts, table in self.blocks:
-            for layout, count in zip(layouts, table.counts):
-                out[layout.g] += int(count)
-        return dict(out)
 
     @property
     def describe(self) -> str:
@@ -363,35 +366,83 @@ class ApReport:
         }
 
 
+def _grid_averages(
+    grid: DyadicGrid, densities: np.ndarray, gens: range, volumes: List[float]
+) -> Tuple[np.ndarray, List[int]]:
+    """Averages of the stacked densities over every cube of ``grid`` in
+    generations ``gens``, coarse to fine and each generation in C order, one
+    flat row per density, from the grid's child-sum pyramid; and the number
+    of cubes in each generation, whose full volumes are ``volumes``."""
+    lat = grid.lattice
+    levels = grid.pyramid(densities, gens[0])
+    rows = [levels[lat.L - g].reshape(len(densities), -1) for g in gens]
+    counts = [row.shape[1] for row in rows]
+    averages = np.concatenate(rows, axis=1)
+    averages *= lat.cell_volume
+    averages /= np.repeat(volumes, counts)
+    return averages, counts
+
+
+def _grid_cube(grid: DyadicGrid, gens: range, counts: List[int], k: int) -> DyadicCube:
+    """The cube at flat index ``k`` of :func:`_grid_averages`."""
+    for g, count in zip(gens, counts):
+        if k < count:
+            break
+        k -= count
+    layout = grid.layout(g)
+    return layout.cube(np.unravel_index(k, layout.shape))
+
+
 def ap_constant(wv: WeightVector, family: CubeFamily) -> ApReport:
     """Maximum of per_cube_ap over the family, with the argmax recorded.
 
-    Scans the family's cube tables (:attr:`CubeFamily.blocks`), one pass per
-    density over each.  Deterministic: the tables list the cubes in the
-    family's scan order, and ties keep the first maximizer.  A family
-    containing no cubes is rejected.
+    Scans the family in its scan order (:meth:`CubeFamily.layouts`), one
+    pass per grid and one per aligned cube size.  A grid's cubes, every
+    generation coarse to fine, come from one child-sum pyramid of the
+    stacked densities (:meth:`grid.DyadicGrid.pyramid`); aligned cubes from
+    prefix sums.  Deterministic: ties keep the first maximizer.  A family
+    containing no cubes is rejected, and so is a NaN supremand, with the
+    number of cubes that gave one, instead of being passed over.
     """
+    lat, P = wv.lattice, wv.exponents
     best = float("-inf")
-    arg: Optional[DyadicCube] = None
-    scanned = degenerate = 0
-    for layouts, table in family.blocks:
-        vals, degen = _supremand(wv, table.averages)
-        scanned += len(table)
+    arg: Optional[Callable[[], DyadicCube]] = None
+    scanned = degenerate = nans = 0
+    per_generation: Counter = Counter()
+
+    def scan(averages: np.ndarray, counts: Dict[Optional[int], int], cube) -> None:
+        nonlocal best, arg, scanned, degenerate, nans
+        vals, degen = _supremand(P, averages.reshape(len(averages), -1))
+        scanned += vals.size
+        per_generation.update(counts)
         degenerate += int(np.count_nonzero(degen))
+        nans += int(np.count_nonzero(np.isnan(vals)))
         k = int(np.argmax(vals))
         if vals[k] > best:
-            best = float(vals[k])
-            s, index = table.segment(k)
-            arg = layouts[s].cube(np.unravel_index(index, layouts[s].shape))
+            best, arg = float(vals[k]), functools.partial(cube, k)
+
+    gens = family.generations
+    if gens:
+        densities = _densities(wv, lambda f: f.values)
+        volumes = [lat.cube_volume(2 ** (lat.L - g)) for g in gens]
+        for grid in ShiftedGridFamily(lat).grids:
+            averages, counts = _grid_averages(grid, densities, gens, volumes)
+            scan(averages, dict(zip(gens, counts)), functools.partial(_grid_cube, grid, gens, counts))
+            del averages  # before the next grid's pyramid
+    if family.kind in ("aligned", "both"):
+        for size in range(1, lat.cells_per_axis + 1):
+            layout = CubeLayout.aligned(lat, size)
+            scan(_densities(wv, layout.averages), {None: math.prod(layout.shape)},
+                 lambda k, layout=layout: layout.cube(np.unravel_index(k, layout.shape)))
     if scanned == 0:
         raise ValueError(f"cube family {family.describe} is empty")
+    if nans:
+        raise ValueError(f"{nans} of {scanned} cubes of {family.describe} have a NaN supremand")
     if degenerate:
         logger.debug(
             "%d of %d cubes degenerate to zero mass; their supremand is 0", degenerate, scanned
         )
-    return ApReport(
-        best, arg, scanned, family.describe, degenerate, dict(family.scanned_per_generation)
-    )
+    return ApReport(best, arg and arg(), scanned, family.describe, degenerate, dict(per_generation))
 
 
 def dualize(wv: WeightVector, i: int) -> WeightVector:

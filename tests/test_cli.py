@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from mweights import cli, selftest
 from mweights.experiments import sweeps
 from mweights.cli import main, main_entry, parse_eps, parse_exponents, ConfigError
+from mweights.grid import GridFunction, Lattice, default_box
 from mweights.operators import SparsenessError
 
 
@@ -76,6 +78,29 @@ def test_apconst_nonintegrable_power_weight(capsys):
     code = main(["apconst", "--p", "2,2", "--w", "power:-1.5,const", "--L", "5"])
     assert code == 2
     assert "integrable" in capsys.readouterr().err
+
+
+def test_apconst_nan_supremands_exit_2_without_traceback(tmp_path, capsys):
+    # two step weights 2^k, k in [-3, 3], at p_1 = 1.01: the aligned cubes'
+    # prefix sums of the dual w^-100 cancel, and the scan refuses the NaN
+    # supremands with their count instead of returning a smaller constant
+    lattice = Lattice(default_box(2), 4)
+    rng = np.random.default_rng(0)
+    specs = []
+    for k in range(2):
+        path = tmp_path / f"w{k}.gridfn"
+        GridFunction(lattice, 2.0 ** rng.integers(-3, 4, size=lattice.shape)).save(path)
+        specs.append(f"grid:{path}")
+    argv = ["apconst", "--n", "2", "--L", "4", "--p", "1.01,3", "--w", ",".join(specs)]
+    assert main(argv + ["--family", "aligned"]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"error: \d+ of \d+ cubes .* NaN supremand", err)
+    assert "Traceback" not in err
+    # the grid cubes' child sums cannot cancel: the shifted family is finite
+    assert main(argv) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["constant"] == pytest.approx(20.970989981328195, rel=1e-13)
+    assert blob["degenerate"] == 0
 
 
 def test_unknown_flag_prints_usage_and_exits_2(capsys):

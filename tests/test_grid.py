@@ -9,11 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from mweights import grid
 from mweights.grid import (
     Box,
     CellRegion,
-    CubeTable,
     DyadicCube,
     GridFunction,
     Lattice,
@@ -21,6 +19,7 @@ from mweights.grid import (
     ShiftedGridFamily,
     box_sums,
     cell_average,
+    cube_levels,
     default_box,
     prefix_sums,
     third_offset,
@@ -287,63 +286,107 @@ def family_layouts(lat, kind):
     return list(CubeFamily(lat, kind=kind).layouts())
 
 
-@pytest.mark.parametrize("chunk", [7, grid._CHUNK])
+@pytest.mark.parametrize("seed", [7, 8192])
 @pytest.mark.parametrize("kind", ["shifted", "aligned", "both"])
 @pytest.mark.parametrize(
     "box, L",
     [(Box((-2.0,), 4.0), 6), (Box((-1.0,), 3.0), 5), (Box((-2.0, -2.0), 4.0), 4),
      (Box((-1.0, -2.0), 3.0), 3)],
 )
-def test_box_sums_match_a_per_axis_oracle_bitwise(monkeypatch, box, L, kind, chunk):
-    # per-cube bounds, a layout's product of bounds and a table of many
-    # layouts all give the oracle's bits, cubes sticking out of the box
-    # (the coarse shifted generations) included, however the per-cube
-    # sums are chunked
-    monkeypatch.setattr(grid, "_CHUNK", chunk)
+def test_box_sums_match_a_per_axis_oracle_bitwise(box, L, kind, seed):
+    # a layout's product of bounds gives the oracle's bits, cubes sticking
+    # out of the box (the coarse shifted generations) included
     lat = Lattice(box, L)
     N = lat.cells_per_axis
-    rng = np.random.default_rng(L)
+    rng = np.random.default_rng(seed)
     f = GridFunction(lat, rng.lognormal(0.0, 2.0, lat.shape))
     prefix = prefix_sums(f.values)
     layouts = family_layouts(lat, kind)
-    want_sums, want_averages = [], []
     for layout in layouts:
         los = [np.clip(s, 0, N) for s in layout.starts]
         his = [np.clip(s + layout.size, 0, N) for s in layout.starts]
         want = per_axis_box_sums(prefix, los, his)
         assert np.array_equal(layout.sums(prefix), want)
-        per_cube = [np.meshgrid(*b, indexing="ij") for b in (los, his)]
-        got = box_sums(prefix, *([a.ravel() for a in b] for b in per_cube))
-        assert np.array_equal(got, want.ravel())
-        want_sums.append(want.ravel())
-        average = want.ravel() * lat.cell_volume / (layout.size * lat.h) ** lat.n
-        assert np.array_equal(layout.averages(f).ravel(), average)
-        want_averages.append(average)
+        assert np.array_equal(box_sums(prefix, *layout.bounds), want)
+        average = want * lat.cell_volume / (layout.size * lat.h) ** lat.n
+        assert np.array_equal(layout.averages(f), average)
     sticking_out = [layout for layout in layouts
                     if any(np.any(s < 0) or np.any(s + layout.size > N) for s in layout.starts)]
     assert bool(sticking_out) == (kind != "aligned")
-    table = CubeTable.of_layouts(lat, layouts)
-    assert len(table) == sum(len(s) for s in want_sums)
-    assert np.array_equal(table.averages(f), np.concatenate(want_averages))
-    cubes = [cube for layout in layouts for cube in layout.cubes()]
-    assert np.array_equal(CubeTable.of_cubes(lat, cubes).averages(f),
-                          np.concatenate(want_averages))
 
 
-def test_cube_table_names_each_row_by_its_segment():
-    lat = Lattice(default_box(2), 3)
-    layouts = family_layouts(lat, "shifted")
-    table = CubeTable.of_layouts(lat, layouts)
-    rows = [(s, k) for s, layout in enumerate(layouts) for k in range(math.prod(layout.shape))]
-    assert [table.segment(row) for row in range(len(table))] == rows
-    assert list(table.counts) == [math.prod(layout.shape) for layout in layouts]
+# -------------------------------------------------- the child-sum pyramid
+@pytest.mark.parametrize("n, L", [(1, 12), (2, 8)])
+def test_grid_pyramid_sums_match_fsum_on_the_extremal_dual(n, L):
+    # the extremal's dual density |x|^-(n - 2^-9) spans many orders of
+    # magnitude; prefix differences lose up to 2.3e-10 (n=1) and 1.3e-8
+    # (n=2) of a cube's sum on it, pairwise child sums nothing near 1e-15.
+    # Every cube of the coarse generations is checked, and 48 drawn at
+    # random from each of the others
+    lat = Lattice(default_box(n), L)
+    N = lat.cells_per_axis
+    values = lat.power_masses(-(n - 2.0**-9))
+    rng = np.random.default_rng(n)
+    worst = 0.0
+    for shifted in ShiftedGridFamily(lat).grids:
+        levels = shifted.pyramid(values, -2)
+        for g in range(-2, L + 1):
+            layout = shifted.layout(g)
+            sums = levels[L - g]
+            assert sums.shape == layout.shape
+            count = sums.size
+            picks = range(count) if count <= 48 else rng.choice(count, 48, replace=False)
+            for k in picks:
+                index = np.unravel_index(k, layout.shape)
+                cube = layout.cube(index)
+                block = values[tuple(slice(max(s, 0), min(s + cube.size, N)) for s in cube.start)]
+                want = math.fsum(block.ravel().tolist())
+                worst = max(worst, abs(sums[index] - want) / want)
+    assert worst <= 1e-15
 
 
-def test_layout_rows_keep_their_cubes():
-    shifted = ShiftedGridFamily(Lattice(default_box(2), 4)).grids[3]
-    layout = shifted.layout(3)
-    cubes = list(layout.cubes())
-    width = layout.shape[1]
-    pieces = [layout.rows(r, r + 3) for r in range(0, layout.shape[0], 3)]
-    assert [c for piece in pieces for c in piece.cubes()] == cubes
-    assert pieces[1].cube((0, 0)) == cubes[3 * width]
+@pytest.mark.parametrize("box, L", [(Box((-1.0,), 3.0), 5), (Box((-1.0, -2.0), 3.0), 3)])
+def test_subtree_sums_match_the_grid_pyramid_bitwise(box, L):
+    # a cube's own subtree, clipped to the box and padded only to each
+    # level's parity, gives the bits of its grid-pyramid entry at every
+    # level, for cubes sticking out of the box too, and cell_average reads it
+    lat = Lattice(box, L)
+    N = lat.cells_per_axis
+    rng = np.random.default_rng(L)
+    f = GridFunction(lat, rng.lognormal(0.0, 2.0, lat.shape))
+    outside = 0
+    for shifted in ShiftedGridFamily(lat).grids:
+        levels = shifted.pyramid(f.values, -2)
+        for g in range(-2, L + 1):
+            layout = shifted.layout(g)
+            for index in np.ndindex(*layout.shape):
+                cube = layout.cube(index)
+                outside += any(s < 0 or s + cube.size > N for s in cube.start)
+                subtree = cube_levels(f.values, lat, cube)
+                assert len(subtree) == L - g + 1
+                assert subtree[-1].shape == (1,) * lat.n
+                assert subtree[-1].flat[0] == levels[L - g][index]
+                for k, sums in enumerate(subtree):
+                    # sub-cubes of 2^k cells meeting the box, in C order
+                    j0 = shifted.layout(L - k).j0
+                    first = [max(0, -s // 2**k) for s in cube.start]
+                    for sub in np.ndindex(*sums.shape):
+                        cell = [s + (i + c) * 2**k for s, i, c in zip(cube.start, first, sub)]
+                        j = shifted.cube_containing_cell(cell, L - k).j
+                        assert sums[sub] == levels[k][tuple(a - b for a, b in zip(j, j0))]
+                average = levels[L - g][index] * lat.cell_volume / lat.cube_volume(cube.size)
+                assert cell_average(f, cube) == average
+    assert outside > 0
+
+
+def test_pyramid_carries_leading_axes_and_stops_at_g_min():
+    lat = Lattice(default_box(2), 4)
+    rng = np.random.default_rng(3)
+    stacked = rng.lognormal(0.0, 1.0, (3,) + lat.shape)
+    shifted = ShiftedGridFamily(lat).grids[3]
+    levels = shifted.pyramid(stacked, 1)
+    assert len(levels) == 4
+    for k in range(3):
+        alone = shifted.pyramid(stacked[k], 1)
+        assert all(np.array_equal(a, b[k]) for a, b in zip(alone, levels))
+    assert levels[-1].shape == (3,) + shifted.layout(1).shape

@@ -8,8 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mweights import grid, weights
-from mweights.grid import DyadicCube, Lattice, ShiftedGridFamily, default_box
+from mweights.grid import DyadicCube, Lattice, ShiftedGridFamily, cell_average, default_box
 from mweights.weights import (
     ApReport,
     CubeFamily,
@@ -283,44 +282,95 @@ def test_ap_constant_argmax_is_first_strict_maximizer(n, L, kind, weights):
         assert best == 1.0 and ties > 1
 
 
-def per_layout_scan(wv, family):
-    """The scan one layout at a time: first maximizer within a layout,
-    strictly larger across layouts."""
+def per_cube_scan(wv, family):
+    """The scan one cube at a time through per_cube_ap, in scan order: the
+    first strict maximizer, and the cubes whose supremand is 0 because an
+    average underflowed."""
     best, arg, scanned, degenerate = float("-inf"), None, 0, 0
-    for layout in family.layouts():
-        vals, degen = weights._supremand(wv, layout.averages)
-        scanned += vals.size
-        degenerate += int(np.count_nonzero(degen))
-        k = int(np.argmax(vals))
-        if vals.flat[k] > best:
-            best, arg = float(vals.flat[k]), layout.cube(np.unravel_index(k, layout.shape))
+    for cube in family.cubes():
+        val = per_cube_ap(wv, cube)
+        scanned += 1
+        degenerate += any(
+            cell_average(w.density(), cube) == 0.0
+            for w in (wv.joint,) + tuple(wv.sigma(i) for i in range(wv.m))
+        )
+        if val > best:
+            best, arg = val, cube
     return best, arg, scanned, degenerate
 
 
-@pytest.mark.parametrize("block", [1, 7, 100, 1 << 14])
+@pytest.mark.parametrize("seed", [1, 7, 100, 1 << 14])
 @pytest.mark.parametrize("kind", ["shifted", "aligned", "both"])
 @pytest.mark.parametrize("n, L", [(1, 5), (2, 4)])
-def test_ap_constant_in_blocks_matches_a_per_layout_scan(monkeypatch, n, L, kind, block):
-    # however the family is cut into blocks (whole layouts, runs of rows of
-    # one, single rows), the scan finds what a layout-by-layout scan finds.
-    # The step weight's dual w^(1-p') = w^-100 underflows to zero on its
-    # corner of large values, so the cubes inside it are degenerate, and is
-    # 1 elsewhere, so its sums are exact
-    monkeypatch.setattr(grid, "_BLOCK", block)
+def test_ap_constant_in_blocks_matches_a_per_layout_scan(n, L, kind, seed):
+    # the scan, a grid's generations or an aligned size at a time, finds
+    # what per_cube_ap finds cube by cube, to the bit.  The step weight's
+    # dual w^(1-p') = w^-100 underflows to zero on a 2-cell-wide block of
+    # large values, drawn at random, so the cubes inside it are degenerate;
+    # it is 1 elsewhere, so the aligned cubes' prefix sums do not cancel
     lat = Lattice(default_box(n), L)
+    rng = np.random.default_rng(seed)
     values = np.ones(lat.shape)
-    values[(slice(0, 2),) * n] = 1e5
+    corner = rng.integers(0, lat.cells_per_axis - 1, size=n)
+    values[tuple(slice(c, c + 2) for c in corner)] = 1e5
     wv = WeightVector([Weight.from_values(lat, values), Weight.power(lat, 0.25)],
                       ExponentTuple((1.01, 3.0)))
     family = CubeFamily(lat, kind=kind)
-    best, arg, scanned, degenerate = per_layout_scan(wv, family)
+    best, arg, scanned, degenerate = per_cube_scan(wv, family)
     report = ap_constant(wv, family)
-    assert len(family.blocks) > 1 or block == 1 << 14
-    assert all(len(table) <= block for _, table in family.blocks) or block < 2**L + 1
     assert report.constant == best
     assert report.argmax == arg
     assert (report.scanned, report.degenerate) == (scanned, degenerate)
     assert degenerate > 0
+
+
+def step_probe():
+    """n=2, L=4: two step weights 2^k, k drawn from [-3, 3], at
+    P = (1.01, 3), so the first dual w^-100 spans 2^600."""
+    lat = Lattice(default_box(2), 4)
+    rng = np.random.default_rng(0)
+    ws = [Weight.from_values(lat, 2.0 ** rng.integers(-3, 4, size=lat.shape).astype(float))
+          for _ in range(2)]
+    return WeightVector(ws, ExponentTuple((1.01, 3.0)))
+
+
+def fsum_supremand(wv, cube):
+    """per_cube_ap from math.fsum over the cube's cells inside the box."""
+    lat = wv.lattice
+    N = lat.cells_per_axis
+    block = tuple(slice(max(s, 0), min(s + cube.size, N)) for s in cube.start)
+    volume = (cube.size * lat.h) ** lat.n
+
+    def average(w):
+        return math.fsum(w.cell_masses()[block].ravel().tolist()) / volume
+
+    P = wv.exponents
+    out = average(wv.joint)
+    for i in range(P.m):
+        out *= average(wv.sigma(i)) ** (P.p / P.conjugates[i])
+    return out
+
+
+def test_ap_constant_on_a_wide_dual_matches_fsum():
+    # prefix differences cancelled on this probe: 999 of the dual's 1,453
+    # cube sums came out 0 and 8 negative, and the scan returned -inf
+    wv = step_probe()
+    family = CubeFamily(wv.lattice)
+    report = ap_constant(wv, family)
+    want = max(fsum_supremand(wv, cube) for cube in family.cubes())
+    assert math.isfinite(report.constant)
+    assert report.constant == pytest.approx(want, rel=1e-13)
+    assert report.degenerate == 0
+    assert per_cube_ap(wv, report.argmax) == report.constant
+
+
+def test_ap_constant_rejects_nan_supremands():
+    # aligned cubes keep prefix sums, which cancel on the probe's dual: the
+    # negative sums give NaN supremands, which the scan reports by count
+    # instead of passing over
+    wv = step_probe()
+    with pytest.raises(ValueError, match=r"\d+ of \d+ cubes .* NaN supremand"):
+        ap_constant(wv, CubeFamily(wv.lattice, kind="aligned"))
 
 
 @pytest.mark.parametrize("kind", ["shifted", "aligned", "both"])
@@ -342,15 +392,15 @@ def test_ap_report_counts_cubes_per_generation(kind):
 
 
 def test_ap_constant_scan_stays_small_on_a_large_family():
-    # n=2, L=8: 350,577 cubes.  The blocked scan peaks at about 2.5 MiB
-    # over the densities it reads; one flat table of the whole family peaks
-    # at about 49 MiB
+    # n=2, L=8: 350,577 cubes.  The grid-by-grid scan peaks at about
+    # 4.7 MiB over the densities it reads; one flat pass over the whole
+    # family peaks at about 49 MiB
     lat = Lattice(default_box(2), 8)
     rng = np.random.default_rng(2)
     steps = Weight.from_values(lat, 2.0 ** rng.integers(-3, 4, size=lat.shape).astype(float))
     wv = WeightVector([steps, Weight.power(lat, 0.3)], ExponentTuple((2.0, 2.0)))
-    for density in (wv.joint.density(), wv.sigma(0).density(), wv.sigma(1).density()):
-        density.prefix()
+    for weight in (wv.joint, wv.sigma(0), wv.sigma(1)):
+        weight.density()
     family = CubeFamily(lat)
     tracemalloc.start()
     try:
