@@ -23,24 +23,17 @@ from mweights import (
     multilinear_maximal,
     weighted_dyadic_maximal,
 )
+from mweights.selftest import brute_multilinear
 
 rng = np.random.default_rng(11)
 lattice = Lattice(default_box(1), L=6)
-N = lattice.shape[0]
 
 # two random nonnegative inputs
 fs = tuple(GridFunction(lattice, rng.uniform(0.05, 1.0, lattice.shape)) for _ in range(2))
 lower, upper = multilinear_maximal(fs)
 
 # brute force over every cell-aligned interval for comparison
-prefixes = [np.concatenate([[0.0], np.cumsum(f.values)]) for f in fs]
-brute = np.zeros(N)
-for i in range(N):
-    for j in range(i + 1, N + 1):
-        val = 1.0
-        for pref in prefixes:
-            val *= (pref[j] - pref[i]) / (j - i)
-        np.maximum(brute[i:j], val, out=brute[i:j])
+brute = brute_multilinear(fs)
 
 inside = np.all(lower.values <= brute * (1 + 1e-12)) and np.all(
     brute <= upper.values * (1 + 1e-12)

@@ -14,7 +14,8 @@ Because the grids nest, a grid cube's sum is the sum of its 2^n children's:
 every sum over grid cubes is read from a child-sum pyramid, a whole grid's
 (:meth:`DyadicGrid.pyramid`) or one cube's subtree (:func:`cube_levels`),
 whose terms are nonnegative and cannot cancel.  Cell-aligned cubes do not
-nest; their sums are differences of prefix sums (:func:`box_sums`).
+nest; their sums add doubled runs of cells (:func:`window_sums`), which
+cannot cancel either.
 """
 from __future__ import annotations
 
@@ -48,11 +49,10 @@ __all__ = [
     "GridFunction",
     "CellRegion",
     "CubeLayout",
-    "box_sums",
     "cell_average",
     "cube_averages",
     "cube_levels",
-    "prefix_sums",
+    "window_sums",
 ]
 
 
@@ -177,32 +177,36 @@ def third_offset(M: int, L: int) -> int:
     return (1 << (M + (L - M) % 2)) // 3
 
 
-def prefix_sums(values: np.ndarray) -> np.ndarray:
-    """Inclusive prefix sums of ``values`` behind a zero row on every axis."""
-    out = np.zeros(tuple(k + 1 for k in values.shape))
-    core = values
-    for axis in range(values.ndim):
-        core = np.cumsum(core, axis=axis)
-    out[(slice(1, None),) * values.ndim] = core
-    return out
+def window_sums(values: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """Sums over every box of ``sizes[0] x sizes[1] x ...`` consecutive
+    cells, in C order of the box's first cell.
 
-
-def box_sums(prefix: np.ndarray, los, his) -> np.ndarray:
-    """Sums over the boxes ``[los[0], his[0]) x [los[1], his[1]) x ...``.
-
-    ``prefix`` comes from :func:`prefix_sums`, and the bounds are a
-    layout's per-axis cell bounds in ``np.ix_`` shape (axis a's bounds vary
-    along dimension a only); the sums come back in their broadcast shape,
-    every combination in C order.  Each sum differences its box's 2^n
-    prefix corners one axis at a time, the first axis innermost, taking
-    whole slabs of the prefix along each axis in turn.  Differences of
-    prefix sums cancel when the values span many orders of magnitude; grid
-    cubes, which nest, take the child-sum pyramid (:func:`_pyramid`)
-    instead.
+    ``values`` holds the cells on its last ``len(sizes)`` axes; leading
+    axes, one per function, are carried along.  The runs are summed along
+    each of those axes in turn, the first one first.  A run of 2w cells is
+    the pairwise sum of two runs of w cells, ``run[i] + run[i + w]``, and a
+    run of ``size`` cells adds the doubled runs for the binary digits of
+    ``size``, lowest first, each starting where the previous one ended.
+    Nothing is subtracted, so nothing cancels, and a box's sum has the
+    same bits whether it is read from the whole array or from its own
+    cells alone.  When every size is 1 the result is ``values`` itself.
     """
-    out = prefix
-    for axis in range(prefix.ndim):
-        out = out.take(his[axis].ravel(), axis=axis) - out.take(los[axis].ravel(), axis=axis)
+    out = values
+    for axis, size in enumerate(sizes, start=values.ndim - len(sizes)):
+        if not 1 <= size <= out.shape[axis]:
+            raise ValueError(f"run of {size} cells on an axis of {out.shape[axis]}")
+        head = (slice(None),) * axis
+        count = out.shape[axis] - size + 1
+        run, width, offset, total = out, 1, 0, None
+        while width <= size:
+            if size & width:
+                piece = run[head + (slice(offset, offset + count),)]
+                total = piece if total is None else total + piece
+                offset += width
+            if 2 * width <= size:
+                run = run[head + (slice(None, -width),)] + run[head + (slice(width, None),)]
+            width *= 2
+        out = total
     return out
 
 
@@ -305,19 +309,10 @@ class CubeLayout:
 
     @classmethod
     def aligned(cls, lattice: Lattice, size: int) -> "CubeLayout":
-        """Every cell-aligned cube of ``size`` cells inside the box."""
+        """Every cell-aligned cube of ``size`` cells inside the box, in the
+        order of their :func:`window_sums`."""
         starts = np.arange(lattice.cells_per_axis - size + 1)
         return cls(lattice, size, (starts,) * lattice.n)
-
-    @classmethod
-    def of_cube(cls, lattice: Lattice, cube: DyadicCube) -> "CubeLayout":
-        """The layout of one cube, which must meet the box."""
-        N = lattice.cells_per_axis
-        if cube.size < 1:
-            raise ValueError("cube is finer than the lattice resolution")
-        if not all(s < N and s + cube.size > 0 for s in cube.start):
-            raise ValueError(f"cube start={cube.start} size={cube.size} misses the root box")
-        return cls(lattice, cube.size, tuple(np.array([s]) for s in cube.start))
 
     @functools.cached_property
     def shape(self) -> Tuple[int, ...]:
@@ -326,26 +321,6 @@ class CubeLayout:
     @property
     def full_volume(self) -> float:
         return self.lattice.cube_volume(self.size)
-
-    @functools.cached_property
-    def bounds(self):
-        """Per-axis cell bounds ``(los, his)`` of the cubes, clipped to the box
-        and shaped as ``np.ix_`` shapes them, so that they broadcast to the
-        layout's shape; computed once, as a layout sums several functions."""
-        N = self.lattice.cells_per_axis
-        starts = np.ix_(*self.starts)
-        los = tuple(np.minimum(np.maximum(s, 0), N) for s in starts)
-        his = tuple(np.minimum(np.maximum(s + self.size, 0), N) for s in starts)
-        return los, his
-
-    def sums(self, prefix: np.ndarray) -> np.ndarray:
-        """Sums of a prefix table (:func:`prefix_sums`) over every cube, in
-        the layout's shape: :func:`box_sums` on the product of its bounds."""
-        return box_sums(prefix, *self.bounds)
-
-    def averages(self, f: "GridFunction") -> np.ndarray:
-        """Averages of ``f`` over every cube, normalized by the full cube volume."""
-        return self.sums(f.prefix()) * self.lattice.cell_volume / self.full_volume
 
     def cell_slots(self) -> Tuple[np.ndarray, ...]:
         """Per axis, the index of the cube holding each cell (grid layouts)."""
@@ -526,7 +501,6 @@ class GridFunction:
         self.lattice = lattice
         self.values = values
         self.descriptor = descriptor
-        self._prefix: Optional[np.ndarray] = None
 
     @classmethod
     def from_power(
@@ -544,11 +518,6 @@ class GridFunction:
     @classmethod
     def zeros(cls, lattice: Lattice) -> "GridFunction":
         return cls(lattice, np.zeros(lattice.shape))
-
-    def prefix(self) -> np.ndarray:
-        if self._prefix is None:
-            self._prefix = prefix_sums(self.values)
-        return self._prefix
 
     def total_mass(self) -> float:
         return float(np.sum(self.values)) * self.lattice.cell_volume
@@ -624,14 +593,23 @@ def cube_averages(f: GridFunction, cube: DyadicCube) -> np.ndarray:
 
     A grid cube's sum is the top of its subtree's child-sum pyramid
     (:func:`cube_levels`), so it has the bits of the cube's entry in its
-    grid's pyramid; a cell-aligned cube's is a difference of prefix sums
-    (:meth:`CubeLayout.sums`).  Cells outside the root box contribute zero.
-    The cube must intersect the box and must not be finer than the lattice.
+    grid's pyramid; a cell-aligned cube's is :func:`window_sums` of its own
+    cells, with the bits of its entry in the whole lattice's window sums.
+    Cells outside the root box contribute zero.  The cube must intersect
+    the box and must not be finer than the lattice.
     """
-    layout = CubeLayout.of_cube(f.lattice, cube)
+    lat = f.lattice
+    N = lat.cells_per_axis
+    if cube.size < 1:
+        raise ValueError("cube is finer than the lattice resolution")
+    if not all(s < N and s + cube.size > 0 for s in cube.start):
+        raise ValueError(f"cube start={cube.start} size={cube.size} misses the root box")
     if cube.g is None:
-        return layout.averages(f)
-    return cube_levels(f.values, f.lattice, cube)[-1] * f.lattice.cell_volume / layout.full_volume
+        block = f.values[tuple(slice(max(s, 0), min(s + cube.size, N)) for s in cube.start)]
+        sums = window_sums(block, block.shape)
+    else:
+        sums = cube_levels(f.values, lat, cube)[-1]
+    return sums * lat.cell_volume / lat.cube_volume(cube.size)
 
 
 def cell_average(f: GridFunction, cube: DyadicCube) -> float:

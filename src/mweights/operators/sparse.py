@@ -222,10 +222,10 @@ def sparse_operator(fam: SparseFamily, fs: Sequence[GridFunction]) -> GridFuncti
     """
     if not fs:
         raise ValueError("need at least one grid function")
-    lat = fs[0].lattice
-    for f in fs[1:]:
+    lat = fam.lattice
+    for f in fs:
         if f.lattice != lat:
-            raise ValueError("all grid functions must share one lattice")
+            raise ValueError("family and grid functions must share one lattice")
     levels = cube_levels(np.stack([f.values for f in fs]), lat, fam.root)
     out = np.zeros(lat.shape)
     for cube in fam.cubes:

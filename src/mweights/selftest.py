@@ -21,7 +21,6 @@ from .grid import (
     GridFunction,
     Lattice,
     ShiftedGridFamily,
-    box_sums,
     default_box,
 )
 from .operators import (
@@ -166,7 +165,7 @@ def check_weighted_maximal_ceiling(seed: int, L: int = 6, trials: int = 8) -> Ch
 
 def _direct_product(fs: Sequence[GridFunction], start, size: int) -> Tuple[float, tuple]:
     """Product of the inputs' averages over one in-box cube, each summed
-    directly from the cell values (no prefix sums), and the cube's slices."""
+    directly from the cell values, and the cube's slices."""
     sl = tuple(slice(s, s + size) for s in start)
     prod = 1.0
     for f in fs:
@@ -188,23 +187,24 @@ def stopping_oracle(
 ) -> List[Tuple[DyadicCube, np.ndarray]]:
     """The stopping-time family under ``root``, by a depth-first walk.
 
-    Products of averages come from each size's prefix-sum box sums
-    (:func:`grid.box_sums`, independent of the child-sum pyramid the
-    builder reads) divided by the cube volume; a cube is selected when it
+    Products of averages come from each size's block sums of the root's
+    cells (a reshape and a ``sum``, independent of the child-sum pyramid
+    the builder reads) divided by the cube volume; a cube is selected when it
     exceeds a threshold index ``k`` (value above ``a**k * lambda0``) that no
     ancestor exceeded, and zero cubes end their subtree.  Returns ``(cube, kept cells)`` pairs in depth-first order,
     without the half-volume check.
     """
     lat = fs[0].lattice
     n = lat.n
+    blocks = [f.values[tuple(slice(s, s + root.size) for s in root.start)] for f in fs]
     tables = {}
     size = root.size
     while size >= 1:
-        los = np.ix_(*(s + np.arange(root.size // size) * size for s in root.start))
-        his = tuple(lo + size for lo in los)
+        split = (root.size // size, size) * n
         table = 1.0
-        for f in fs:
-            table = table * (box_sums(f.prefix(), los, his) / float(size) ** n)
+        for block in blocks:
+            sums = block.reshape(split).sum(axis=tuple(range(1, 2 * n, 2)))
+            table = table * (sums / float(size) ** n)
         tables[size] = table
         size //= 2
     lambda0 = float(tables[root.size].flat[0])
@@ -364,7 +364,7 @@ def check_sparse_domination(seed: int, L: int = 6, families: int = 8) -> CheckRe
 
 def brute_multilinear(fs: Sequence[GridFunction]) -> np.ndarray:
     """Cellwise max over every cell-aligned cube inside the box of the product
-    of averages, each summed directly from the cell values (no prefix sums)."""
+    of averages, each summed directly from the cell values."""
     lat = fs[0].lattice
     N = lat.cells_per_axis
     out = np.zeros(lat.shape)

@@ -33,6 +33,7 @@ from .grid import (
     ShiftedGridFamily,
     cell_average,
     cube_averages,
+    window_sums,
 )
 
 __all__ = [
@@ -172,7 +173,7 @@ class Weight:
         return self._masses
 
     def density(self) -> GridFunction:
-        """Cell-averaged density (masses / cell volume) with prefix sums."""
+        """Cell-averaged density (masses / cell volume)."""
         if self._density is None:
             self._density = GridFunction(
                 self.lattice, self.cell_masses() / self.lattice.cell_volume
@@ -283,8 +284,9 @@ class CubeFamily:
     Scan order is grid by grid (the standard grid first), each grid's
     generations coarse to fine and each generation in C order of ``j``; then
     the aligned cubes by size.  The grid cubes' sums come from one child-sum
-    pyramid per grid (:meth:`grid.DyadicGrid.pyramid`), which cannot
-    cancel; cell-aligned cubes do not nest, and take prefix sums.
+    pyramid per grid (:meth:`grid.DyadicGrid.pyramid`); cell-aligned cubes
+    do not nest, and take the doubled runs of :func:`grid.window_sums`.
+    Neither can cancel.
     """
 
     lattice: Lattice
@@ -397,14 +399,18 @@ def ap_constant(wv: WeightVector, family: CubeFamily) -> ApReport:
     """Maximum of per_cube_ap over the family, with the argmax recorded.
 
     Scans the family in its scan order (:meth:`CubeFamily.layouts`), one
-    pass per grid and one per aligned cube size.  A grid's cubes, every
-    generation coarse to fine, come from one child-sum pyramid of the
-    stacked densities (:meth:`grid.DyadicGrid.pyramid`); aligned cubes from
-    prefix sums.  Deterministic: ties keep the first maximizer.  A family
-    containing no cubes is rejected, and so is a NaN supremand, with the
-    number of cubes that gave one, instead of being passed over.
+    pass per grid and one per aligned cube size, over the stacked densities
+    of the joint weight and its duals.  A grid's cubes, every generation
+    coarse to fine, come from one child-sum pyramid
+    (:meth:`grid.DyadicGrid.pyramid`); each size of aligned cubes from
+    :func:`grid.window_sums`.  Deterministic: ties keep the first maximizer.
+    A family on another lattice than the weights' is rejected, and so is a
+    family containing no cubes, and a NaN supremand, with the number of
+    cubes that gave one, instead of being passed over.
     """
     lat, P = wv.lattice, wv.exponents
+    if family.lattice != lat:
+        raise ValueError(f"cube family {family.describe} is not on the weights' lattice {lat}")
     best = float("-inf")
     arg: Optional[Callable[[], DyadicCube]] = None
     scanned = degenerate = nans = 0
@@ -421,9 +427,9 @@ def ap_constant(wv: WeightVector, family: CubeFamily) -> ApReport:
         if vals[k] > best:
             best, arg = float(vals[k]), functools.partial(cube, k)
 
+    densities = _densities(wv, lambda f: f.values)
     gens = family.generations
     if gens:
-        densities = _densities(wv, lambda f: f.values)
         volumes = [lat.cube_volume(2 ** (lat.L - g)) for g in gens]
         for grid in ShiftedGridFamily(lat).grids:
             averages, counts = _grid_averages(grid, densities, gens, volumes)
@@ -432,7 +438,8 @@ def ap_constant(wv: WeightVector, family: CubeFamily) -> ApReport:
     if family.kind in ("aligned", "both"):
         for size in range(1, lat.cells_per_axis + 1):
             layout = CubeLayout.aligned(lat, size)
-            scan(_densities(wv, layout.averages), {None: math.prod(layout.shape)},
+            sums = window_sums(densities, (size,) * lat.n)
+            scan(sums * lat.cell_volume / lat.cube_volume(size), {None: math.prod(layout.shape)},
                  lambda k, layout=layout: layout.cube(np.unravel_index(k, layout.shape)))
     if scanned == 0:
         raise ValueError(f"cube family {family.describe} is empty")

@@ -80,10 +80,9 @@ def test_apconst_nonintegrable_power_weight(capsys):
     assert "integrable" in capsys.readouterr().err
 
 
-def test_apconst_nan_supremands_exit_2_without_traceback(tmp_path, capsys):
-    # two step weights 2^k, k in [-3, 3], at p_1 = 1.01: the aligned cubes'
-    # prefix sums of the dual w^-100 cancel, and the scan refuses the NaN
-    # supremands with their count instead of returning a smaller constant
+def step_probe_argv(tmp_path):
+    """apconst on two step weights 2^k, k in [-3, 3], at p_1 = 1.01, whose
+    dual w^-100 spans 2^600."""
     lattice = Lattice(default_box(2), 4)
     rng = np.random.default_rng(0)
     specs = []
@@ -91,16 +90,36 @@ def test_apconst_nan_supremands_exit_2_without_traceback(tmp_path, capsys):
         path = tmp_path / f"w{k}.gridfn"
         GridFunction(lattice, 2.0 ** rng.integers(-3, 4, size=lattice.shape)).save(path)
         specs.append(f"grid:{path}")
-    argv = ["apconst", "--n", "2", "--L", "4", "--p", "1.01,3", "--w", ",".join(specs)]
-    assert main(argv + ["--family", "aligned"]) == 2
-    err = capsys.readouterr().err
-    assert re.search(r"error: \d+ of \d+ cubes .* NaN supremand", err)
-    assert "Traceback" not in err
-    # the grid cubes' child sums cannot cancel: the shifted family is finite
-    assert main(argv) == 0
+    return ["apconst", "--n", "2", "--L", "4", "--p", "1.01,3", "--w", ",".join(specs)]
+
+
+@pytest.mark.parametrize("family", ["shifted", "aligned", "both"])
+def test_apconst_wide_dual_reads_the_same_constant_on_every_family(tmp_path, capsys, family):
+    # neither the grid cubes' child sums nor the aligned cubes' doubled runs
+    # cancel; prefix differences made the aligned families exit 2 here
+    assert main(step_probe_argv(tmp_path) + ["--family", family]) == 0
     blob = json.loads(capsys.readouterr().out)
-    assert blob["constant"] == pytest.approx(20.970989981328195, rel=1e-13)
+    assert blob["constant"] == 20.970989981328195
     assert blob["degenerate"] == 0
+
+
+def test_apconst_nan_supremands_exit_2_without_traceback(tmp_path, capsys, monkeypatch):
+    # the scan refuses NaN supremands with their count instead of returning
+    # a smaller constant; one is injected into each aligned size's pass
+    from mweights import weights
+
+    supremand = weights._supremand
+
+    def first_cube_nan(P, averages):
+        vals, degenerate = supremand(P, averages)
+        vals[0] = np.nan
+        return vals, degenerate
+
+    monkeypatch.setattr(weights, "_supremand", first_cube_nan)
+    assert main(step_probe_argv(tmp_path) + ["--family", "aligned"]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"error: 16 of 1496 cubes .* NaN supremand", err)
+    assert "Traceback" not in err
 
 
 def test_unknown_flag_prints_usage_and_exits_2(capsys):

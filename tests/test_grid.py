@@ -17,12 +17,11 @@ from mweights.grid import (
     Lattice,
     PowerDescriptor,
     ShiftedGridFamily,
-    box_sums,
     cell_average,
     cube_levels,
     default_box,
-    prefix_sums,
     third_offset,
+    window_sums,
 )
 from mweights.powermass import Ball, Interval, Rect, RectInBall
 from mweights.weights import CubeFamily
@@ -272,14 +271,47 @@ def test_load_rejects_missing_rows(tmp_path):
         GridFunction.load(_write_gridfn(tmp_path / "f.gridfn", 3, ["0,1.0"]))
 
 
-# ------------------------------------------------------- the box-sum kernel
-def per_axis_box_sums(prefix, los, his):
-    """Oracle: difference the prefix along each axis in turn, over the
-    product of the per-axis bounds."""
-    out = prefix
-    for axis in range(prefix.ndim):
-        out = out.take(his[axis], axis=axis) - out.take(los[axis], axis=axis)
-    return out
+# ------------------------------------------------------- the box-sum kernels
+def pairwise(blocks, axis):
+    """Oracle: each block's sum along ``axis``, whose length is a power of
+    two, as the sum of its two halves' sums, adding neighbours level by level."""
+    while blocks.shape[axis] > 1:
+        width = blocks.shape[axis]
+        blocks = blocks.take(range(0, width, 2), axis=axis) + blocks.take(range(1, width, 2), axis=axis)
+    return blocks.squeeze(axis)
+
+
+def per_axis_window_sums(values, size):
+    """Oracle for aligned cubes: along each axis in turn, every run of
+    ``size`` cells as the pairwise sums of its binary-digit pieces, lowest
+    first, added left to right."""
+    for axis in range(values.ndim):
+        runs = np.lib.stride_tricks.sliding_window_view(values, size, axis=axis)
+        total, offset = None, 0
+        for bit in range(size.bit_length()):
+            if size >> bit & 1:
+                piece = pairwise(runs[..., offset : offset + 2**bit], -1)
+                total = piece if total is None else total + piece
+                offset += 2**bit
+        values = total
+    return values
+
+
+def per_axis_grid_sums(values, layout):
+    """Oracle for grid cubes: the cells zero-padded to the layout's cubes,
+    then level by level each pair of children added along each axis in turn
+    (an exact zero adds nothing, as a child outside the box adds nothing)."""
+    N = values.shape[0]
+    lo = [int(s[0]) for s in layout.starts]
+    padded = np.zeros(tuple(len(s) * layout.size for s in layout.starts))
+    padded[tuple(slice(max(0, -a), N - a) for a in lo)] = values[
+        tuple(slice(max(0, a), a + len(s) * layout.size) for a, s in zip(lo, layout.starts))
+    ]
+    while padded.shape[0] > len(layout.starts[0]):
+        for axis in range(padded.ndim):
+            pairs = padded.shape[:axis] + (-1, 2) + padded.shape[axis + 1 :]
+            padded = pairwise(padded.reshape(pairs), axis + 1)
+    return padded
 
 
 def family_layouts(lat, kind):
@@ -294,25 +326,54 @@ def family_layouts(lat, kind):
      (Box((-1.0, -2.0), 3.0), 3)],
 )
 def test_box_sums_match_a_per_axis_oracle_bitwise(box, L, kind, seed):
-    # a layout's product of bounds gives the oracle's bits, cubes sticking
+    # every layout's sums as the scan reads them, the grid pyramid's level
+    # or the lattice's window sums, give the oracle's bits, cubes sticking
     # out of the box (the coarse shifted generations) included
     lat = Lattice(box, L)
     N = lat.cells_per_axis
     rng = np.random.default_rng(seed)
-    f = GridFunction(lat, rng.lognormal(0.0, 2.0, lat.shape))
-    prefix = prefix_sums(f.values)
+    values = rng.lognormal(0.0, 2.0, lat.shape)
     layouts = family_layouts(lat, kind)
+    pyramids = {grid.grid_id: grid.pyramid(values, -2) for grid in ShiftedGridFamily(lat).grids}
     for layout in layouts:
-        los = [np.clip(s, 0, N) for s in layout.starts]
-        his = [np.clip(s + layout.size, 0, N) for s in layout.starts]
-        want = per_axis_box_sums(prefix, los, his)
-        assert np.array_equal(layout.sums(prefix), want)
-        assert np.array_equal(box_sums(prefix, *layout.bounds), want)
-        average = want * lat.cell_volume / (layout.size * lat.h) ** lat.n
-        assert np.array_equal(layout.averages(f), average)
+        if layout.grid is None:
+            sums = window_sums(values, (layout.size,) * lat.n)
+            assert np.array_equal(sums, per_axis_window_sums(values, layout.size))
+        else:
+            sums = pyramids[layout.grid.grid_id][L - layout.g]
+            assert np.array_equal(sums, per_axis_grid_sums(values, layout))
+        assert sums.shape == layout.shape
     sticking_out = [layout for layout in layouts
                     if any(np.any(s < 0) or np.any(s + layout.size > N) for s in layout.starts)]
     assert bool(sticking_out) == (kind != "aligned")
+
+
+@pytest.mark.parametrize("n, L", [(1, 10), (2, 6)])
+def test_window_sums_match_fsum_on_the_extremal_dual(n, L):
+    # prefix differences lost up to 4.9e-11 (n=1) and 2.6e-10 (n=2) of a
+    # sampled cube's sum on the dual |x|^-(n - 2^-9); the doubled runs hold
+    # 1e-15.  A cube's own cells give its entry to the bit, a leading axis
+    # is carried along, and a run longer than the lattice is refused
+    lat = Lattice(default_box(n), L)
+    N = lat.cells_per_axis
+    values = lat.power_masses(-(n - 2.0**-9))
+    rng = np.random.default_rng(n)
+    worst = 0.0
+    for size in sorted(rng.choice(np.arange(1, N + 1), 16, replace=False)):
+        size = int(size)
+        sums = window_sums(values, (size,) * n)
+        assert sums.shape == (N - size + 1,) * n
+        for _ in range(12):
+            start = tuple(int(s) for s in rng.integers(0, N - size + 1, size=n))
+            block = values[tuple(slice(s, s + size) for s in start)]
+            want = math.fsum(block.ravel().tolist())
+            worst = max(worst, abs(sums[start] - want) / want)
+            assert window_sums(block, block.shape).flat[0] == sums[start]
+    assert worst <= 1e-15
+    stacked = np.stack([values, 2.0 * values])
+    assert np.array_equal(window_sums(stacked, (3,) * n)[1], window_sums(2.0 * values, (3,) * n))
+    with pytest.raises(ValueError, match="run of"):
+        window_sums(values, (N + 1,) * n)
 
 
 # -------------------------------------------------- the child-sum pyramid

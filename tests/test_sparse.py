@@ -247,6 +247,22 @@ def test_sparse_operator_root_only():
     assert np.all(out.values[:16] == 0.0) and np.all(out.values[24:] == 0.0)
 
 
+def test_sparse_operator_rejects_functions_on_another_lattice():
+    # an L=6 family applied to L=8 functions gave a 256-cell output with the
+    # family's cubes read as cells of the finer lattice, and no error
+    lat = lattice(6)
+    grid = std_grid(lat)
+    root = cube_for(grid, (32,), 16)
+    vals = np.zeros(64)
+    vals[32:48] = np.arange(1.0, 17.0)
+    fam = build_sparse_family([GridFunction(lat, vals)], grid, root=root)
+    fine = GridFunction(lattice(8), np.ones(256))
+    with pytest.raises(ValueError, match="share one lattice"):
+        sparse_operator(fam, [fine])
+    with pytest.raises(ValueError, match="share one lattice"):
+        sparse_operator(fam, [GridFunction(lat, vals), fine])
+
+
 def test_sparse_operator_two_cube_hand_sum():
     # S = {[0,1), [0,1/2)} with f = indicator of [0,1): the average is 1 on
     # both cubes, so the output is 1 on [1/2,1) and 2 on [0,1/2).
@@ -397,8 +413,6 @@ def test_built_family_retains_one_owner_array():
     support[tuple(slice(s, s + root.size) for s in root.start)] = True
     rng = np.random.default_rng(10)
     gs = [GridFunction(lat, rng.lognormal(0.0, 2.0, lat.shape) * support) for _ in range(2)]
-    for g in gs:
-        g.prefix()  # cached on the input, so not the family's to retain
     tracemalloc.start()
     try:
         fam = build_sparse_family(gs, grid, root=root)

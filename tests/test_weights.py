@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mweights.grid import DyadicCube, Lattice, ShiftedGridFamily, cell_average, default_box
+from mweights.grid import Box, DyadicCube, Lattice, ShiftedGridFamily, cell_average, default_box
 from mweights.weights import (
     ApReport,
     CubeFamily,
@@ -351,26 +351,49 @@ def fsum_supremand(wv, cube):
     return out
 
 
-def test_ap_constant_on_a_wide_dual_matches_fsum():
+@pytest.mark.parametrize("kind", ["shifted", "aligned", "both"])
+def test_ap_constant_on_a_wide_dual_matches_fsum(kind):
     # prefix differences cancelled on this probe: 999 of the dual's 1,453
-    # cube sums came out 0 and 8 negative, and the scan returned -inf
+    # grid-cube sums came out 0 and 8 negative, and the scan returned -inf;
+    # the aligned cubes' gave NaN supremands.  Child sums and doubled runs
+    # add nonnegative terms only
     wv = step_probe()
-    family = CubeFamily(wv.lattice)
+    family = CubeFamily(wv.lattice, kind=kind)
     report = ap_constant(wv, family)
     want = max(fsum_supremand(wv, cube) for cube in family.cubes())
-    assert math.isfinite(report.constant)
     assert report.constant == pytest.approx(want, rel=1e-13)
+    assert report.constant == 20.970989981328195
     assert report.degenerate == 0
     assert per_cube_ap(wv, report.argmax) == report.constant
 
 
-def test_ap_constant_rejects_nan_supremands():
-    # aligned cubes keep prefix sums, which cancel on the probe's dual: the
-    # negative sums give NaN supremands, which the scan reports by count
-    # instead of passing over
+def test_ap_constant_rejects_nan_supremands(monkeypatch):
+    # a NaN supremand is reported by count instead of passed over: one is
+    # injected into the first cube of each grid's pass
+    from mweights import weights
+
+    supremand = weights._supremand
+
+    def first_cube_nan(P, averages):
+        vals, degenerate = supremand(P, averages)
+        vals[0] = np.nan
+        return vals, degenerate
+
+    monkeypatch.setattr(weights, "_supremand", first_cube_nan)
     wv = step_probe()
-    with pytest.raises(ValueError, match=r"\d+ of \d+ cubes .* NaN supremand"):
-        ap_constant(wv, CubeFamily(wv.lattice, kind="aligned"))
+    with pytest.raises(ValueError, match=r"^4 of 1453 cubes .* NaN supremand"):
+        ap_constant(wv, CubeFamily(wv.lattice))
+
+
+def test_ap_constant_rejects_a_family_on_another_lattice():
+    # an L=6 family on L=8 weights scanned 268 of the 1,037 cubes, and
+    # reported them as the L=6 family
+    lat = Lattice(default_box(1), 8)
+    wv = WeightVector([Weight.power(lat, 0.5)], ExponentTuple((2.0,)))
+    for other in (Lattice(default_box(1), 6), Lattice(Box((-1.0,), 4.0), 8)):
+        with pytest.raises(ValueError, match="not on the weights' lattice"):
+            ap_constant(wv, CubeFamily(other))
+    assert ap_constant(wv, CubeFamily(lat)).scanned == 1037
 
 
 @pytest.mark.parametrize("kind", ["shifted", "aligned", "both"])
