@@ -49,6 +49,7 @@ __all__ = [
     "GridFunction",
     "CellRegion",
     "CubeLayout",
+    "aligned_window_sums",
     "cell_average",
     "cube_averages",
     "cube_levels",
@@ -177,6 +178,34 @@ def third_offset(M: int, L: int) -> int:
     return (1 << (M + (L - M) % 2)) // 3
 
 
+def _doubled_runs(values: np.ndarray, axis: int, size: int) -> List[np.ndarray]:
+    """Sums over every run of 1, 2, 4, ... cells along ``axis``, up to the
+    highest binary digit of ``size``; a run of 2w cells is the pairwise sum
+    of two runs of w cells, ``run[i] + run[i + w]``."""
+    head = (slice(None),) * axis
+    runs, width = [values], 1
+    while 2 * width <= size:
+        run = runs[-1]
+        runs.append(run[head + (slice(None, -width),)] + run[head + (slice(width, None),)])
+        width *= 2
+    return runs
+
+
+def _digit_runs(runs: List[np.ndarray], axis: int, size: int) -> np.ndarray:
+    """Sums over every run of ``size`` cells along ``axis``: the doubled
+    runs (:func:`_doubled_runs`) for the binary digits of ``size``, lowest
+    first, each starting where the previous one ended."""
+    head = (slice(None),) * axis
+    count = runs[0].shape[axis] - size + 1
+    total, offset = None, 0
+    for k, run in enumerate(runs):
+        if size >> k & 1:
+            piece = run[head + (slice(offset, offset + count),)]
+            total = piece if total is None else total + piece
+            offset += 1 << k
+    return total
+
+
 def window_sums(values: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     """Sums over every box of ``sizes[0] x sizes[1] x ...`` consecutive
     cells, in C order of the box's first cell.
@@ -195,19 +224,20 @@ def window_sums(values: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     for axis, size in enumerate(sizes, start=values.ndim - len(sizes)):
         if not 1 <= size <= out.shape[axis]:
             raise ValueError(f"run of {size} cells on an axis of {out.shape[axis]}")
-        head = (slice(None),) * axis
-        count = out.shape[axis] - size + 1
-        run, width, offset, total = out, 1, 0, None
-        while width <= size:
-            if size & width:
-                piece = run[head + (slice(offset, offset + count),)]
-                total = piece if total is None else total + piece
-                offset += width
-            if 2 * width <= size:
-                run = run[head + (slice(None, -width),)] + run[head + (slice(width, None),)]
-            width *= 2
-        out = total
+        out = _digit_runs(_doubled_runs(out, axis, size), axis, size)
     return out
+
+
+def aligned_window_sums(values: np.ndarray, n: int) -> Iterator[Tuple[int, np.ndarray]]:
+    """``(size, window_sums(values, (size,) * n))`` for every cube size from
+    1 to the side of the last ``n`` axes, with the same bits.  The doubled
+    runs along the first cell axis are built once for all sizes, which
+    holds about log2(side) arrays of the size of ``values``."""
+    axis = values.ndim - n
+    side = values.shape[axis]
+    runs = _doubled_runs(values, axis, side)
+    for size in range(1, side + 1):
+        yield size, window_sums(_digit_runs(runs, axis, size), (size,) * (n - 1))
 
 
 def _pyramid(
@@ -587,6 +617,22 @@ class CellRegion:
         return self.count * self.lattice.cell_volume
 
 
+def _check_grid_cube(lattice: Lattice, cube: DyadicCube) -> None:
+    """Raise ``ValueError`` unless ``cube`` is the cube that its grid,
+    generation and index give on ``lattice``: a cube of another lattice
+    would be read as the wrong cells."""
+    beta = cube.grid_id[1:]
+    if not (cube.grid_id.startswith("b") and beta.isdigit() and cube.j is not None):
+        raise ValueError(f"cube {cube} names no dyadic grid cube")
+    want = DyadicGrid(lattice, tuple(int(b) for b in beta)).cube(cube.g, cube.j)
+    if want.key() != cube.key():
+        raise ValueError(
+            f"cube {cube.grid_id} g={cube.g} j={cube.j} (start={cube.start} size={cube.size}) "
+            f"is not on the lattice {lattice}, where it starts at {want.start} "
+            f"with size {want.size}"
+        )
+
+
 def cube_averages(f: GridFunction, cube: DyadicCube) -> np.ndarray:
     """Average of ``f`` over one cube, as an array of shape (1,)*n,
     normalizing by the full cube volume.
@@ -596,10 +642,13 @@ def cube_averages(f: GridFunction, cube: DyadicCube) -> np.ndarray:
     grid's pyramid; a cell-aligned cube's is :func:`window_sums` of its own
     cells, with the bits of its entry in the whole lattice's window sums.
     Cells outside the root box contribute zero.  The cube must intersect
-    the box and must not be finer than the lattice.
+    the box and must not be finer than the lattice, and a grid cube must be
+    the one its grid, generation and index give on ``f``'s lattice.
     """
     lat = f.lattice
     N = lat.cells_per_axis
+    if cube.g is not None:
+        _check_grid_cube(lat, cube)
     if cube.size < 1:
         raise ValueError("cube is finer than the lattice resolution")
     if not all(s < N and s + cube.size > 0 for s in cube.start):

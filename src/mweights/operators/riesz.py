@@ -9,22 +9,26 @@ mass.
 
 On the lattice the kernel depends on integer cell offsets and one
 fractional offset per point.  Write a point as ``x = lo + (m + 1/2 + θ) h``
-with ``m`` an integer and ``|θ| <= 1/2``; in cell units
+with ``m`` an integer and ``|θ| <= 1/2``, and the input cells' offsets from
+it as ``a = m - i`` (``f1``) and ``b = m - j`` (``f2``), with ``u = a + θ``
+and ``v = b + θ``.  Then ``x - y1 = u h``, ``x - y2 = v h`` and
+``y1 - y2 = (b - a) h``, so in cell units both variants are one table over
+``(a, b)``:
 
-* direct: ``x - y1 = (m - i + θ) h`` and ``x - y2 = (m - j + θ) h``, so the
-  kernel is a table ``G[a, b]`` over ``a = m - i`` and ``b = m - j``;
-* adjoint: ``y1 - x = (i - m - θ) h`` and ``y1 - y2 = (i - j) h``, a table
-  over ``a = i - m`` and ``c = i - j``.
+* direct: ``K(u, v)``;
+* adjoint: ``K(-u, b - a)``.
 
-The omitted pairs are a function of the offsets and ``θ`` alone: ``|a + θ|``
-and ``|b + θ|`` both at most 1/2 (direct), or ``|a - θ|`` and
-``|a - θ - c|`` both at most 1/2 (adjoint), so they are zeroed in the
-table.  Points sharing one ``θ`` are evaluated together in tiles of at
-most ``_TILE`` points by ``_TILE`` consecutive cells of ``f1``: each tile
-builds the table over just the offsets it touches, contracts it with the
-``f2`` masses through one banded Toeplitz matrix in a single matrix
-product, and gathers the ``f1`` offsets.  The tiles bound the working set
-whatever the number of points and the support sizes.
+In both, the omitted pairs are those with ``|u|`` and ``|v|`` at most 1/2,
+zeroed in the table.  Points sharing one ``θ`` are evaluated together in
+tiles of at most ``_TILE`` points spanning fewer than ``_TILE`` cells.  A
+tile contracts the table with the ``f2`` masses through one Toeplitz
+window, ``T2[b, k] = w2[m_k - b]``, and with the ``f1`` masses through
+another, ``T1[a, k] = w1[m_k - a]``: in strips of ``_STRIP`` rows ``a``,
+each strip's table is evaluated once, multiplied by ``T2`` and summed
+against its own rows of ``T1``, and a strip whose ``T1`` rows are all zero
+is skipped.  So every offset pair a tile touches is evaluated at most once,
+and the strips bound the working set whatever the number of points and
+the support sizes.
 """
 from __future__ import annotations
 
@@ -38,8 +42,10 @@ from ..grid import GridFunction
 
 __all__ = ["RieszValues", "adjoint_kernel", "bilinear_riesz", "direct_kernel"]
 
-# points and f1 cells per tile; the tile table has fewer than 2 * _TILE rows
-_TILE = 64
+# points per tile, and table rows per strip: a strip's table stays under
+# about 128 KiB at the sweeps' supports
+_TILE = 128
+_STRIP = 32
 
 
 def direct_kernel(x, y1, y2):
@@ -69,18 +75,26 @@ def _near(offset):
     return np.abs(offset) <= 0.5
 
 
-def _kernel_table(u, v):
-    """``(u_r + v_c) / (u_r^2 + v_c^2)^(3/2)`` for offsets in cell units."""
-    den = np.add.outer(u * u, v * v)
+def _kernel_table(a, b, theta, variant):
+    """The kernel over offsets ``a`` (rows) and ``b`` (columns) in cell
+    units, with the omitted pairs zeroed."""
+    u = a + theta
+    v = b + theta
+    if variant == "direct":
+        s, t = u[:, None], v[None, :]
+    else:
+        s, t = -u[:, None], b[None, :] - a[:, None].astype(float)
+    den = s * s + t * t
     den *= np.sqrt(den)
-    table = np.add.outer(u, v)
     with np.errstate(divide="ignore", invalid="ignore"):
-        table /= den
+        table = (s + t) / den
+    table[np.ix_(_near(u), _near(v))] = 0.0
     return table
 
 
-def _toeplitz(w, shifts):
-    """Columns ``w`` reversed and moved down by each shift, over all rows used.
+def _toeplitz(w, shifts, rows=slice(None)):
+    """Rows ``rows`` of the matrix whose columns are ``w`` reversed and moved
+    down by each shift.
 
     Column ``k`` holds ``w[len(w) - 1 - (r - shifts[k])]`` in row ``r`` and
     zero outside; there are ``max(shifts) + len(w)`` rows.
@@ -88,59 +102,45 @@ def _toeplitz(w, shifts):
     pad = np.zeros(int(shifts[-1]))
     z = np.concatenate([pad, w[::-1], pad])
     windows = sliding_window_view(z, pad.size + w.size)
-    return windows[pad.size - shifts].T
+    return windows[pad.size - shifts, rows].T
 
 
-def _pv_flags(w1, w2, m, theta, variant):
+def _pv_flags(w1, w2, m, theta):
     """Points whose omitted cell pairs carry mass in both inputs.
 
     Candidates are the cells next to the point; the offsets are formed
-    exactly as in the tile tables, so the flags match the zeroed entries.
+    exactly as in the tables, so the flags match the zeroed entries.
     """
     N = w1.size
 
-    def has_mass(w, idx):
-        inside = (idx >= 0) & (idx < N)
-        return inside & (w[np.clip(idx, 0, N - 1)] > 0.0)
+    def near_mass(w):
+        hits = []
+        for a in (-1, 0, 1):
+            idx = m - a
+            inside = (idx >= 0) & (idx < N)
+            hits.append(_near(a + theta) & inside & (w[np.clip(idx, 0, N - 1)] > 0.0))
+        return np.logical_or.reduce(hits)
 
-    if variant == "direct":
-        rows = [_near(a + theta) & has_mass(w1, m - a) for a in (-1, 0, 1)]
-        cols = [_near(b + theta) & has_mass(w2, m - b) for b in (-1, 0, 1)]
-        return np.logical_or.reduce(rows) & np.logical_or.reduce(cols)
-    flags = np.zeros(m.shape, dtype=bool)
-    for a in (-1, 0, 1):
-        u = a - theta
-        row = _near(u) & has_mass(w1, m + a)
-        for c in (-1, 0, 1):
-            flags |= row & _near(u - c) & has_mass(w2, m + a - c)
-    return flags
+    return near_mass(w1) & near_mass(w2)
 
 
-def _tile_values(w1, i, w2, j0, m, theta, variant):
-    """Quadrature sums (unit cell scale) at points ``m`` over f1 cells ``i``.
+def _tile_values(w1, i1, w2, j1, m, theta, variant):
+    """Quadrature sums (unit cell scale) at the sorted points ``m`` of one θ.
 
-    ``m`` and ``i`` are sorted and each spans fewer than ``_TILE`` cells;
-    ``w2`` holds the f2 masses of cells ``j0, j0 + 1, ...``.
+    ``w1`` and ``w2`` hold the masses of consecutive cells ending at cells
+    ``i1`` and ``j1``, so row ``r`` of ``T1`` is offset ``a = m[0] - i1 + r``
+    and row ``r`` of ``T2`` is offset ``b = m[0] - j1 + r``.
     """
-    j1 = j0 + w2.size - 1
-    if variant == "direct":
-        a = np.arange(m[0] - i[-1], m[-1] - i[0] + 1)
-        b = np.arange(m[0] - j1, m[-1] - j0 + 1)
-        u, v = a + theta, b + theta
-        table = _kernel_table(u, v)
-        table[np.ix_(_near(u), _near(v))] = 0.0
-        partial = table @ _toeplitz(w2, m - m[0])
-        terms = partial[m[:, None] - i[None, :] - a[0], np.arange(m.size)[:, None]]
-    else:
-        a = np.arange(i[0] - m[-1], i[-1] - m[0] + 1)
-        c = np.arange(i[0] - j1, i[-1] - j0 + 1)
-        u, v = a - theta, c.astype(float)
-        table = _kernel_table(u, v)
-        for r in np.nonzero(_near(u))[0]:
-            table[r, _near(u[r] - v)] = 0.0
-        partial = table @ _toeplitz(w2, i - i[0])
-        terms = partial[i[None, :] - m[:, None] - a[0], np.arange(i.size)[None, :]]
-    return terms @ w1[i]
+    shifts = m - m[0]
+    t2 = _toeplitz(w2, shifts)
+    b = np.arange(t2.shape[0]) + (m[0] - j1)
+    sums = np.zeros(m.size)
+    for r in range(0, shifts[-1] + w1.size, _STRIP):
+        t1 = _toeplitz(w1, shifts, slice(r, r + _STRIP))
+        if t1.any():
+            a = np.arange(r, r + t1.shape[0]) + (m[0] - i1)
+            sums += ((_kernel_table(a, b, theta, variant) @ t2) * t1).sum(axis=0)
+    return sums
 
 
 def bilinear_riesz(
@@ -169,24 +169,22 @@ def bilinear_riesz(
     w2 = f2.values * h
     idx1 = np.nonzero(w1)[0]
     idx2 = np.nonzero(w2)[0]
-    values = np.zeros(pts.shape)
+    finite = np.isfinite(pts)
+    values = np.where(finite, 0.0, np.nan)
     flags = np.zeros(pts.shape, dtype=bool)
     if idx1.size == 0 or idx2.size == 0:
         return RieszValues(pts, values, flags, variant)
-    finite = np.isfinite(pts)
-    values[~finite] = np.nan
     t = (pts[finite] - lat.box.lo[0]) / h - 0.5
     m_all = np.rint(t)
     theta_all = t - m_all
     m_all = m_all.astype(np.int64)
-    flags[finite] = _pv_flags(w1, w2, m_all, theta_all, variant)
+    flags[finite] = _pv_flags(w1, w2, m_all, theta_all)
 
-    j0 = int(idx2[0])
-    w2_span = w2[j0 : idx2[-1] + 1]
+    i1, j1 = int(idx1[-1]), int(idx2[-1])
+    w1_span = w1[idx1[0] : i1 + 1]
+    w2_span = w2[idx2[0] : j1 + 1]
     # a tile is a run of at most _TILE points with one θ whose cells span
-    # fewer than _TILE indices; f1 is cut into the runs of its support that
-    # fall in one aligned block of _TILE cells
-    blocks = np.split(idx1, np.nonzero(np.diff(idx1 // _TILE))[0] + 1)
+    # fewer than _TILE indices
     order = np.lexsort((m_all, theta_all))
     sums = np.zeros(order.size)
     start = 0
@@ -197,8 +195,7 @@ def bilinear_riesz(
         ms = m_all[order[start:stop]]
         stop = start + int(np.searchsorted(ms, ms[0] + _TILE))
         tile = order[start:stop]
-        for i in blocks:
-            sums[tile] += _tile_values(w1, i, w2_span, j0, m_all[tile], theta, variant)
+        sums[tile] = _tile_values(w1_span, i1, w2_span, j1, m_all[tile], theta, variant)
         start = stop
     # the tables are in cell units, and the kernel is homogeneous of degree -2
     values[finite] = sums / (h * h)

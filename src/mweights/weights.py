@@ -31,9 +31,9 @@ from .grid import (
     GridFunction,
     Lattice,
     ShiftedGridFamily,
+    aligned_window_sums,
     cell_average,
     cube_averages,
-    window_sums,
 )
 
 __all__ = [
@@ -403,7 +403,9 @@ def ap_constant(wv: WeightVector, family: CubeFamily) -> ApReport:
     of the joint weight and its duals.  A grid's cubes, every generation
     coarse to fine, come from one child-sum pyramid
     (:meth:`grid.DyadicGrid.pyramid`); each size of aligned cubes from
-    :func:`grid.window_sums`.  Deterministic: ties keep the first maximizer.
+    :func:`grid.aligned_window_sums`, which builds the doubled runs along
+    the first cell axis once for every size.  Deterministic: ties keep the
+    first maximizer.
     A family on another lattice than the weights' is rejected, and so is a
     family containing no cubes, and a NaN supremand, with the number of
     cubes that gave one, instead of being passed over.
@@ -436,9 +438,8 @@ def ap_constant(wv: WeightVector, family: CubeFamily) -> ApReport:
             scan(averages, dict(zip(gens, counts)), functools.partial(_grid_cube, grid, gens, counts))
             del averages  # before the next grid's pyramid
     if family.kind in ("aligned", "both"):
-        for size in range(1, lat.cells_per_axis + 1):
+        for size, sums in aligned_window_sums(densities, lat.n):
             layout = CubeLayout.aligned(lat, size)
-            sums = window_sums(densities, (size,) * lat.n)
             scan(sums * lat.cell_volume / lat.cube_volume(size), {None: math.prod(layout.shape)},
                  lambda k, layout=layout: layout.cube(np.unravel_index(k, layout.shape)))
     if scanned == 0:

@@ -17,7 +17,9 @@ from mweights.grid import (
     Lattice,
     PowerDescriptor,
     ShiftedGridFamily,
+    aligned_window_sums,
     cell_average,
+    cube_averages,
     cube_levels,
     default_box,
     third_offset,
@@ -157,6 +159,29 @@ def test_cell_average_rejects_fine_cubes():
     outside = DyadicCube.aligned((100,), 4)
     with pytest.raises(ValueError):
         cell_average(f, outside)
+
+
+def test_cube_averages_reject_a_grid_cube_of_another_lattice():
+    # the first cube of an L=6 family (b0, g=-2, start -224, size 256) was
+    # read on L=8 weights as the cells [-224, 32): per_cube_ap gave 0.01565
+    from mweights.weights import ExponentTuple, Weight, WeightVector, per_cube_ap
+
+    lat = make_lattice(1, 8)
+    f = GridFunction.from_power(lat, -0.5, None)
+    wv = WeightVector([Weight.power(lat, 0.5)], ExponentTuple((2.0,)))
+    other = next(CubeFamily(make_lattice(1, 6)).cubes())
+    assert (other.grid_id, other.g, other.start, other.size) == ("b0", -2, (-224,), 256)
+    for read in (cube_averages, cell_average, lambda _, q: per_cube_ap(wv, q)):
+        with pytest.raises(ValueError, match="is not on the lattice"):
+            read(f, other)
+    own = ShiftedGridFamily(lat).by_beta((1,)).cube(3, (1,))
+    assert cell_average(f, own) > 0.0
+    moved = DyadicCube(own.grid_id, own.g, own.j, (own.start[0] + 1,), own.size)
+    with pytest.raises(ValueError, match="is not on the lattice"):
+        cell_average(f, moved)
+    for bad_id in ("x1", "b2", "b01"):
+        with pytest.raises(ValueError):
+            cell_average(f, DyadicCube(bad_id, own.g, own.j, own.start, own.size))
 
 
 def test_from_power_values_are_exact_cell_averages():
@@ -374,6 +399,19 @@ def test_window_sums_match_fsum_on_the_extremal_dual(n, L):
     assert np.array_equal(window_sums(stacked, (3,) * n)[1], window_sums(2.0 * values, (3,) * n))
     with pytest.raises(ValueError, match="run of"):
         window_sums(values, (N + 1,) * n)
+
+
+@pytest.mark.parametrize("n, L", [(1, 7), (2, 4)])
+def test_aligned_window_sums_match_window_sums_bitwise(n, L):
+    # the doubled runs along the first cell axis are built once for every
+    # size; each size's sums keep the bits of window_sums, leading axis too
+    lat = Lattice(default_box(n), L)
+    values = np.random.default_rng(L).lognormal(0.0, 3.0, (3,) + lat.shape)
+    sizes = []
+    for size, sums in aligned_window_sums(values, n):
+        assert np.array_equal(sums, window_sums(values, (size,) * n))
+        sizes.append(size)
+    assert sizes == list(range(1, lat.cells_per_axis + 1))
 
 
 # -------------------------------------------------- the child-sum pyramid

@@ -260,3 +260,86 @@ def test_nonfinite_points_give_nan_without_flag(variant):
     assert np.isnan(res.values[0]) and np.isnan(res.values[2])
     assert np.isfinite(res.values[1])
     assert not res.pv_approximate[0] and not res.pv_approximate[2]
+    # with a zero input every finite point reads 0, and the others still NaN
+    zero = GridFunction.zeros(lat)
+    for f1, f2 in ((zero, f), (f, zero)):
+        res = bilinear_riesz(f1, f2, np.array([np.nan, 0.3, np.inf]), variant=variant)
+        assert np.isnan(res.values[0]) and np.isnan(res.values[2])
+        assert res.values[1] == 0.0
+        assert not res.pv_approximate.any()
+
+
+def count_kernel_evaluations(monkeypatch):
+    """Wrap the quadrature's kernel table so that its entries are counted."""
+    from mweights.operators import riesz
+
+    table = riesz._kernel_table
+    count = [0]
+
+    def counted(*args, **kwargs):
+        out = table(*args, **kwargs)
+        count[0] += out.size
+        return out
+
+    monkeypatch.setattr(riesz, "_kernel_table", counted)
+    return count
+
+
+@pytest.mark.parametrize("variant", ["direct", "adjoint_slot1"])
+def test_each_offset_pair_is_evaluated_once_per_point_tile(variant, monkeypatch):
+    # a criterion-7 sweep row at L = 10: 256 midpoints, 256-cell supports.
+    # A tile of points whose cells span s touches (s + f1 span - 1) x
+    # (s + f2 span - 1) offset pairs; tiling f1 as well evaluated the
+    # overlapping offsets again, 648,208 of them per row
+    from mweights import riesz_problem
+    from mweights.operators import riesz
+
+    lat = lattice(10)
+    P = (2.0, 2.0) if variant == "direct" else (4.0, 4.0)
+    prob = riesz_problem(P, 2.0**-5, lat, variant=variant)
+    cells = np.nonzero(prob.region.mask)[0]
+    assert cells.size == 256 and np.all(np.diff(cells) == 1)
+    spans = []
+    for f in prob.fs:
+        idx = np.nonzero(f.values)[0]
+        spans.append(int(idx[-1] - idx[0] + 1))
+    assert spans == [256, 256]
+    count = count_kernel_evaluations(monkeypatch)
+    res = bilinear_riesz(*prob.fs, lat.box.lo[0] + (cells + 0.5) * lat.h, variant=variant)
+    tiles = [min(riesz._TILE, cells.size - k) for k in range(0, cells.size, riesz._TILE)]
+    bound = sum((s + spans[0] - 1) * (s + spans[1] - 1) for s in tiles)
+    assert 0 < count[0] <= bound
+    assert count[0] <= 300_000
+    assert np.all(res.values > 0.0)
+
+
+@pytest.mark.parametrize("variant", ["direct", "adjoint_slot1"])
+def test_quadrature_over_several_point_tiles_and_an_empty_f1_strip(variant, monkeypatch):
+    # two θ classes (midpoints and quarter points), a run of midpoints
+    # longer than one point tile, and f1 empty on 200 cells, so that some
+    # strips of table rows meet no f1 mass and are never evaluated
+    from mweights.operators import riesz
+
+    lat = lattice(9)
+    N = lat.cells_per_axis
+    h = lat.h
+    lo = lat.box.lo[0]
+    rng = np.random.default_rng(17)
+    v1 = rng.random(N) * (rng.random(N) < 0.15)
+    v1[200:400] = 0.0
+    v2 = rng.random(N) * (rng.random(N) < 0.05)
+    f1, f2 = GridFunction(lat, v1), GridFunction(lat, v2)
+    run = np.arange(150, 150 + riesz._TILE + 5)
+    quarters = np.arange(300, 310)
+    pts = np.concatenate([lo + (run + 0.5) * h, lo + (quarters + 0.75) * h, [lo + 4.0 + h]])
+    count = count_kernel_evaluations(monkeypatch)
+    res = bilinear_riesz(f1, f2, pts, variant=variant)
+    want, flags = brute_riesz(f1, f2, pts, variant)
+    assert np.max(np.abs(res.values - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(res.pv_approximate, flags)
+    assert flags.any() and not flags.all()
+    # every table row the tiles span, had none been skipped
+    spans = [int(np.ptp(np.nonzero(v)[0])) + 1 for v in (v1, v2)]
+    tiles = [riesz._TILE, run.size - riesz._TILE, quarters.size, 1]
+    full = sum((s + spans[0] - 1) * (s + spans[1] - 1) for s in tiles)
+    assert 0 < count[0] < full
