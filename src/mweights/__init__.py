@@ -49,6 +49,7 @@ from .operators import (
     SparseFamily,
     SparsenessError,
     bilinear_riesz,
+    bilinear_riesz_rows,
     build_sparse_family,
     dyadic_maximal,
     multilinear_maximal,
@@ -110,6 +111,7 @@ __all__ = [
     "analytic_power_norm",
     "ap_constant",
     "bilinear_riesz",
+    "bilinear_riesz_rows",
     "build_sparse_family",
     "cell_average",
     "default_box",

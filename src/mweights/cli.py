@@ -432,6 +432,15 @@ def _run_sweep(args: argparse.Namespace, builder, default_prefix: str, **kwargs)
         "gnuplot": f"{prefix}.gp",
         "fit": fit_blob,
     }
+    if any(r.quad_min_ratio is not None for r in rows):
+        blob["quadrature"] = [
+            {
+                "eps": r.eps,
+                "min_ratio_to_minorant": r.quad_min_ratio,
+                "pv_approximate_points": r.pv_points,
+            }
+            for r in rows
+        ]
     print(json.dumps(blob, indent=2))
     return EXIT_OK
 

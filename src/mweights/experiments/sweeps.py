@@ -10,6 +10,7 @@ power of the weight constant.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import time
@@ -22,8 +23,9 @@ import numpy as np
 
 from ..grid import GridFunction, Lattice, default_box, ShiftedGridFamily
 from ..operators import (
+    RieszValues,
     SparsenessError,
-    bilinear_riesz,
+    bilinear_riesz_rows,
     build_sparse_family,
     multilinear_maximal,
     sparse_operator,
@@ -64,6 +66,11 @@ class SweepRow:
     L: int
     ms: float
     finite: bool
+    # Riesz rows only, never written to the CSV: the smallest ratio of the
+    # quadrature to the cone minorant over the evaluation points, and the
+    # number of points whose value is principal-value approximate
+    quad_min_ratio: Optional[float] = None
+    pv_points: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -86,21 +93,33 @@ class FitResult:
         }
 
 
-def evaluate_problem(prob: ExtremalProblem) -> SweepRow:
-    """Run the operator for one sweep point and assemble the row."""
-    t0 = time.perf_counter()
+def _riesz_call(prob: ExtremalProblem) -> Tuple[str, np.ndarray]:
+    """The quadrature variant of a Riesz problem and its evaluation points,
+    the midpoints of the minorant's cells."""
+    lat = prob.fs[0].lattice
+    idx = np.nonzero(prob.region.mask)[0]
+    return prob.kind.split(":", 1)[1], lat.box.lo[0] + (idx + 0.5) * lat.h
+
+
+def _assemble_row(
+    prob: ExtremalProblem, rv: Optional[RieszValues], started: float
+) -> SweepRow:
+    """Run the rest of one sweep point and assemble its row.
+
+    ``rv`` is the quadrature of a Riesz problem (``None`` for any other
+    kind), and ``started`` the ``time.perf_counter()`` reading that the
+    row's ``ms`` counts from.
+    """
     lat = prob.fs[0].lattice
     quad_ok = True
+    quad_min_ratio = pv_points = None
     if prob.kind == "maximal":
         out_values = multilinear_maximal(prob.fs)[0].values
     elif prob.kind.startswith("riesz:"):
-        variant = prob.kind.split(":", 1)[1]
-        mask = prob.region.mask
-        idx = np.nonzero(mask)[0]
-        points = lat.box.lo[0] + (idx + 0.5) * lat.h
-        rv = bilinear_riesz(prob.fs[0], prob.fs[1], points, variant=variant)
-        cone = prob.minorant.coeff * np.abs(points) ** prob.minorant.exponent
+        cone = prob.minorant.coeff * np.abs(rv.points) ** prob.minorant.exponent
         quad_ok = bool(np.all(np.isfinite(rv.values)) and np.all(rv.values >= cone))
+        quad_min_ratio = float(np.min(rv.values / cone))
+        pv_points = int(np.count_nonzero(rv.pv_approximate))
         # A midpoint quadrature value cannot see mass below the cell scale,
         # and the share of the output norm sitting below that scale grows as
         # the spike sharpens, so mixing quadrature cells into the norm lets
@@ -129,7 +148,7 @@ def evaluate_problem(prob: ExtremalProblem) -> SweepRow:
     finite = bool(
         quad_ok and np.isfinite(ratio) and ratio > 0.0 and np.isfinite(ap) and ap > 0.0
     )
-    ms = (time.perf_counter() - t0) * 1e3
+    ms = (time.perf_counter() - started) * 1e3
     return SweepRow(
         eps=float(prob.eps),
         ap_const=ap,
@@ -140,7 +159,34 @@ def evaluate_problem(prob: ExtremalProblem) -> SweepRow:
         L=lat.L,
         ms=ms,
         finite=finite,
+        quad_min_ratio=quad_min_ratio,
+        pv_points=pv_points,
     )
+
+
+def evaluate_problem(prob: ExtremalProblem) -> SweepRow:
+    """Run the operator for one sweep point and assemble the row."""
+    if prob.kind.startswith("riesz:"):
+        return _riesz_rows([prob])[0]
+    return _assemble_row(prob, None, time.perf_counter())
+
+
+def _riesz_rows(problems: Sequence[ExtremalProblem]) -> List[SweepRow]:
+    """Rows of Riesz problems; those with one variant and the same
+    evaluation points share one stacked quadrature call."""
+    stacks: Dict[Tuple[str, bytes], Tuple[np.ndarray, List[int]]] = {}
+    for k, prob in enumerate(problems):
+        variant, points = _riesz_call(prob)
+        stacks.setdefault((variant, points.tobytes()), (points, []))[1].append(k)
+    rows: List[Optional[SweepRow]] = [None] * len(problems)
+    for (variant, _), (points, members) in stacks.items():
+        t0 = time.perf_counter()
+        rvs = bilinear_riesz_rows([problems[k].fs for k in members], points, variant)
+        share = (time.perf_counter() - t0) / len(members)
+        for k, rv in zip(members, rvs):
+            # each row's time includes its share of the stacked call
+            rows[k] = _assemble_row(problems[k], rv, time.perf_counter() - share)
+    return rows
 
 
 def run_sweep(
@@ -153,17 +199,20 @@ def run_sweep(
 ) -> List[SweepRow]:
     """Evaluate one extremal family over a strength sequence.
 
-    Rows come back ordered by decreasing ``eps`` (mildest spike first); each
-    row is computed in isolation, so repeated runs give identical rows.
+    Rows come back ordered by decreasing ``eps`` (mildest spike first);
+    repeated runs give identical rows.  Maximal rows are built and computed
+    one at a time; a Riesz sweep's problems are built first, so that its
+    rows share one quadrature call.
     """
     eps_sorted = sorted({float(e) for e in eps_list}, reverse=True)
     if not eps_sorted:
         raise ValueError("eps_list must be nonempty")
     lattice = Lattice(default_box(n), L)
-    return [
-        evaluate_problem(builder(exponents, eps, lattice, **builder_kwargs))
-        for eps in eps_sorted
-    ]
+    problems = (builder(exponents, eps, lattice, **builder_kwargs) for eps in eps_sorted)
+    first = next(problems)
+    if first.kind.startswith("riesz:"):
+        return _riesz_rows([first, *problems])
+    return [evaluate_problem(prob) for prob in itertools.chain([first], problems)]
 
 
 def fit_exponent(rows: Sequence[SweepRow]) -> FitResult:

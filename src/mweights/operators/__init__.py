@@ -6,7 +6,9 @@ shifted grids of a lattice into a certified lower/upper envelope pair.
 """
 
 from .maximal import dyadic_maximal, multilinear_maximal, weighted_dyadic_maximal
-from .riesz import RieszValues, adjoint_kernel, bilinear_riesz, direct_kernel
+from .riesz import (
+    RieszValues, adjoint_kernel, bilinear_riesz, bilinear_riesz_rows, direct_kernel
+)
 from .sparse import SparseFamily, SparsenessError, build_sparse_family, sparse_operator
 
 __all__ = [
@@ -15,6 +17,7 @@ __all__ = [
     "SparsenessError",
     "adjoint_kernel",
     "bilinear_riesz",
+    "bilinear_riesz_rows",
     "build_sparse_family",
     "direct_kernel",
     "dyadic_maximal",

@@ -350,6 +350,37 @@ def test_riesz_sweep_adjoint_variant(tmp_path, capsys):
     assert blob["fit"]["slope"] > 0
 
 
+@pytest.mark.parametrize("p, variant", [("2,2", "direct"), ("4,4", "adjoint_slot1")])
+def test_riesz_sweep_reports_the_quadrature_margin_outside_the_csv(tmp_path, capsys, p, variant):
+    # each Riesz row's smallest quadrature/minorant ratio and its count of
+    # principal-value points go to stdout; the CSV has the same bytes as
+    # rows carrying neither
+    import dataclasses
+
+    from mweights.experiments import riesz_problem, run_sweep, write_sweep_csv
+
+    prefix = tmp_path / "rz"
+    args = ["riesz-sweep", "--p", p, "--variant", variant, "--eps", "2^-2..2^-5", "--L", "6"]
+    assert main([*args, "--out", str(prefix)]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    eps = [0.25, 0.125, 0.0625, 0.03125]
+    assert [q["eps"] for q in blob["quadrature"]] == eps
+    for q in blob["quadrature"]:
+        assert set(q) == {"eps", "min_ratio_to_minorant", "pv_approximate_points"}
+        assert q["min_ratio_to_minorant"] >= 1.0
+        assert q["pv_approximate_points"] == 0
+    rows = run_sweep(riesz_problem, parse_exponents(p), eps, L=6, variant=variant)
+    assert [q["min_ratio_to_minorant"] for q in blob["quadrature"]] == pytest.approx(
+        [r.quad_min_ratio for r in rows], rel=1e-12
+    )
+    bare = [dataclasses.replace(r, quad_min_ratio=None, pv_points=None) for r in rows]
+    write_sweep_csv(bare, tmp_path / "bare.csv")
+    assert (tmp_path / "rz.csv").read_bytes() == (tmp_path / "bare.csv").read_bytes()
+    assert main(["mw-sweep", "--p", "2,2", "--eps", "2^-2..2^-5", "--L", "5",
+                 "--out", str(tmp_path / "mw")]) == 0
+    assert "quadrature" not in json.loads(capsys.readouterr().out)
+
+
 # --------------------------------------------------------------------- audit
 def test_audit_subcommand_json(capsys):
     code = main(

@@ -119,9 +119,10 @@ def test_run_sweep_riesz_direct_small():
     assert fit.slope > 1.0
 
 
-@pytest.mark.parametrize(
-    "exponents,variant", [((2.0, 2.0), "direct"), ((4.0, 4.0), "adjoint_slot1")]
-)
+RIESZ_SWEEPS = [((2.0, 2.0), "direct"), ((4.0, 4.0), "adjoint_slot1")]
+
+
+@pytest.mark.parametrize("exponents,variant", RIESZ_SWEEPS)
 def test_riesz_rows_need_quadrature_above_cone_minorant(monkeypatch, exponents, variant):
     # criterion 7 reads the quadrature: a kernel that comes out 1000 times
     # too small falls below the cone minorant, so no row is finite and the
@@ -133,17 +134,66 @@ def test_riesz_rows_need_quadrature_above_cone_minorant(monkeypatch, exponents, 
     eps_list = [2.0**-k for k in range(2, 6)]
     rows = run_sweep(riesz_problem, exponents, eps_list, L=7, variant=variant)
     assert all(r.finite for r in rows)
-    real = sweeps.bilinear_riesz
+    real = sweeps.bilinear_riesz_rows
 
     def shrunk(*args, **kwargs):
-        rv = real(*args, **kwargs)
-        return dataclasses.replace(rv, values=rv.values * 1e-3)
+        return [dataclasses.replace(rv, values=rv.values * 1e-3) for rv in real(*args, **kwargs)]
 
-    monkeypatch.setattr(sweeps, "bilinear_riesz", shrunk)
+    monkeypatch.setattr(sweeps, "bilinear_riesz_rows", shrunk)
     bad = run_sweep(riesz_problem, exponents, eps_list, L=7, variant=variant)
     assert not any(r.finite for r in bad)
     with pytest.raises(ValueError, match="finite rows"):
         fit_exponent(bad)
+
+
+@pytest.mark.parametrize("exponents,variant", RIESZ_SWEEPS)
+@pytest.mark.parametrize("shrunk_row", [0, 2])
+def test_each_riesz_row_reads_its_own_quadrature(monkeypatch, exponents, variant, shrunk_row):
+    # the sweep's rows share one stacked quadrature call: shrinking one row
+    # of the stack refuses exactly the row of that eps, so rows cannot be
+    # mixed up across the stack
+    import dataclasses
+
+    from mweights.experiments import sweeps
+
+    real = sweeps.bilinear_riesz_rows
+    calls = []
+
+    def one_row_shrunk(pairs, points, variant):
+        out = real(pairs, points, variant)
+        calls.append(len(out))
+        rv = out[shrunk_row]
+        out[shrunk_row] = dataclasses.replace(rv, values=rv.values * 1e-3)
+        return out
+
+    monkeypatch.setattr(sweeps, "bilinear_riesz_rows", one_row_shrunk)
+    eps_list = [2.0**-k for k in range(2, 6)]
+    rows = run_sweep(riesz_problem, exponents, eps_list, L=7, variant=variant)
+    assert calls == [len(eps_list)]
+    assert [r.finite for r in rows] == [k != shrunk_row for k in range(len(eps_list))]
+    assert rows[shrunk_row].quad_min_ratio < 1.0 <= min(
+        r.quad_min_ratio for r in rows if r.finite
+    )
+
+
+@pytest.mark.parametrize("exponents,variant", RIESZ_SWEEPS)
+def test_stacked_riesz_rows_match_rows_evaluated_alone(exponents, variant):
+    # the stacked sweep and one evaluate_problem per row give the same
+    # rows, timings aside
+    from mweights.experiments import evaluate_problem
+
+    eps_list = [2.0**-k for k in range(2, 6)]
+    rows = run_sweep(riesz_problem, exponents, eps_list, L=7, variant=variant)
+    lat = Lattice(default_box(1), 7)
+    for row in rows:
+        alone = evaluate_problem(riesz_problem(exponents, row.eps, lat, variant=variant))
+        assert row.ms > 0.0
+        assert (row.eps, row.ap_const, row.lhs_norm, row.ratio, row.finite) == (
+            alone.eps, alone.ap_const, alone.lhs_norm, alone.ratio, alone.finite
+        )
+        assert row.quad_min_ratio == pytest.approx(alone.quad_min_ratio, rel=1e-13)
+        assert row.pv_points == alone.pv_points == 0
+        assert row.quad_min_ratio >= 1.0
 
 
 def test_run_sweep_grid_convergence():
