@@ -35,7 +35,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .grid import GridFunction, Lattice, ShiftedGridFamily, default_box
+from .grid import G_MIN, GridFunction, Lattice, ShiftedGridFamily, default_box
 from .operators import (
     SparsenessError,
     build_sparse_family,
@@ -237,12 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("shifted", "aligned", "both"),
         help="cube family to maximize over",
     )
-    sp.add_argument("--g-min", type=int, default=-2, help="coarsest generation")
+    sp.add_argument("--g-min", type=int, default=G_MIN, help="coarsest generation")
     common(sp)
 
     sp = command("maximal", _cmd_maximal, "multilinear maximal bracket")
     sp.add_argument("--f", type=str, required=True, help="function specs per slot")
-    sp.add_argument("--g-min", type=int, default=-2, help="coarsest generation")
+    sp.add_argument("--g-min", type=int, default=G_MIN, help="coarsest generation")
     common(sp)
 
     sp = command("sparse", _cmd_sparse, "stopping-time sparse family")
@@ -374,9 +374,8 @@ def _support_root(fs, lattice: Lattice):
     hi = [int(ix.max()) for ix in axes_idx]
     size = max(h - l + 1 for l, h in zip(lo, hi))
     family = ShiftedGridFamily(lattice)
-    cube = family.cover(tuple(lo), size)
-    N = lattice.cells_per_axis
-    if any(s < 0 or s + cube.size > N for s in cube.start):
+    cube = family.cover(lo, size)
+    if not lattice.holds(cube):
         raise ConfigError(
             "no grid cube inside the box covers the joint support; "
             "use inputs supported in a dyadic cube (for example power "

@@ -39,7 +39,6 @@ class ExtremalProblem:
     """One sweep point: inputs, weights, exact norms, and norm instructions."""
 
     eps: float
-    exponents: ExponentTuple
     fs: Tuple[GridFunction, ...]
     weight_vector: WeightVector
     rhs_norms: Tuple[float, ...]
@@ -48,7 +47,6 @@ class ExtremalProblem:
     region: Optional[CellRegion]
     minorant: Optional[Minorant]
     kind: str
-    permutation: Tuple[int, ...]
 
 
 def _as_exponents(exponents: Union[ExponentTuple, Sequence[float]]) -> ExponentTuple:
@@ -68,10 +66,9 @@ def _check_box(lattice: Lattice) -> None:
         raise ValueError("extremal families are built on the default box")
 
 
-def _permute_leading_conjugate(et: ExponentTuple) -> Tuple[ExponentTuple, Tuple[int, ...]]:
-    order = tuple(sorted(range(et.m), key=lambda i: (-et.conjugates[i], i)))
-    permuted = ExponentTuple(tuple(et.exponents[i] for i in order))
-    return permuted, order
+def _permute_leading_conjugate(et: ExponentTuple) -> ExponentTuple:
+    order = sorted(range(et.m), key=lambda i: (-et.conjugates[i], i))
+    return ExponentTuple(tuple(et.exponents[i] for i in order))
 
 
 def _interval_cells(lattice: Lattice, lo: float, hi: float) -> np.ndarray:
@@ -95,7 +92,7 @@ def maximal_extremal(
     et = _as_exponents(exponents)
     eps = _check_eps(eps)
     _check_box(lattice)
-    etp, order = _permute_leading_conjugate(et)
+    etp = _permute_leading_conjugate(et)
     n = lattice.n
     ball = Ball(1.0, n)
     fs = [GridFunction.from_power(lattice, eps - n, ball)]
@@ -131,10 +128,8 @@ def maximal_problem(
             exponent=exponent,
             mask=_interval_cells(lattice, -1.0, 1.0),
         )
-    _, order = _permute_leading_conjugate(_as_exponents(exponents))
     return ExtremalProblem(
         eps=eps,
-        exponents=etp,
         fs=fs,
         weight_vector=wv,
         rhs_norms=rhs,
@@ -143,7 +138,6 @@ def maximal_problem(
         region=None,
         minorant=minorant,
         kind="maximal",
-        permutation=order,
     )
 
 
@@ -152,7 +146,7 @@ def _riesz_checks(
     eps: float,
     lattice: Lattice,
     variant: str,
-) -> Tuple[ExponentTuple, Tuple[int, ...]]:
+) -> ExponentTuple:
     et = _as_exponents(exponents)
     eps = _check_eps(eps)
     _check_box(lattice)
@@ -162,7 +156,7 @@ def _riesz_checks(
         raise ValueError("the singular-integral families are bilinear (m = 2)")
     if variant not in ("direct", "adjoint_slot1"):
         raise ValueError(f"unknown variant {variant!r}")
-    etp, order = _permute_leading_conjugate(et)
+    etp = _permute_leading_conjugate(et)
     p = etp.p
     cmax = etp.conjugates[0]
     tol = 1e-9
@@ -182,7 +176,7 @@ def _riesz_checks(
                 f"max p_i'={cmax:g} — these exponents belong to the "
                 f"direct regime"
             )
-    return etp, order
+    return etp
 
 
 def riesz_extremal(
@@ -199,7 +193,7 @@ def riesz_extremal(
     ``|x|^{(eps-n) p_1/p}``, which is deliberately allowed to be
     non-integrable — only its dual and the joint weight are ever integrated.
     """
-    etp, order = _riesz_checks(exponents, eps, lattice, variant)
+    etp = _riesz_checks(exponents, eps, lattice, variant)
     eps = float(eps)
     n = 1
     p1, p2 = etp.exponents
@@ -227,7 +221,6 @@ def riesz_problem(
     variant: str = "direct",
 ) -> ExtremalProblem:
     """Full sweep bundle for the singular-integral families."""
-    _, order = _riesz_checks(exponents, eps, lattice, variant)
     fs, wv, region = riesz_extremal(exponents, eps, lattice, variant)
     etp = wv.exponents
     p = etp.p
@@ -258,7 +251,6 @@ def riesz_problem(
     )
     return ExtremalProblem(
         eps=eps,
-        exponents=etp,
         fs=fs,
         weight_vector=wv,
         rhs_norms=rhs,
@@ -267,5 +259,4 @@ def riesz_problem(
         region=region,
         minorant=minorant,
         kind=f"riesz:{variant}",
-        permutation=order,
     )

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..grid import CellRegion, GridFunction
+from ..grid import CellRegion, GridFunction, common_lattice
 from ..powermass import power_mass
 from ..weights import Weight
 
@@ -39,8 +39,7 @@ def analytic_power_norm(f: GridFunction, p: float, w: Weight) -> float:
     d = f.descriptor
     if d is None:
         raise ValueError("grid function carries no analytic descriptor")
-    if w.lattice != f.lattice:
-        raise ValueError("function and weight must share one lattice")
+    common_lattice([f, w])
     scale = float(w.values.flat[0])
     if np.any(w.values != scale):
         raise ValueError("analytic norms need a pure power weight")
@@ -50,18 +49,11 @@ def analytic_power_norm(f: GridFunction, p: float, w: Weight) -> float:
     return float(total) ** (1.0 / p)
 
 
-def grid_lp_norm(
-    values: np.ndarray, p: float, w: Weight, region: Optional[CellRegion] = None
-) -> float:
-    """Discrete ``L^p(w)`` norm of cell values, optionally over a region."""
+def grid_lp_norm(values: np.ndarray, p: float, w: Weight) -> float:
+    """Discrete ``L^p(w)`` norm of cell values."""
     if p <= 0:
         raise ValueError("norm exponent must be positive")
-    terms = np.abs(values) ** p * w.cell_masses()
-    if region is not None:
-        total = float(np.sum(terms[region.mask]))
-    else:
-        total = float(np.sum(terms))
-    return total ** (1.0 / p)
+    return float(np.sum(np.abs(values) ** p * w.cell_masses())) ** (1.0 / p)
 
 
 def hybrid_lower_norm(

@@ -368,7 +368,7 @@ def upper_bound_audit(
     grid = ShiftedGridFamily(lattice).standard
     root = grid.cube(1, (0,) * n)
     support = np.zeros(lattice.shape, dtype=bool)
-    support[tuple(slice(s, s + root.size) for s in root.start)] = True
+    support[lattice.cube_cells(root)] = True
 
     family = CubeFamily(lattice, kind="shifted")
     rng = np.random.default_rng(seed)

@@ -49,12 +49,20 @@ __all__ = [
     "GridFunction",
     "CellRegion",
     "CubeLayout",
+    "G_MIN",
     "aligned_window_sums",
     "cell_average",
+    "common_lattice",
     "cube_averages",
     "cube_levels",
     "window_sums",
 ]
+
+# the coarsest generation scanned by default: cubes four times the root box
+G_MIN = -2
+# cubes of at most 2^_M_MAX cells per axis keep a layout's cells, from its
+# first cube's start to its last cube's end, inside int64
+_M_MAX = 60
 
 
 @dataclass(frozen=True)
@@ -112,6 +120,16 @@ class Lattice:
         lo = np.asarray(self.box.lo) + self.h * np.asarray(cube.start, dtype=float)
         return lo, lo + self.h * cube.size
 
+    def cube_cells(self, cube: "DyadicCube") -> Tuple[slice, ...]:
+        """Per axis, the slice of the cube's cells inside the box."""
+        N = self.cells_per_axis
+        return tuple(slice(max(s, 0), min(s + cube.size, N)) for s in cube.start)
+
+    def holds(self, cube: "DyadicCube") -> bool:
+        """Whether the whole cube lies inside the box."""
+        N = self.cells_per_axis
+        return all(0 <= s and s + cube.size <= N for s in cube.start)
+
     def _clipped_edges(self, support):
         """Per axis, every cell's edges clipped to an ``Interval`` or ``Rect``
         support; a ``Ball`` clips only in one dimension, as [-r, r]."""
@@ -165,6 +183,17 @@ class Lattice:
         radius = support.radius if isinstance(support, Ball) else math.inf
         out[i, j] = planar_masses(exponent, x0[i], x1[i], y0[j], y1[j], radius)
         return out
+
+
+def common_lattice(items: Sequence) -> Lattice:
+    """The one lattice that every item (grid functions, weights, grids,
+    families: anything with a ``lattice``) lives on."""
+    if not items:
+        raise ValueError("need at least one grid function")
+    lat = items[0].lattice
+    if any(item.lattice != lat for item in items[1:]):
+        raise ValueError("grid functions, weights, grids and families must share one lattice")
+    return lat
 
 
 def third_offset(M: int, L: int) -> int:
@@ -384,11 +413,14 @@ class DyadicGrid:
         return [2 ** (L - 1) + b * t for b in self.beta]
 
     def _check_generation(self, g: int) -> int:
-        if g > self.lattice.L:
-            raise ValueError(
-                f"generation {g} is finer than the lattice resolution L={self.lattice.L}"
-            )
-        return self.lattice.L - g
+        """The size exponent ``M = L - g`` of generation ``g``, which must
+        lie in ``0.._M_MAX``."""
+        L = self.lattice.L
+        if g > L:
+            raise ValueError(f"generation {g} is finer than the lattice resolution L={L}")
+        if L - g > _M_MAX:
+            raise ValueError(f"generation {g} is coarser than {L - _M_MAX}, the coarsest at L={L}")
+        return L - g
 
     def cube(self, g: int, j: Sequence[int]) -> DyadicCube:
         M = self._check_generation(g)
@@ -426,8 +458,6 @@ class DyadicGrid:
 class ShiftedGridFamily:
     """The 2^n shifted dyadic grids over a lattice (standard grid first)."""
 
-    G_MIN = -2
-
     def __init__(self, lattice: Lattice):
         self.lattice = lattice
         betas = list(itertools.product((0, 1), repeat=lattice.n))
@@ -445,36 +475,24 @@ class ShiftedGridFamily:
         """A random grid, then a random generation in [G_MIN, L], then a
         random cube of that generation meeting the box."""
         grid = self.grids[int(rng.integers(len(self.grids)))]
-        layout = grid.layout(int(rng.integers(self.G_MIN, self.lattice.L + 1)))
+        layout = grid.layout(int(rng.integers(G_MIN, self.lattice.L + 1)))
         k = int(rng.integers(math.prod(layout.shape)))
         return layout.cube(np.unravel_index(k, layout.shape))
 
     def cover(self, start: Sequence[int], size: int) -> DyadicCube:
-        """A family cube containing the aligned cube, at most 6x as wide."""
+        """The smallest family cube containing the aligned cube, at most 6x as
+        wide; of those, the one of the first grid."""
         L = self.lattice.L
-        start = tuple(int(s) for s in start)
+        last = [int(s) + size - 1 for s in start]
         M_lo = max(0, int(size - 1).bit_length())
-        M_hi = min(L - self.G_MIN, (6 * size).bit_length() - 1)
+        M_hi = min(L - G_MIN, (6 * size).bit_length() - 1)
         for M in range(M_lo, M_hi + 1):
-            t = third_offset(M, L)
-            beta = []
-            for s in start:
-                lo_cell, hi_cell = s, s + size - 1
-                picked = None
-                for b in (0, 1):
-                    base = 2 ** (L - 1) + b * t
-                    if (lo_cell - base) // 2**M == (hi_cell - base) // 2**M:
-                        picked = b
-                        break
-                if picked is None:
-                    beta = None
-                    break
-                beta.append(picked)
-            if beta is not None:
-                grid = self.by_beta(tuple(beta))
-                return grid.cube_containing_cell(start, L - M)
+            for grid in self.grids:
+                cube = grid.cube_containing_cell(start, L - M)
+                if cube == grid.cube_containing_cell(last, L - M):
+                    return cube
         raise AssertionError(
-            f"no covering cube within factor 6 for start={start} size={size}"
+            f"no covering cube within factor 6 for start={tuple(start)} size={size}"
         )
 
 
@@ -646,15 +664,15 @@ def cube_averages(f: GridFunction, cube: DyadicCube) -> np.ndarray:
     the one its grid, generation and index give on ``f``'s lattice.
     """
     lat = f.lattice
-    N = lat.cells_per_axis
     if cube.g is not None:
         _check_grid_cube(lat, cube)
     if cube.size < 1:
         raise ValueError("cube is finer than the lattice resolution")
-    if not all(s < N and s + cube.size > 0 for s in cube.start):
+    cells = lat.cube_cells(cube)
+    if any(c.start >= c.stop for c in cells):
         raise ValueError(f"cube start={cube.start} size={cube.size} misses the root box")
     if cube.g is None:
-        block = f.values[tuple(slice(max(s, 0), min(s + cube.size, N)) for s in cube.start)]
+        block = f.values[cells]
         sums = window_sums(block, block.shape)
     else:
         sums = cube_levels(f.values, lat, cube)[-1]

@@ -13,11 +13,11 @@ a weight living on the box alone.
 from __future__ import annotations
 
 import logging
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from ..grid import DyadicGrid, GridFunction, Lattice, ShiftedGridFamily
+from ..grid import G_MIN, CubeLayout, DyadicGrid, GridFunction, ShiftedGridFamily, common_lattice
 from ..weights import Weight
 
 logger = logging.getLogger(__name__)
@@ -25,20 +25,28 @@ logger = logging.getLogger(__name__)
 __all__ = ["dyadic_maximal", "multilinear_maximal", "weighted_dyadic_maximal"]
 
 
-def _check_inputs(fs: Sequence[GridFunction], g_min: int) -> Lattice:
-    if not fs:
-        raise ValueError("need at least one grid function")
-    lat = fs[0].lattice
-    for f in fs[1:]:
-        if f.lattice != lat:
-            raise ValueError("all grid functions must share one lattice")
-    if g_min > lat.L:
-        raise ValueError(f"g_min={g_min} exceeds the finest generation L={lat.L}")
-    return lat
+def _chain_max(
+    grid: DyadicGrid,
+    stacked: np.ndarray,
+    g_min: int,
+    per_cube: Callable[[np.ndarray, CubeLayout], np.ndarray],
+) -> GridFunction:
+    """Cellwise max over one grid's cube chain, generations ``g_min..L``, of
+    ``per_cube(sums, layout)``: the value of every cube of a generation from
+    the sums of the ``stacked`` cell values over them, read from the grid's
+    child-sum pyramid."""
+    lat = grid.lattice
+    levels = grid.pyramid(stacked, g_min)
+    out = np.zeros(lat.shape)
+    for g in range(g_min, lat.L + 1):
+        layout = grid.layout(g)
+        vals = per_cube(levels[lat.L - g], layout)
+        np.maximum(out, vals[np.ix_(*layout.cell_slots())], out=out)
+    return GridFunction(lat, out)
 
 
 def dyadic_maximal(
-    fs: Sequence[GridFunction], grid: DyadicGrid, g_min: int = -2
+    fs: Sequence[GridFunction], grid: DyadicGrid, g_min: int = G_MIN
 ) -> GridFunction:
     """Cellwise sup over one grid's cube chain of the product of averages.
 
@@ -46,21 +54,16 @@ def dyadic_maximal(
     ``grid`` containing it and records the largest product of full-volume
     averages of the inputs.
     """
-    lat = _check_inputs(fs, g_min)
-    if grid.lattice != lat:
-        raise ValueError("grid and functions must share one lattice")
-    levels = grid.pyramid(np.stack([f.values for f in fs]), g_min)
-    out = np.zeros(lat.shape)
-    for g in range(g_min, lat.L + 1):
-        layout = grid.layout(g)
-        vals = (levels[lat.L - g] * lat.cell_volume / layout.full_volume).prod(axis=0)
-        per_cell = vals[np.ix_(*layout.cell_slots())]
-        np.maximum(out, per_cell, out=out)
-    return GridFunction(lat, out)
+    lat = common_lattice([*fs, grid])
+
+    def products(sums: np.ndarray, layout: CubeLayout) -> np.ndarray:
+        return (sums * lat.cell_volume / layout.full_volume).prod(axis=0)
+
+    return _chain_max(grid, np.stack([f.values for f in fs]), g_min, products)
 
 
 def multilinear_maximal(
-    fs: Sequence[GridFunction], g_min: int = -2
+    fs: Sequence[GridFunction], g_min: int = G_MIN
 ) -> Tuple[GridFunction, GridFunction]:
     """Certified bracket for the maximal product of averages over all cubes.
 
@@ -69,7 +72,7 @@ def multilinear_maximal(
     axis-parallel cubes; ``upper`` multiplies the sum of those scans by
     ``6**(m*n)``, which covers any cube by a dyadic one of comparable size.
     """
-    lat = _check_inputs(fs, g_min)
+    lat = common_lattice(fs)
     family = ShiftedGridFamily(lat)
     per_grid: List[np.ndarray] = [
         dyadic_maximal(fs, grid, g_min=g_min).values for grid in family.grids
@@ -84,7 +87,7 @@ def multilinear_maximal(
 
 
 def weighted_dyadic_maximal(
-    f: GridFunction, w: Weight, grid: DyadicGrid, g_min: int = -2
+    f: GridFunction, w: Weight, grid: DyadicGrid, g_min: int = G_MIN
 ) -> GridFunction:
     """Cellwise sup of weighted averages ``∫_Q f w / w(Q)`` over one grid.
 
@@ -92,24 +95,19 @@ def weighted_dyadic_maximal(
     normalization is the weight mass actually present; a cube whose inside
     weight mass underflows to zero contributes zero and is logged.
     """
-    lat = _check_inputs([f], g_min)
-    if w.lattice != lat or grid.lattice != lat:
-        raise ValueError("function, weight, and grid must share one lattice")
-    wm = w.cell_masses()
-    levels = grid.pyramid(np.stack([f.values * wm, wm]), g_min)
-    out = np.zeros(lat.shape)
-    for g in range(g_min, lat.L + 1):
-        layout = grid.layout(g)
-        num, den = levels[lat.L - g]
+    common_lattice([f, w, grid])
+
+    def ratios(sums: np.ndarray, layout: CubeLayout) -> np.ndarray:
+        num, den = sums
         empty = den <= 0.0
         if np.any(empty):
             logger.debug(
                 "generation %d: %d cubes carry zero weight mass; treated as zero",
-                g,
+                layout.g,
                 int(np.count_nonzero(empty)),
             )
         with np.errstate(invalid="ignore", divide="ignore"):
-            vals = np.where(empty, 0.0, num / np.where(empty, 1.0, den))
-        per_cell = vals[np.ix_(*layout.cell_slots())]
-        np.maximum(out, per_cell, out=out)
-    return GridFunction(lat, out)
+            return np.where(empty, 0.0, num / np.where(empty, 1.0, den))
+
+    wm = w.cell_masses()
+    return _chain_max(grid, np.stack([f.values * wm, wm]), g_min, ratios)

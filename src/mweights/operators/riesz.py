@@ -46,7 +46,7 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..grid import GridFunction
+from ..grid import GridFunction, common_lattice
 
 __all__ = [
     "RieszValues",
@@ -203,9 +203,7 @@ def bilinear_riesz_rows(
     pairs = [tuple(pair) for pair in pairs]
     if not pairs:
         return []
-    lat = pairs[0][0].lattice
-    if any(f.lattice != lat for pair in pairs for f in pair):
-        raise ValueError("all grid functions must share one lattice")
+    lat = common_lattice([f for pair in pairs for f in pair])
     if lat.n != 1:
         raise ValueError("quadrature is restricted to one-dimensional lattices")
     pts = np.asarray(points, dtype=float).ravel()

@@ -16,7 +16,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..grid import CellRegion, DyadicCube, DyadicGrid, GridFunction, Lattice, cube_levels
+from ..grid import (
+    CellRegion, DyadicCube, DyadicGrid, GridFunction, Lattice, common_lattice, cube_levels
+)
 
 logger = logging.getLogger(__name__)
 
@@ -25,16 +27,6 @@ __all__ = ["SparseFamily", "SparsenessError", "build_sparse_family", "sparse_ope
 
 class SparsenessError(RuntimeError):
     """A constructed family missed the half-volume guarantee."""
-
-
-def _cube_slices(cube: DyadicCube, lat: Lattice) -> Tuple[slice, ...]:
-    N = lat.cells_per_axis
-    return tuple(slice(max(s, 0), min(s + cube.size, N)) for s in cube.start)
-
-
-def _cube_inside_box(cube: DyadicCube, lat: Lattice) -> bool:
-    N = lat.cells_per_axis
-    return all(0 <= s and s + cube.size <= N for s in cube.start)
 
 
 @dataclass(frozen=True)
@@ -73,14 +65,14 @@ class SparseFamily:
             raise ValueError("the first cube of a sparse family must be its root")
         kept = self.kept
         for k, cube in enumerate(self.cubes):
-            if not _cube_inside_box(cube, lat):
+            if not lat.holds(cube):
                 raise ValueError(f"cube {cube.key()} sticks out of the box")
             if cube.grid_id != self.root.grid_id or not all(
                 r <= s and s + cube.size <= r + self.root.size
                 for s, r in zip(cube.start, self.root.start)
             ):
                 raise ValueError(f"cube {cube.key()} is not a cube of the root's subtree")
-            if np.count_nonzero(owner[_cube_slices(cube, lat)] == k) != kept[k]:
+            if np.count_nonzero(owner[lat.cube_cells(cube)] == k) != kept[k]:
                 raise ValueError(f"kept region of {cube.key()} leaves its cube")
             total = cube.size**lat.n
             if kept[k] < total / 2.0:
@@ -136,19 +128,12 @@ def build_sparse_family(
     :class:`SparsenessError` if any kept region drops below half of its
     cube.
     """
-    if not gs:
-        raise ValueError("need at least one grid function")
-    lat = gs[0].lattice
-    for g in gs[1:]:
-        if g.lattice != lat:
-            raise ValueError("all grid functions must share one lattice")
-    if grid.lattice != lat:
-        raise ValueError("grid and functions must share one lattice")
+    lat = common_lattice([*gs, grid])
     if root is None:
         raise ValueError("a root cube is required")
     if root.grid_id != grid.grid_id:
         raise ValueError("root must be a cube of the same grid")
-    if not _cube_inside_box(root, lat):
+    if not lat.holds(root):
         raise ValueError("root cube must lie inside the box")
     m = len(gs)
     floor = 2.0 ** (m * lat.n)
@@ -160,7 +145,7 @@ def build_sparse_family(
         )
 
     outside = np.ones(lat.shape, dtype=bool)
-    outside[_cube_slices(root, lat)] = False
+    outside[lat.cube_cells(root)] = False
     for g in gs:
         if np.any(g.values[outside] != 0.0):
             raise ValueError("root cube must contain the joint support")
@@ -170,7 +155,7 @@ def build_sparse_family(
     lambda0 = float(tables[root.size].flat[0])
     owner = np.full(lat.shape, -1, dtype=np.int64)
     cubes: List[DyadicCube] = [root]
-    owner[_cube_slices(root, lat)] = 0
+    owner[lat.cube_cells(root)] = 0
 
     if lambda0 == 0.0:
         logger.debug("root product average is zero; family is the root alone")
@@ -196,7 +181,7 @@ def build_sparse_family(
             for index in np.argwhere(exceed > env):
                 start = [s + int(k) * size for s, k in zip(root.start, index)]
                 cube = grid.cube_containing_cell(start, lat.L - size.bit_length() + 1)
-                owner[_cube_slices(cube, lat)] = len(cubes)
+                owner[lat.cube_cells(cube)] = len(cubes)
                 cubes.append(cube)
             env = np.maximum(env, exceed)
             size //= 2
@@ -220,16 +205,11 @@ def sparse_operator(fam: SparseFamily, fs: Sequence[GridFunction]) -> GridFuncti
     every cube of 2^k cells by its offset from the root's start, with the
     bits of :func:`grid.cell_average`.
     """
-    if not fs:
-        raise ValueError("need at least one grid function")
-    lat = fam.lattice
-    for f in fs:
-        if f.lattice != lat:
-            raise ValueError("family and grid functions must share one lattice")
+    lat = common_lattice([*fs, fam])
     levels = cube_levels(np.stack([f.values for f in fs]), lat, fam.root)
     out = np.zeros(lat.shape)
     for cube in fam.cubes:
         index = tuple((s - r) // cube.size for s, r in zip(cube.start, fam.root.start))
         sums = levels[cube.size.bit_length() - 1][(slice(None),) + index]
-        out[_cube_slices(cube, lat)] += _products(lat, sums, cube.size)
+        out[lat.cube_cells(cube)] += _products(lat, sums, cube.size)
     return GridFunction(lat, out)

@@ -28,11 +28,13 @@ from .grid import (
     CubeLayout,
     DyadicCube,
     DyadicGrid,
+    G_MIN,
     GridFunction,
     Lattice,
     ShiftedGridFamily,
     aligned_window_sums,
     cell_average,
+    common_lattice,
     cube_averages,
 )
 
@@ -157,10 +159,8 @@ class Weight:
         return Weight(self.lattice, self.exponent * s, self.values**s, _validate=False)
 
     def __mul__(self, other: "Weight") -> "Weight":
-        if self.lattice != other.lattice:
-            raise ValueError("weights live on different lattices")
         return Weight(
-            self.lattice,
+            common_lattice([self, other]),
             self.exponent + other.exponent,
             self.values * other.values,
             _validate=False,
@@ -200,12 +200,9 @@ class WeightVector:
             raise ValueError(
                 f"{len(weights)} weights for {exponents.m} exponents"
             )
-        for w in weights[1:]:
-            if w.lattice != weights[0].lattice:
-                raise ValueError("all weights must share one lattice")
         self.weights = weights
         self.exponents = exponents
-        self.lattice = weights[0].lattice
+        self.lattice = common_lattice(weights)
         self._joint: Optional[Weight] = None
         self._sigmas: dict = {}
 
@@ -276,7 +273,7 @@ class CubeFamily:
     """Enumerable cube family over a lattice.
 
     kind "shifted": all cubes of the 2^n shifted dyadic grids with generation
-    in [g_min, g_max] (default g_max = L) that intersect the root box,
+    in [g_min, L] that intersect the root box,
     including cubes sticking out of it. kind "aligned": every cell-aligned
     cube fully inside the box, any integer size (brute force; small lattices
     only). kind "both": union of the two.
@@ -291,23 +288,16 @@ class CubeFamily:
 
     lattice: Lattice
     kind: str = "shifted"
-    g_min: int = -2
-    g_max: Optional[int] = None
+    g_min: int = G_MIN
 
     def __post_init__(self):
         if self.kind not in ("shifted", "aligned", "both"):
             raise ValueError(f"unknown cube family kind {self.kind!r}")
-        if self.effective_g_max > self.lattice.L:
-            raise ValueError(f"g_max={self.g_max} is finer than the lattice resolution L={self.lattice.L}")
-
-    @property
-    def effective_g_max(self) -> int:
-        return self.lattice.L if self.g_max is None else self.g_max
 
     @property
     def generations(self) -> range:
         """The generations of the grid cubes, coarse to fine; none for "aligned"."""
-        return range(self.g_min, self.effective_g_max + 1) if self.kind != "aligned" else range(0)
+        return range(self.g_min, self.lattice.L + 1) if self.kind != "aligned" else range(0)
 
     def layouts(self) -> Iterator[CubeLayout]:
         """The family in scan order: one layout per (grid, generation), then
@@ -326,7 +316,7 @@ class CubeFamily:
 
     @property
     def describe(self) -> str:
-        return f"{self.kind}:g[{self.g_min},{self.effective_g_max}]:L{self.lattice.L}"
+        return f"{self.kind}:g[{self.g_min},{self.lattice.L}]:L{self.lattice.L}"
 
 
 @dataclass(frozen=True)

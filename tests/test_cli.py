@@ -216,6 +216,26 @@ def test_maximal_non_finite_constant_is_config_error(capsys):
     assert "finite" in capsys.readouterr().err
 
 
+_G_MIN_COMMANDS = {
+    "maximal": ["maximal", "--f", "const", "--L", "3"],
+    "apconst": ["apconst", "--p", "2", "--w", "const", "--L", "3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_G_MIN_COMMANDS))
+def test_g_min_range_is_checked_at_both_ends(command, capsys):
+    # cubes of 2^63 cells overflowed int64 with a traceback and exit 1; the
+    # coarsest generation at L=3 is now 3 - 60 = -57
+    argv = _G_MIN_COMMANDS[command]
+    assert main(argv + ["--g-min", "-57"]) == 0
+    capsys.readouterr()
+    for g_min, match in (("-60", "coarser than -57"), ("-58", "coarser"), ("4", "")):
+        assert main(argv + ["--g-min", g_min]) == 2, g_min
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and match in err, err
+        assert "Traceback" not in err
+
+
 # -------------------------------------------------------------------- sparse
 def test_sparse_subcommand_families(tmp_path, capsys):
     code = main(["sparse", "--f", "power:-0.5@pos,power:-0.25@pos", "--L", "6"])

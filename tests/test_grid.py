@@ -4,6 +4,7 @@ Frozen values come from hand geometry on the default box [-2,2)^n: cube
 averages of indicators, the origin-anchored standard grid, and the one-third
 shift pattern realized on the cell lattice.
 """
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from mweights.grid import (
     ShiftedGridFamily,
     aligned_window_sums,
     cell_average,
+    common_lattice,
     cube_averages,
     cube_levels,
     default_box,
@@ -126,6 +128,106 @@ def test_containment_six_times():
             for ax in range(n):
                 assert cover.start[ax] <= start[ax]
                 assert start[ax] + size <= cover.start[ax] + cover.size
+
+
+def test_cover_is_the_smallest_family_cube_then_the_first_grid():
+    # brute scan of the shifted family: among the cubes containing the
+    # aligned cube, the smallest; of those, the one of the first grid
+    for n, L in ((1, 3), (1, 5), (2, 3)):
+        lat = make_lattice(n, L)
+        fam = ShiftedGridFamily(lat)
+        family = [
+            (cube.size, layout.grid.beta, cube)
+            for layout in CubeFamily(lat).layouts()
+            for cube in layout.cubes()
+        ]
+        N = lat.cells_per_axis
+        for size in range(1, N + 1):
+            for start in itertools.product(range(N - size + 1), repeat=n):
+                want = min(
+                    (entry for entry in family if all(
+                        c <= s and s + size <= c + entry[0]
+                        for s, c in zip(start, entry[2].start)
+                    )),
+                    key=lambda entry: entry[:2],
+                )[2]
+                assert want.size <= 6 * size
+                assert fam.cover(start, size) == want, (start, size)
+
+
+@pytest.mark.parametrize(
+    "start, size, cells, holds",
+    [
+        ((2, 2), 4, ((2, 6), (2, 6)), True),
+        ((0, 4), 4, ((0, 4), (4, 8)), True),
+        ((-2, 3), 4, ((0, 2), (3, 7)), False),  # out of the low end of axis 0
+        ((6, 3), 4, ((6, 8), (3, 7)), False),  # out of the high end of axis 0
+        ((3, -1), 4, ((3, 7), (0, 3)), False),  # out of the low end of axis 1
+        ((3, 6), 4, ((3, 7), (6, 8)), False),  # out of the high end of axis 1
+        ((-4, -4), 16, ((0, 8), (0, 8)), False),  # out of every side
+    ],
+)
+def test_cube_cells_and_holds(start, size, cells, holds):
+    lat = make_lattice(2, 3)
+    cube = DyadicCube.aligned(start, size)
+    assert lat.cube_cells(cube) == tuple(slice(lo, hi) for lo, hi in cells)
+    assert lat.holds(cube) is holds
+    # the slices pick exactly the cells of the cube inside the box
+    index = np.indices(lat.shape)
+    inside = np.all([(i >= s) & (i < s + size) for i, s in zip(index, start)], axis=0)
+    mask = np.zeros(lat.shape, dtype=bool)
+    mask[lat.cube_cells(cube)] = True
+    assert np.array_equal(mask, inside)
+
+
+def _mismatched_calls():
+    from mweights.experiments import analytic_power_norm
+    from mweights.operators import (
+        bilinear_riesz_rows,
+        build_sparse_family,
+        dyadic_maximal,
+        multilinear_maximal,
+        sparse_operator,
+        weighted_dyadic_maximal,
+    )
+    from mweights.weights import ExponentTuple, Weight, WeightVector
+
+    coarse, fine = make_lattice(1, 4), make_lattice(1, 5)
+    f = GridFunction.indicator(coarse, Interval(0.0, 1.0))
+    g = GridFunction.indicator(fine, Interval(0.0, 1.0))
+    grid = ShiftedGridFamily(coarse).standard
+    fine_grid = ShiftedGridFamily(fine).standard
+    fam = build_sparse_family([f], grid, root=grid.cube_containing_cell((8,), 2))
+    return {
+        "dyadic_maximal": lambda: dyadic_maximal([f], fine_grid),
+        "multilinear_maximal": lambda: multilinear_maximal([f, g]),
+        "weighted_dyadic_maximal": lambda: weighted_dyadic_maximal(
+            f, Weight.constant(fine), grid
+        ),
+        "build_sparse_family": lambda: build_sparse_family([f, g], grid, root=fam.root),
+        "sparse_operator": lambda: sparse_operator(fam, [g]),
+        "bilinear_riesz_rows": lambda: bilinear_riesz_rows([(f, g)], np.array([0.5])),
+        "WeightVector": lambda: WeightVector(
+            [Weight.constant(coarse), Weight.constant(fine)], ExponentTuple((2.0, 2.0))
+        ),
+        "analytic_power_norm": lambda: analytic_power_norm(f, 2.0, Weight.constant(fine)),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_mismatched_calls()))
+def test_entry_points_refuse_inputs_on_two_lattices(entry):
+    with pytest.raises(ValueError, match="share one lattice"):
+        _mismatched_calls()[entry]()
+
+
+def test_common_lattice():
+    lat = make_lattice(1, 3)
+    f = GridFunction.zeros(lat)
+    assert common_lattice([f, ShiftedGridFamily(lat).standard, CubeFamily(lat)]) == lat
+    with pytest.raises(ValueError, match="need at least one grid function"):
+        common_lattice([])
+    with pytest.raises(ValueError, match="share one lattice"):
+        common_lattice([f, GridFunction.zeros(make_lattice(1, 4))])
 
 
 def test_cell_average_frozen_indicator():

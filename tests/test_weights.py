@@ -439,7 +439,7 @@ def test_ap_constant_rejects_empty_family():
     lat = Lattice(default_box(1), 3)
     wv = WeightVector([Weight.constant(lat)], ExponentTuple((2.0,)))
     with pytest.raises(ValueError):
-        ap_constant(wv, CubeFamily(lat, g_min=4, g_max=3))
+        ap_constant(wv, CubeFamily(lat, g_min=4))
 
 
 def test_ap_report_json():
