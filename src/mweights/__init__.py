@@ -41,6 +41,7 @@ from .weights import (
     Weight,
     WeightVector,
     ap_constant,
+    ap_constant_rows,
     dualize,
     per_cube_ap,
 )
@@ -53,6 +54,7 @@ from .operators import (
     build_sparse_family,
     dyadic_maximal,
     multilinear_maximal,
+    multilinear_maximal_rows,
     sparse_operator,
     weighted_dyadic_maximal,
 )
@@ -110,6 +112,7 @@ __all__ = [
     "WeightVector",
     "analytic_power_norm",
     "ap_constant",
+    "ap_constant_rows",
     "bilinear_riesz",
     "bilinear_riesz_rows",
     "build_sparse_family",
@@ -124,6 +127,7 @@ __all__ = [
     "maximal_extremal",
     "maximal_problem",
     "multilinear_maximal",
+    "multilinear_maximal_rows",
     "per_cube_ap",
     "power_mass",
     "riesz_extremal",

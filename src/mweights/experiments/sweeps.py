@@ -10,7 +10,6 @@ power of the weight constant.
 """
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import time
@@ -28,10 +27,18 @@ from ..operators import (
     bilinear_riesz_rows,
     build_sparse_family,
     multilinear_maximal,
+    multilinear_maximal_rows,
     sparse_operator,
 )
 from ..weights import (
-    CubeFamily, ExponentTuple, Weight, WeightVector, ap_constant, random_weight
+    ApReport,
+    CubeFamily,
+    ExponentTuple,
+    Weight,
+    WeightVector,
+    ap_constant,
+    ap_constant_rows,
+    random_weight,
 )
 from .extremals import ExtremalProblem
 from .norms import grid_lp_norm, hybrid_lower_norm
@@ -102,38 +109,27 @@ def _riesz_call(prob: ExtremalProblem) -> Tuple[str, np.ndarray]:
 
 
 def _assemble_row(
-    prob: ExtremalProblem, rv: Optional[RieszValues], started: float
+    prob: ExtremalProblem,
+    out_values: np.ndarray,
+    rv: Optional[RieszValues],
+    report: ApReport,
+    started: float,
 ) -> SweepRow:
-    """Run the rest of one sweep point and assemble its row.
+    """Run the norms of one sweep point and assemble its row.
 
-    ``rv`` is the quadrature of a Riesz problem (``None`` for any other
-    kind), and ``started`` the ``time.perf_counter()`` reading that the
-    row's ``ms`` counts from.
+    ``out_values`` is the operator's lower envelope on the lattice, ``rv``
+    the quadrature of a Riesz problem (``None`` for any other kind),
+    ``report`` the weight constant, and ``started`` the
+    ``time.perf_counter()`` reading that the row's ``ms`` counts from.
     """
     lat = prob.fs[0].lattice
     quad_ok = True
     quad_min_ratio = pv_points = None
-    if prob.kind == "maximal":
-        out_values = multilinear_maximal(prob.fs)[0].values
-    elif prob.kind.startswith("riesz:"):
+    if rv is not None:
         cone = prob.minorant.coeff * np.abs(rv.points) ** prob.minorant.exponent
         quad_ok = bool(np.all(np.isfinite(rv.values)) and np.all(rv.values >= cone))
         quad_min_ratio = float(np.min(rv.values / cone))
         pv_points = int(np.count_nonzero(rv.pv_approximate))
-        # A midpoint quadrature value cannot see mass below the cell scale,
-        # and the share of the output norm sitting below that scale grows as
-        # the spike sharpens, so mixing quadrature cells into the norm lets
-        # the measurement's bias drift with the spike strength and flattens
-        # the fitted growth.  The cone minorant integrates the singularity
-        # exactly with a uniform constant; measuring the output norm by it
-        # alone keeps the bias constant, so the fit reflects the operator
-        # rather than the mesh.  The quadrature checks the minorant instead:
-        # the row counts only if the quadrature is finite and at least the
-        # minorant at every evaluation point, so a wrong kernel or wrong
-        # cone constant makes criterion 7 refuse the sweep.
-        out_values = np.zeros(lat.shape)
-    else:
-        raise ValueError(f"unknown problem kind {prob.kind!r}")
     lhs = hybrid_lower_norm(
         out_values,
         prob.lhs_exponent,
@@ -141,7 +137,6 @@ def _assemble_row(
         minorant=prob.minorant,
         region=prob.region,
     )
-    report = ap_constant(prob.weight_vector, CubeFamily(lat, kind="shifted"))
     ap = float(report.constant)
     rhs_product = float(np.prod(prob.rhs_norms))
     ratio = lhs / rhs_product if rhs_product > 0 else float("nan")
@@ -164,29 +159,64 @@ def _assemble_row(
     )
 
 
-def evaluate_problem(prob: ExtremalProblem) -> SweepRow:
-    """Run the operator for one sweep point and assemble the row."""
-    if prob.kind.startswith("riesz:"):
-        return _riesz_rows([prob])[0]
-    return _assemble_row(prob, None, time.perf_counter())
+def _evaluate_rows(problems: Sequence[ExtremalProblem]) -> List[SweepRow]:
+    """Rows of problems on one lattice with one exponent tuple, each layer
+    run once for all of them as a stack.
 
-
-def _riesz_rows(problems: Sequence[ExtremalProblem]) -> List[SweepRow]:
-    """Rows of Riesz problems; those with one variant and the same
-    evaluation points share one stacked quadrature call."""
+    The maximal problems share one :func:`multilinear_maximal_rows` call;
+    Riesz problems with one variant and the same evaluation points share one
+    :func:`bilinear_riesz_rows` call; and every problem's weights share one
+    :func:`ap_constant_rows` call.  Each row's ``ms`` includes its share of
+    the stacked calls.
+    """
+    started = time.perf_counter()
+    lat = problems[0].fs[0].lattice
+    out_values: List[Optional[np.ndarray]] = [None] * len(problems)
+    rvs: List[Optional[RieszValues]] = [None] * len(problems)
+    maximal: List[int] = []
     stacks: Dict[Tuple[str, bytes], Tuple[np.ndarray, List[int]]] = {}
     for k, prob in enumerate(problems):
-        variant, points = _riesz_call(prob)
-        stacks.setdefault((variant, points.tobytes()), (points, []))[1].append(k)
-    rows: List[Optional[SweepRow]] = [None] * len(problems)
+        if prob.kind == "maximal":
+            maximal.append(k)
+        elif prob.kind.startswith("riesz:"):
+            # A midpoint quadrature value cannot see mass below the cell
+            # scale, and the share of the output norm sitting below that
+            # scale grows as the spike sharpens, so mixing quadrature cells
+            # into the norm lets the measurement's bias drift with the spike
+            # strength and flattens the fitted growth.  The cone minorant
+            # integrates the singularity exactly with a uniform constant;
+            # measuring the output norm by it alone keeps the bias constant,
+            # so the fit reflects the operator rather than the mesh.  The
+            # quadrature checks the minorant instead: the row counts only if
+            # the quadrature is finite and at least the minorant at every
+            # evaluation point, so a wrong kernel or wrong cone constant
+            # makes criterion 7 refuse the sweep.
+            out_values[k] = np.zeros(lat.shape)
+            variant, points = _riesz_call(prob)
+            stacks.setdefault((variant, points.tobytes()), (points, []))[1].append(k)
+        else:
+            raise ValueError(f"unknown problem kind {prob.kind!r}")
+    brackets = multilinear_maximal_rows([problems[k].fs for k in maximal])
+    for k, (lower, _) in zip(maximal, brackets):
+        out_values[k] = lower.values
     for (variant, _), (points, members) in stacks.items():
-        t0 = time.perf_counter()
-        rvs = bilinear_riesz_rows([problems[k].fs for k in members], points, variant)
-        share = (time.perf_counter() - t0) / len(members)
-        for k, rv in zip(members, rvs):
-            # each row's time includes its share of the stacked call
-            rows[k] = _assemble_row(problems[k], rv, time.perf_counter() - share)
-    return rows
+        stacked = bilinear_riesz_rows([problems[k].fs for k in members], points, variant)
+        for k, rv in zip(members, stacked):
+            rvs[k] = rv
+    reports = ap_constant_rows(
+        [prob.weight_vector for prob in problems], CubeFamily(lat, kind="shifted")
+    )
+    share = (time.perf_counter() - started) / len(problems)
+    return [
+        _assemble_row(prob, out, rv, report, time.perf_counter() - share)
+        for prob, out, rv, report in zip(problems, out_values, rvs, reports)
+    ]
+
+
+def evaluate_problem(prob: ExtremalProblem) -> SweepRow:
+    """Run the operator for one sweep point and assemble the row: the
+    one-row case of the stack that :func:`run_sweep` evaluates."""
+    return _evaluate_rows([prob])[0]
 
 
 def run_sweep(
@@ -200,19 +230,18 @@ def run_sweep(
     """Evaluate one extremal family over a strength sequence.
 
     Rows come back ordered by decreasing ``eps`` (mildest spike first);
-    repeated runs give identical rows.  Maximal rows are built and computed
-    one at a time; a Riesz sweep's problems are built first, so that its
-    rows share one quadrature call.
+    repeated runs give identical rows.  The sweep's problems are built
+    first, and then its rows run as one stack through the operator and the
+    weight-constant scan (:func:`_evaluate_rows`), with the bits that one
+    :func:`evaluate_problem` call per row gives.
     """
     eps_sorted = sorted({float(e) for e in eps_list}, reverse=True)
     if not eps_sorted:
         raise ValueError("eps_list must be nonempty")
     lattice = Lattice(default_box(n), L)
-    problems = (builder(exponents, eps, lattice, **builder_kwargs) for eps in eps_sorted)
-    first = next(problems)
-    if first.kind.startswith("riesz:"):
-        return _riesz_rows([first, *problems])
-    return [evaluate_problem(prob) for prob in itertools.chain([first], problems)]
+    return _evaluate_rows(
+        [builder(exponents, eps, lattice, **builder_kwargs) for eps in eps_sorted]
+    )
 
 
 def fit_exponent(rows: Sequence[SweepRow]) -> FitResult:

@@ -83,28 +83,31 @@ def default_box(n: int) -> Box:
 
 @dataclass(frozen=True)
 class Lattice:
-    """The root box split into 2^L cells per axis."""
+    """The root box split into 2^L cells per axis.
+
+    The derived sizes are computed once per lattice: the scans read them
+    for every cube size of every call."""
 
     box: Box
     L: int
 
-    @property
+    @functools.cached_property
     def n(self) -> int:
         return self.box.n
 
-    @property
+    @functools.cached_property
     def cells_per_axis(self) -> int:
         return 2**self.L
 
-    @property
+    @functools.cached_property
     def shape(self) -> Tuple[int, ...]:
         return (self.cells_per_axis,) * self.n
 
-    @property
+    @functools.cached_property
     def h(self) -> float:
         return self.box.side / self.cells_per_axis
 
-    @property
+    @functools.cached_property
     def cell_volume(self) -> float:
         return self.h**self.n
 
@@ -349,6 +352,12 @@ class DyadicCube:
 
     def key(self) -> Tuple:
         return (self.start, self.size)
+
+    def contains(self, other: "DyadicCube") -> bool:
+        """Whether ``other`` lies inside this cube, wherever the box is."""
+        return all(
+            s <= o and o + other.size <= s + self.size for s, o in zip(self.start, other.start)
+        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,7 +5,9 @@ generations of one shifted grid; the multilinear bracket combines all
 shifted grids of a lattice into a certified lower/upper envelope pair.
 """
 
-from .maximal import dyadic_maximal, multilinear_maximal, weighted_dyadic_maximal
+from .maximal import (
+    dyadic_maximal, multilinear_maximal, multilinear_maximal_rows, weighted_dyadic_maximal
+)
 from .riesz import (
     RieszValues, adjoint_kernel, bilinear_riesz, bilinear_riesz_rows, direct_kernel
 )
@@ -22,6 +24,7 @@ __all__ = [
     "direct_kernel",
     "dyadic_maximal",
     "multilinear_maximal",
+    "multilinear_maximal_rows",
     "sparse_operator",
     "weighted_dyadic_maximal",
 ]

@@ -2,9 +2,9 @@
 
 Every scan walks whole generations at once: the sums over all cubes of a
 grid meeting the box come from the grid's child-sum pyramid
-(:meth:`grid.DyadicGrid.pyramid`), one pass per grid for all the inputs,
-and each generation's averages are then scattered back onto the cells they
-cover.  Averages always divide by the full cube volume, so cubes sticking
+(:meth:`grid.DyadicGrid.pyramid`), one pass per grid for all the inputs of
+every row of a stack, and each generation's averages are then scattered
+back onto the cells they cover.  Averages always divide by the full cube volume, so cubes sticking
 out of the box are diluted by the mass they miss; this keeps the
 lower/upper bracket of ``multilinear_maximal`` valid.  The weighted variant instead divides by the
 weight mass actually inside the box, which is the natural normalization for
@@ -22,7 +22,12 @@ from ..weights import Weight
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["dyadic_maximal", "multilinear_maximal", "weighted_dyadic_maximal"]
+__all__ = [
+    "dyadic_maximal",
+    "multilinear_maximal",
+    "multilinear_maximal_rows",
+    "weighted_dyadic_maximal",
+]
 
 
 def _chain_max(
@@ -30,19 +35,31 @@ def _chain_max(
     stacked: np.ndarray,
     g_min: int,
     per_cube: Callable[[np.ndarray, CubeLayout], np.ndarray],
-) -> GridFunction:
+) -> np.ndarray:
     """Cellwise max over one grid's cube chain, generations ``g_min..L``, of
     ``per_cube(sums, layout)``: the value of every cube of a generation from
     the sums of the ``stacked`` cell values over them, read from the grid's
-    child-sum pyramid."""
+    child-sum pyramid.  ``per_cube`` folds the axis just before the cells
+    away; axes ahead of it, one per row, are carried along."""
     lat = grid.lattice
     levels = grid.pyramid(stacked, g_min)
-    out = np.zeros(lat.shape)
+    out = np.zeros(stacked.shape[: -lat.n - 1] + lat.shape)
     for g in range(g_min, lat.L + 1):
         layout = grid.layout(g)
         vals = per_cube(levels[lat.L - g], layout)
-        np.maximum(out, vals[np.ix_(*layout.cell_slots())], out=out)
-    return GridFunction(lat, out)
+        np.maximum(out, vals[(Ellipsis,) + np.ix_(*layout.cell_slots())], out=out)
+    return out
+
+
+def _product_max(grid: DyadicGrid, stacked: np.ndarray, g_min: int) -> np.ndarray:
+    """:func:`_chain_max` of the product of full-volume averages of the
+    inputs, which ``stacked`` holds on the axis just before the cells."""
+    lat = grid.lattice
+
+    def products(sums: np.ndarray, layout: CubeLayout) -> np.ndarray:
+        return (sums * lat.cell_volume / layout.full_volume).prod(axis=-lat.n - 1)
+
+    return _chain_max(grid, stacked, g_min, products)
 
 
 def dyadic_maximal(
@@ -55,11 +72,38 @@ def dyadic_maximal(
     averages of the inputs.
     """
     lat = common_lattice([*fs, grid])
+    return GridFunction(lat, _product_max(grid, np.stack([f.values for f in fs]), g_min))
 
-    def products(sums: np.ndarray, layout: CubeLayout) -> np.ndarray:
-        return (sums * lat.cell_volume / layout.full_volume).prod(axis=0)
 
-    return _chain_max(grid, np.stack([f.values for f in fs]), g_min, products)
+def multilinear_maximal_rows(
+    rows: Sequence[Sequence[GridFunction]], g_min: int = G_MIN
+) -> List[Tuple[GridFunction, GridFunction]]:
+    """:func:`multilinear_maximal` of every tuple of inputs ("row").
+
+    The rows share the lattice and the number of inputs, and run as one
+    stack: each shifted grid's child-sum pyramid carries every row's
+    inputs, and is dropped before the next grid's is built.  Sums and
+    products work elementwise, so every row's bracket has the bits of its
+    own :func:`multilinear_maximal` call.
+    """
+    rows = [tuple(fs) for fs in rows]
+    if not rows:
+        return []
+    lat = common_lattice([f for fs in rows for f in fs])
+    m = len(rows[0])
+    if any(len(fs) != m for fs in rows[1:]):
+        raise ValueError("the rows of a stack must have the same number of inputs")
+    stacked = np.stack([[f.values for f in fs] for fs in rows])
+    lower = total = None
+    for grid in ShiftedGridFamily(lat).grids:
+        vals = _product_max(grid, stacked, g_min)
+        if lower is None:
+            lower, total = vals, vals.copy()
+        else:
+            np.maximum(lower, vals, out=lower)
+            total += vals
+    total *= 6.0 ** (m * lat.n)
+    return [(GridFunction(lat, lo), GridFunction(lat, up)) for lo, up in zip(lower, total)]
 
 
 def multilinear_maximal(
@@ -71,19 +115,9 @@ def multilinear_maximal(
     scans over every shifted grid, a true lower bound for the sup over all
     axis-parallel cubes; ``upper`` multiplies the sum of those scans by
     ``6**(m*n)``, which covers any cube by a dyadic one of comparable size.
+    This is the one-row case of :func:`multilinear_maximal_rows`.
     """
-    lat = common_lattice(fs)
-    family = ShiftedGridFamily(lat)
-    per_grid: List[np.ndarray] = [
-        dyadic_maximal(fs, grid, g_min=g_min).values for grid in family.grids
-    ]
-    lower = per_grid[0].copy()
-    total = per_grid[0].copy()
-    for vals in per_grid[1:]:
-        np.maximum(lower, vals, out=lower)
-        total += vals
-    factor = 6.0 ** (len(fs) * lat.n)
-    return GridFunction(lat, lower), GridFunction(lat, factor * total)
+    return multilinear_maximal_rows([fs], g_min)[0]
 
 
 def weighted_dyadic_maximal(
@@ -110,4 +144,4 @@ def weighted_dyadic_maximal(
             return np.where(empty, 0.0, num / np.where(empty, 1.0, den))
 
     wm = w.cell_masses()
-    return _chain_max(grid, np.stack([f.values * wm, wm]), g_min, ratios)
+    return GridFunction(f.lattice, _chain_max(grid, np.stack([f.values * wm, wm]), g_min, ratios))

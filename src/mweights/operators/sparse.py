@@ -67,10 +67,7 @@ class SparseFamily:
         for k, cube in enumerate(self.cubes):
             if not lat.holds(cube):
                 raise ValueError(f"cube {cube.key()} sticks out of the box")
-            if cube.grid_id != self.root.grid_id or not all(
-                r <= s and s + cube.size <= r + self.root.size
-                for s, r in zip(cube.start, self.root.start)
-            ):
+            if cube.grid_id != self.root.grid_id or not self.root.contains(cube):
                 raise ValueError(f"cube {cube.key()} is not a cube of the root's subtree")
             if np.count_nonzero(owner[lat.cube_cells(cube)] == k) != kept[k]:
                 raise ValueError(f"kept region of {cube.key()} leaves its cube")

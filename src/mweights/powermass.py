@@ -242,13 +242,19 @@ def quadrant_masses(a: float, x0, x1, y0, y1, radius=math.inf) -> np.ndarray:
 def planar_masses(a: float, x0, x1, y0, y1, radius=math.inf) -> np.ndarray:
     """Integral of |x|^a over every [x0, x1] x [y0, y1] cap B(0, radius).
 
-    Each rectangle is split at the axes and its parts reflected into the
-    first quadrant for :func:`quadrant_masses`.
+    Each rectangle is split at the axes and its four parts reflected into
+    the first quadrant, stacked on a leading axis for one
+    :func:`quadrant_masses` call, and added in the order (+x, +y),
+    (+x, -y), (-x, +y), (-x, -y).
     """
-    x0, x1, y0, y1 = (np.asarray(v, dtype=float) for v in (x0, x1, y0, y1))
+    x0, x1, y0, y1, radius = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (x0, x1, y0, y1, radius))
+    )
     xs = [(np.maximum(x0, 0.0), np.maximum(x1, 0.0)), (np.maximum(-x1, 0.0), np.maximum(-x0, 0.0))]
     ys = [(np.maximum(y0, 0.0), np.maximum(y1, 0.0)), (np.maximum(-y1, 0.0), np.maximum(-y0, 0.0))]
-    return sum(quadrant_masses(a, *xx, *yy, radius) for xx in xs for yy in ys)
+    parts = [(*xx, *yy) for xx in xs for yy in ys]
+    q = quadrant_masses(a, *(np.stack(edge) for edge in zip(*parts)), np.stack([radius] * 4))
+    return ((q[0] + q[1]) + q[2]) + q[3]
 
 
 def power_mass(a: float, region) -> float:

@@ -46,6 +46,7 @@ __all__ = [
     "CubeFamily",
     "per_cube_ap",
     "ap_constant",
+    "ap_constant_rows",
     "dualize",
     "random_weight",
 ]
@@ -230,9 +231,8 @@ def _supremand(P: ExponentTuple, averages: np.ndarray) -> Tuple[np.ndarray, np.n
     """avg_Q(joint) * prod_i avg_Q(sigma_i)^(p/p_i') on every cube, from the
     averages of the joint weight and then of each dual stacked on a leading
     axis, and the mask of cubes where an average has zero mass (through
-    underflow of extreme exponents) and the supremand is set to 0.  The
-    duals may be left out when the joint average is zero on every cube.
-    Works in place: the supremand is ``averages[0]``.
+    underflow of extreme exponents) and the supremand is set to 0.  Works
+    in place: the supremand is ``averages[0]``.
     """
     out = averages[0]
     degenerate = out == 0.0
@@ -243,13 +243,21 @@ def _supremand(P: ExponentTuple, averages: np.ndarray) -> Tuple[np.ndarray, np.n
     return out, degenerate
 
 
-def _densities(wv: WeightVector, averages: Callable[[GridFunction], np.ndarray]) -> np.ndarray:
-    """``averages`` of the joint weight's density and then of each dual's,
-    stacked; the duals, which may not be finite, are left out when the
-    joint's are all zero, which makes every cube degenerate."""
-    out = [averages(wv.joint.density())]
-    if out[0].any():
-        out += [averages(wv.sigma(i).density()) for i in range(wv.m)]
+def _densities(
+    wvs: Sequence[WeightVector], averages: Callable[[GridFunction], np.ndarray]
+) -> np.ndarray:
+    """``averages`` of every row's joint weight density, then of every
+    row's first dual's, and so on, stacked on one leading axis of
+    ``(1 + m) * rows`` entries.  A row whose joint averages are all zero
+    makes every cube degenerate; its duals, which may not be finite, are
+    not evaluated and read as zeros."""
+    joints = [averages(wv.joint.density()) for wv in wvs]
+    out = list(joints)
+    for i in range(wvs[0].m):
+        out += [
+            averages(wv.sigma(i).density()) if joint.any() else np.zeros_like(joint)
+            for wv, joint in zip(wvs, joints)
+        ]
     return np.stack(out)
 
 
@@ -262,7 +270,7 @@ def per_cube_ap(wv: WeightVector, Q: DyadicCube) -> float:
     returns the very value the scan saw for ``Q``.  Returns 0 (and logs) when
     an average degenerates to zero mass.
     """
-    vals, degenerate = _supremand(wv.exponents, _densities(wv, lambda f: cube_averages(f, Q)))
+    vals, degenerate = _supremand(wv.exponents, _densities([wv], lambda f: cube_averages(f, Q)))
     if degenerate.any():
         logger.debug("degenerate zero-mass average on %s; returning 0", Q)
     return float(vals.flat[0])
@@ -276,7 +284,9 @@ class CubeFamily:
     in [g_min, L] that intersect the root box,
     including cubes sticking out of it. kind "aligned": every cell-aligned
     cube fully inside the box, any integer size (brute force; small lattices
-    only). kind "both": union of the two.
+    only). kind "both": union of the two.  A family with grid cubes checks
+    ``g_min`` when it is built, as every grid does
+    (:meth:`grid.DyadicGrid.layout`), so it is never empty.
 
     Scan order is grid by grid (the standard grid first), each grid's
     generations coarse to fine and each generation in C order of ``j``; then
@@ -293,6 +303,13 @@ class CubeFamily:
     def __post_init__(self):
         if self.kind not in ("shifted", "aligned", "both"):
             raise ValueError(f"unknown cube family kind {self.kind!r}")
+        if self.grids:
+            self.grids[0]._check_generation(self.g_min)
+
+    @functools.cached_property
+    def grids(self) -> Tuple[DyadicGrid, ...]:
+        """The shifted grids of the grid cubes, standard first; none for "aligned"."""
+        return ShiftedGridFamily(self.lattice).grids if self.kind != "aligned" else ()
 
     @property
     def generations(self) -> range:
@@ -302,7 +319,7 @@ class CubeFamily:
     def layouts(self) -> Iterator[CubeLayout]:
         """The family in scan order: one layout per (grid, generation), then
         one per cube size for "aligned"."""
-        for grid in ShiftedGridFamily(self.lattice).grids:
+        for grid in self.grids:
             for g in self.generations:
                 yield grid.layout(g)
         if self.kind in ("aligned", "both"):
@@ -385,6 +402,82 @@ def _grid_cube(grid: DyadicGrid, gens: range, counts: List[int], k: int) -> Dyad
     return layout.cube(np.unravel_index(k, layout.shape))
 
 
+def ap_constant_rows(wvs: Sequence[WeightVector], family: CubeFamily) -> List[ApReport]:
+    """:func:`ap_constant` of every weight vector ("row") over one family.
+
+    The rows share the lattice and the exponent tuple, and run as one
+    stack: each grid's child-sum pyramid and each aligned size's doubled
+    runs carry every row's densities, and :func:`_supremand` reads the rows
+    one after the other along its cube axis.  Sums, products and powers
+    work elementwise, so every row's report has the bits of its own
+    :func:`ap_constant` call.  A NaN supremand in any row is refused, with
+    its count in the first such row.
+    """
+    wvs = list(wvs)
+    if not wvs:
+        return []
+    lat, P = common_lattice(wvs), wvs[0].exponents
+    if any(wv.exponents != P for wv in wvs[1:]):
+        raise ValueError("the rows of a stack must share one exponent tuple")
+    if family.lattice != lat:
+        raise ValueError(f"cube family {family.describe} is not on the weights' lattice {lat}")
+    rows = len(wvs)
+    best = [float("-inf")] * rows
+    args: List[Optional[Callable[[], DyadicCube]]] = [None] * rows
+    degenerate = np.zeros(rows, dtype=np.int64)
+    nans = [0] * rows
+    scanned = 0
+    per_generation: Counter = Counter()
+
+    def scan(averages: np.ndarray, counts: Dict[Optional[int], int], cube) -> None:
+        nonlocal scanned
+        # rows stacked onto the cube axis: (1 + m, rows * cubes)
+        vals, degen = _supremand(P, averages.reshape(1 + P.m, -1))
+        vals = vals.reshape(rows, -1)
+        scanned += vals.shape[1]
+        per_generation.update(counts)
+        if degen.any():
+            degenerate[:] += degen.reshape(rows, -1).sum(axis=1)
+        for r, row in enumerate(vals):
+            # argmax stops at the row's first NaN, so the top is NaN
+            # exactly when the row holds one
+            k = int(row.argmax())
+            top = float(row[k])
+            if top > best[r]:
+                best[r], args[r] = top, functools.partial(cube, k)
+            elif math.isnan(top):
+                nans[r] += int(np.count_nonzero(np.isnan(row)))
+
+    densities = _densities(wvs, lambda f: f.values)
+    gens = family.generations
+    volumes = [lat.cube_volume(2 ** (lat.L - g)) for g in gens]
+    for grid in family.grids:
+        averages, counts = _grid_averages(grid, densities, gens, volumes)
+        scan(averages, dict(zip(gens, counts)), functools.partial(_grid_cube, grid, gens, counts))
+        del averages  # before the next grid's pyramid
+    if family.kind in ("aligned", "both"):
+        for size, sums in aligned_window_sums(densities, lat.n):
+            layout = CubeLayout.aligned(lat, size)
+            scan(sums * lat.cell_volume / lat.cube_volume(size), {None: math.prod(layout.shape)},
+                 lambda k, layout=layout: layout.cube(np.unravel_index(k, layout.shape)))
+    for r, count in enumerate(nans):
+        if count:
+            where = f" in row {r}" if rows > 1 else ""
+            raise ValueError(
+                f"{count} of {scanned} cubes of {family.describe} have a NaN supremand{where}"
+            )
+    if degenerate.any():
+        logger.debug(
+            "%d of %d cubes degenerate to zero mass; their supremand is 0",
+            int(degenerate.sum()),
+            scanned * rows,
+        )
+    return [
+        ApReport(b, arg and arg(), scanned, family.describe, int(d), dict(per_generation))
+        for b, arg, d in zip(best, args, degenerate)
+    ]
+
+
 def ap_constant(wv: WeightVector, family: CubeFamily) -> ApReport:
     """Maximum of per_cube_ap over the family, with the argmax recorded.
 
@@ -397,50 +490,10 @@ def ap_constant(wv: WeightVector, family: CubeFamily) -> ApReport:
     the first cell axis once for every size.  Deterministic: ties keep the
     first maximizer.
     A family on another lattice than the weights' is rejected, and so is a
-    family containing no cubes, and a NaN supremand, with the number of
-    cubes that gave one, instead of being passed over.
+    NaN supremand, with the number of cubes that gave one, instead of being
+    passed over.  This is the one-row case of :func:`ap_constant_rows`.
     """
-    lat, P = wv.lattice, wv.exponents
-    if family.lattice != lat:
-        raise ValueError(f"cube family {family.describe} is not on the weights' lattice {lat}")
-    best = float("-inf")
-    arg: Optional[Callable[[], DyadicCube]] = None
-    scanned = degenerate = nans = 0
-    per_generation: Counter = Counter()
-
-    def scan(averages: np.ndarray, counts: Dict[Optional[int], int], cube) -> None:
-        nonlocal best, arg, scanned, degenerate, nans
-        vals, degen = _supremand(P, averages.reshape(len(averages), -1))
-        scanned += vals.size
-        per_generation.update(counts)
-        degenerate += int(np.count_nonzero(degen))
-        nans += int(np.count_nonzero(np.isnan(vals)))
-        k = int(np.argmax(vals))
-        if vals[k] > best:
-            best, arg = float(vals[k]), functools.partial(cube, k)
-
-    densities = _densities(wv, lambda f: f.values)
-    gens = family.generations
-    if gens:
-        volumes = [lat.cube_volume(2 ** (lat.L - g)) for g in gens]
-        for grid in ShiftedGridFamily(lat).grids:
-            averages, counts = _grid_averages(grid, densities, gens, volumes)
-            scan(averages, dict(zip(gens, counts)), functools.partial(_grid_cube, grid, gens, counts))
-            del averages  # before the next grid's pyramid
-    if family.kind in ("aligned", "both"):
-        for size, sums in aligned_window_sums(densities, lat.n):
-            layout = CubeLayout.aligned(lat, size)
-            scan(sums * lat.cell_volume / lat.cube_volume(size), {None: math.prod(layout.shape)},
-                 lambda k, layout=layout: layout.cube(np.unravel_index(k, layout.shape)))
-    if scanned == 0:
-        raise ValueError(f"cube family {family.describe} is empty")
-    if nans:
-        raise ValueError(f"{nans} of {scanned} cubes of {family.describe} have a NaN supremand")
-    if degenerate:
-        logger.debug(
-            "%d of %d cubes degenerate to zero mass; their supremand is 0", degenerate, scanned
-        )
-    return ApReport(best, arg and arg(), scanned, family.describe, degenerate, dict(per_generation))
+    return ap_constant_rows([wv], family)[0]
 
 
 def dualize(wv: WeightVector, i: int) -> WeightVector:

@@ -236,6 +236,25 @@ def test_g_min_range_is_checked_at_both_ends(command, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "g_min, message",
+    [
+        ("7", "error: generation 7 is finer than the lattice resolution L=6"),
+        ("-55", "error: generation -55 is coarser than -54, the coarsest at L=6"),
+    ],
+)
+def test_apconst_and_maximal_refuse_a_g_min_out_of_range_alike(g_min, message, capsys):
+    # the cube family checks its coarsest generation when it is built, so
+    # apconst no longer reports a too-fine family as empty
+    for argv in (
+        ["apconst", "--p", "2,2", "--w", "power:0.5,const"],
+        ["maximal", "--f", "const"],
+    ):
+        assert main(argv + ["--g-min", g_min, "--L", "6"]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == message, err
+
+
 # -------------------------------------------------------------------- sparse
 def test_sparse_subcommand_families(tmp_path, capsys):
     code = main(["sparse", "--f", "power:-0.5@pos,power:-0.25@pos", "--L", "6"])

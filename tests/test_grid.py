@@ -125,9 +125,7 @@ def test_containment_six_times():
             cover = fam.cover(start, size)
             assert cover.size <= 6 * size
             assert cover.g >= -2
-            for ax in range(n):
-                assert cover.start[ax] <= start[ax]
-                assert start[ax] + size <= cover.start[ax] + cover.size
+            assert cover.contains(DyadicCube.aligned(start, size))
 
 
 def test_cover_is_the_smallest_family_cube_then_the_first_grid():
@@ -144,11 +142,9 @@ def test_cover_is_the_smallest_family_cube_then_the_first_grid():
         N = lat.cells_per_axis
         for size in range(1, N + 1):
             for start in itertools.product(range(N - size + 1), repeat=n):
+                aligned = DyadicCube.aligned(start, size)
                 want = min(
-                    (entry for entry in family if all(
-                        c <= s and s + size <= c + entry[0]
-                        for s, c in zip(start, entry[2].start)
-                    )),
+                    (entry for entry in family if entry[2].contains(aligned)),
                     key=lambda entry: entry[:2],
                 )[2]
                 assert want.size <= 6 * size
@@ -178,6 +174,26 @@ def test_cube_cells_and_holds(start, size, cells, holds):
     mask = np.zeros(lat.shape, dtype=bool)
     mask[lat.cube_cells(cube)] = True
     assert np.array_equal(mask, inside)
+    # the box is lat.holds(box cube); containment does not look at the box
+    box = DyadicCube.aligned((0, 0), lat.cells_per_axis)
+    assert box.contains(cube) is holds
+    assert cube.contains(cube)
+    assert DyadicCube.aligned((-4, -4), 16).contains(cube)
+
+
+@pytest.mark.parametrize(
+    "outer, inner, contains",
+    [
+        (((0,), 4), ((0,), 4), True),
+        (((0,), 4), ((1,), 3), True),
+        (((0,), 4), ((1,), 4), False),  # one cell past the high end
+        (((0,), 4), ((-1,), 2), False),  # one cell past the low end
+        (((-8, 0), 8), ((-8, 7), 1), True),  # outside the box, inside the cube
+        (((0, 0), 4), ((2, 2), 4), False),
+    ],
+)
+def test_cube_contains(outer, inner, contains):
+    assert DyadicCube.aligned(*outer).contains(DyadicCube.aligned(*inner)) is contains
 
 
 def _mismatched_calls():

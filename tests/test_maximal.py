@@ -13,6 +13,7 @@ from mweights.grid import (
 from mweights.operators import (
     dyadic_maximal,
     multilinear_maximal,
+    multilinear_maximal_rows,
     weighted_dyadic_maximal,
 )
 from mweights.powermass import Interval
@@ -179,3 +180,33 @@ def test_weighted_maximal_dominates_f():
     grid = ShiftedGridFamily(lat).grids[1]
     out = weighted_dyadic_maximal(f, w, grid)
     assert np.all(out.values >= f.values * (1 - 1e-12))
+
+
+@pytest.mark.parametrize("g_min", [-2, 1])
+@pytest.mark.parametrize("n, L", [(1, 8), (2, 4)])
+def test_multilinear_maximal_rows_equal_one_row_calls(n, L, g_min):
+    # a stack of rows gives every row the bits of its own call, zero rows
+    # and rows of spikes among them
+    lat = Lattice(default_box(n), L)
+    rng = np.random.default_rng(10 * n + L)
+    rows = [[GridFunction(lat, rng.lognormal(0.0, 2.0, lat.shape)) for _ in range(2)]
+            for _ in range(4)]
+    rows.append([GridFunction.zeros(lat), rows[0][1]])
+    stacked = multilinear_maximal_rows(rows, g_min=g_min)
+    assert len(stacked) == len(rows)
+    for fs, (lower, upper) in zip(rows, stacked):
+        alone_lower, alone_upper = multilinear_maximal(fs, g_min=g_min)
+        assert np.array_equal(lower.values, alone_lower.values)
+        assert np.array_equal(upper.values, alone_upper.values)
+    assert not stacked[-1][0].values.any()
+
+
+def test_multilinear_maximal_rows_validate_the_stack():
+    lat = Lattice(default_box(1), 4)
+    f = indicator_interval(lat, -1.0, 0.0)
+    g = indicator_interval(Lattice(default_box(1), 5), -1.0, 0.0)
+    assert multilinear_maximal_rows([]) == []
+    with pytest.raises(ValueError, match="one lattice"):
+        multilinear_maximal_rows([[f, f], [g, g]])
+    with pytest.raises(ValueError, match="same number of inputs"):
+        multilinear_maximal_rows([[f, f], [f]])

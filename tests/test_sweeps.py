@@ -196,6 +196,26 @@ def test_stacked_riesz_rows_match_rows_evaluated_alone(exponents, variant):
         assert row.quad_min_ratio >= 1.0
 
 
+@pytest.mark.parametrize(
+    "exponents, L, n", [((2.0, 2.0), 7, 1), ((4.0, 4.0 / 3.0), 7, 1), ((2.0, 2.0), 4, 2)]
+)
+def test_stacked_maximal_rows_match_rows_evaluated_alone(exponents, L, n):
+    # the sweep runs its rows as one stack through the maximal operator and
+    # the weight-constant scan; every field but the timing has the bits of
+    # one evaluate_problem per row
+    import dataclasses
+
+    from mweights.experiments import evaluate_problem
+
+    eps_list = [2.0**-k for k in range(2, 7)]
+    rows = run_sweep(maximal_problem, exponents, eps_list, L=L, n=n)
+    lat = Lattice(default_box(n), L)
+    for row in rows:
+        alone = evaluate_problem(maximal_problem(exponents, row.eps, lat))
+        assert row.ms > 0.0
+        assert dataclasses.replace(row, ms=0.0) == dataclasses.replace(alone, ms=0.0)
+
+
 def test_run_sweep_grid_convergence():
     # raising the resolution by one moves the ratio only modestly
     eps = [2.0**-3, 2.0**-2, 2.0**-4, 2.0**-5]

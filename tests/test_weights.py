@@ -438,7 +438,8 @@ def test_ap_constant_scan_stays_small_on_a_large_family():
 def test_ap_constant_rejects_empty_family():
     lat = Lattice(default_box(1), 3)
     wv = WeightVector([Weight.constant(lat)], ExponentTuple((2.0,)))
-    with pytest.raises(ValueError):
+    # the family itself refuses a generation finer than the lattice
+    with pytest.raises(ValueError, match="finer than the lattice resolution L=3"):
         ap_constant(wv, CubeFamily(lat, g_min=4))
 
 
@@ -517,3 +518,88 @@ def test_dualize_rejects_p_at_most_one():
     with pytest.raises(ValueError):
         dualize(wv, 0)
 
+
+
+# ------------------------------------------------------------ stacked rows
+def _stack_rows(lat, rng):
+    """Weight vectors at P = (2, 4/3) on one lattice: random weights, a
+    power pair, a row whose second dual w^-3 underflows to zero on the
+    cells where w = 1e120 (some cubes degenerate), and a row whose joint
+    underflows to zero mass on every cell (every cube degenerate)."""
+    from mweights.weights import random_weight
+
+    P = ExponentTuple((2.0, 4.0 / 3.0))
+    rows = [
+        WeightVector([random_weight(rng, lat, p) for p in P.exponents], P) for _ in range(3)
+    ]
+    rows.append(WeightVector([Weight.power(lat, 0.5), Weight.power(lat, -0.2)], P))
+    huge = np.where(rng.random(lat.shape) < 0.3, 1e120, 1.0)
+    rows.append(WeightVector([Weight.constant(lat), Weight.from_values(lat, huge)], P))
+    tiny = np.full(lat.shape, 5e-324)
+    rows.append(WeightVector([Weight.from_values(lat, tiny)] * 2, P))
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["shifted", "aligned", "both"])
+@pytest.mark.parametrize("n, L", [(1, 8), (2, 4)])
+def test_ap_constant_rows_equal_one_row_calls(n, L, kind):
+    # every field of every row's report has the bits of its own call
+    from mweights.weights import ap_constant_rows
+
+    lat = Lattice(default_box(n), L)
+    rows = _stack_rows(lat, np.random.default_rng(100 * n + L))
+    family = CubeFamily(lat, kind=kind)
+    stacked = ap_constant_rows(rows, family)
+    assert len(stacked) == len(rows)
+    for wv, report in zip(rows, stacked):
+        alone = ap_constant(wv, family)
+        assert report.constant == alone.constant
+        assert report.argmax == alone.argmax
+        assert report.scanned == alone.scanned
+        assert report.degenerate == alone.degenerate
+        assert report.scanned_per_generation == alone.scanned_per_generation
+        assert report == alone
+    assert 0 < stacked[-2].degenerate < stacked[-2].scanned
+    assert stacked[-1].degenerate == stacked[-1].scanned
+    assert stacked[-1].constant == 0.0
+
+
+def test_ap_constant_rows_validate_the_stack(monkeypatch):
+    from mweights import weights
+    from mweights.weights import ap_constant_rows
+
+    lat = Lattice(default_box(1), 4)
+    family = CubeFamily(lat)
+    assert ap_constant_rows([], family) == []
+    w = Weight.power(lat, 0.5)
+    two, three = ExponentTuple((2.0,)), ExponentTuple((3.0,))
+    with pytest.raises(ValueError, match="one lattice"):
+        ap_constant_rows(
+            [WeightVector([w], two), WeightVector([Weight.constant(Lattice(default_box(1), 5))], two)],
+            family,
+        )
+    with pytest.raises(ValueError, match="one exponent tuple"):
+        ap_constant_rows([WeightVector([w], two), WeightVector([w], three)], family)
+    # a NaN supremand in a later row is refused with that row's count
+    supremand = weights._supremand
+
+    def last_cube_nan(P, averages):
+        vals, degenerate = supremand(P, averages)
+        vals[-1] = np.nan
+        return vals, degenerate
+
+    monkeypatch.setattr(weights, "_supremand", last_cube_nan)
+    rows = [WeightVector([w], two), WeightVector([Weight.constant(lat)], two)]
+    with pytest.raises(ValueError, match=r"^2 of 73 cubes .* NaN supremand in row 1$"):
+        ap_constant_rows(rows, family)
+
+
+def test_ap_constant_rows_log_degenerate_cubes_once(caplog):
+    from mweights.weights import ap_constant_rows
+
+    lat = Lattice(default_box(1), 4)
+    tiny = WeightVector([Weight.from_values(lat, np.full(16, 5e-324))], ExponentTuple((2.0,)))
+    with caplog.at_level(logging.DEBUG, logger="mweights.weights"):
+        reports = ap_constant_rows([tiny, tiny, tiny], CubeFamily(lat))
+    assert [r.degenerate for r in reports] == [reports[0].scanned] * 3
+    assert sum("degenerate" in r.message for r in caplog.records) == 1
