@@ -30,13 +30,22 @@ points, spanning fewer cells than that, so its stacked windows have at
 most ``_TILE`` columns, one per (row, point).  A tile contracts the table
 with the ``f2`` masses through one Toeplitz window per row,
 ``T2[b, k] = w2[m_k - b]``, copied once into one matrix, and with the
-``f1`` masses through another, ``T1[a, k] = w1[m_k - a]``, read from one
-sliding window per tile: in strips of ``_STRIP`` rows ``a``, each strip's
-table is evaluated once, multiplied by ``T2`` for every row at once and
-summed against the strip's rows of ``T1``, and a strip where no row has
-``f1`` mass is skipped.  So every offset pair a tile touches is evaluated
-at most once for all rows, and the strips bound the working set whatever
-the number of points and the support sizes.
+``f1`` masses through another, ``T1[a, k] = w1[m_k - a]``, read from
+sliding windows: in strips of ``_STRIP`` rows ``a``, each strip's table is
+multiplied by ``T2`` for every row at once and summed against the strip's
+rows of ``T1``, and a strip where no row has ``f1`` mass is skipped.
+
+Consecutive tiles of one ``θ`` overlap in most of their offsets, so a run
+of them, a chunk, reads its strips from one table over the chunk's
+offsets, and its windows from one set, as long as that table holds at
+most ``_TABLE`` entries and the chunk's points span fewer cells than
+``f2``.  The table is evaluated lazily: the first tile to read a row
+evaluates it, in pieces of at most ``_STRIP`` rows, out to the last column
+that a tile of the chunk reads in it.  So every offset pair is evaluated
+at most once per chunk, and only where some tile alone would evaluate it.
+A tile whose own table is over ``_TABLE`` evaluates its strips one at a
+time into a strip buffer, so the working set stays bounded whatever the
+number of points and the support sizes.
 """
 from __future__ import annotations
 
@@ -44,7 +53,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from ..grid import GridFunction, common_lattice
 
@@ -56,10 +65,12 @@ __all__ = [
     "direct_kernel",
 ]
 
-# columns (rows x points) per tile, and table rows per strip: a strip's
-# table stays under about 128 KiB at the sweeps' supports
+# columns (rows x points) per tile, table rows per strip, and kernel
+# entries in one chunk's table (about 1.2 MiB): a one-pair tile of an
+# L = 10 criterion-7 sweep (383 x 383 entries) still gets a table of its own
 _TILE = 128
 _STRIP = 32
+_TABLE = 150_000
 
 
 def direct_kernel(x, y1, y2):
@@ -89,36 +100,52 @@ def _near(offset):
     return np.abs(offset) <= 0.5
 
 
-def _kernel_table(a, b, theta, variant):
-    """The kernel over offsets ``a`` (rows) and ``b`` (columns) in cell
-    units, with the omitted pairs zeroed."""
+def _kernel_table(a, b, theta, variant, out):
+    """Write the kernel over the consecutive offsets ``a`` (rows) and ``b``
+    (columns) in cell units into ``out``, with the omitted pairs zeroed, and
+    return ``out``.
+
+    Every entry gets the bits of ``(s + t) / (den * sqrt(den))`` with
+    ``den = s*s + t*t``, in five passes over ``out`` and one temporary.
+    """
     u = a + theta
     v = b + theta
     if variant == "direct":
-        s, t = u[:, None], v[None, :]
+        s, t, tt = u[:, None], v[None, :], (v * v)[None, :]
     else:
-        s, t = -u[:, None], b[None, :] - a[:, None].astype(float)
-    den = s * s + t * t
-    den *= np.sqrt(den)
+        # t = b - a is constant along diagonals: read it, and its square,
+        # from one vector, row i starting a.size - 1 - i entries in
+        g = np.arange(b[0] - a[-1], b[-1] - a[0] + 1, dtype=float)
+        s = -u[:, None]
+        t, tt = (
+            as_strided(x[a.size - 1 :], (a.size, b.size), (-x.itemsize, x.itemsize))
+            for x in (g, g * g)
+        )
+    np.add(s * s, tt, out=out)
+    tmp = np.sqrt(out)
+    out *= tmp
+    np.add(s, t, out=tmp)
     with np.errstate(divide="ignore", invalid="ignore"):
-        table = (s + t) / den
-    table[np.ix_(_near(u), _near(v))] = 0.0
-    return table
+        np.divide(tmp, out, out=out)
+    near_u, near_v = _near(u), _near(v)
+    if near_u.any() and near_v.any():
+        out[np.ix_(near_u, near_v)] = 0.0
+    return out
 
 
-def _windows(w, shifts):
-    """Sliding windows over each row of ``w`` reversed and padded, and the
-    index that picks every row's window of each shift.
+def _windows(w, span):
+    """Sliding windows over each row of ``w`` reversed and padded by ``span``
+    zeros on each side.
 
-    The window of shift ``shifts[k]`` in row ``q`` holds
-    ``w[q, len - 1 - (r - shifts[k])]`` at position ``r`` and zero outside,
-    ``len`` being the row length of ``w``; a window is ``max(shifts) + len``
-    long.  The index gives C-ordered (rows, shifts, window) copies.
+    The window of shift ``σ`` (index ``span - σ``) in row ``q`` holds
+    ``w[q, len - 1 - (r - σ)]`` at position ``r`` and zero outside, ``len``
+    being the row length of ``w``; a window is ``span + len`` long.
+    Indexing with rows and shifts gives C-ordered (rows, shifts, window)
+    copies.
     """
-    pad = np.zeros((w.shape[0], int(shifts[-1])))
+    pad = np.zeros((w.shape[0], int(span)))
     z = np.concatenate([pad, w[:, ::-1], pad], axis=1)
-    windows = sliding_window_view(z, pad.shape[1] + w.shape[1], axis=1)
-    return windows, (np.arange(w.shape[0])[:, None], pad.shape[1] - shifts)
+    return sliding_window_view(z, pad.shape[1] + w.shape[1], axis=1)
 
 
 def _pv_flags(w1, w2, m, theta):
@@ -140,39 +167,14 @@ def _pv_flags(w1, w2, m, theta):
     return near_mass(w1) & near_mass(w2)
 
 
-def _tile_values(w1, i1, w2, j1, m, theta, variant):
-    """Quadrature sums (unit cell scale) of every row at the sorted points
-    ``m`` of one θ, as a (rows, points) array.
+def _tiles(m_all, theta_all, per_tile):
+    """The points' tiles as index arrays, in order of θ and then of cell.
 
-    Rows of ``w1`` and ``w2`` hold the masses of consecutive cells ending
-    at cells ``i1`` and ``j1``, so row ``r`` of ``T1`` is offset
-    ``a = m[0] - i1 + r`` and row ``r`` of ``T2`` is offset
-    ``b = m[0] - j1 + r``.  Column ``q * len(m) + k`` of both belongs to
-    input row ``q`` and point ``k``.
+    A tile is a run of at most ``per_tile`` points with one θ whose cells
+    span fewer than ``per_tile`` indices; with one row, at most _TILE of each.
     """
-    shifts = m - m[0]
-    cols = w1.shape[0] * m.size
-    win1, pick = _windows(w1, shifts)
-    win2, _ = _windows(w2, shifts)
-    t2 = win2[pick].reshape(cols, -1).T
-    b = np.arange(t2.shape[0]) + (m[0] - j1)
-    sums = np.zeros(cols)
-    for r in range(0, win1.shape[-1], _STRIP):
-        t1 = win1[(*pick, slice(r, r + _STRIP))].reshape(cols, -1).T
-        if t1.any():
-            a = np.arange(r, r + t1.shape[0]) + (m[0] - i1)
-            sums += ((_kernel_table(a, b, theta, variant) @ t2) * t1).sum(axis=0)
-    return sums.reshape(w1.shape[0], m.size)
-
-
-def _stacked_sums(w1, i1, w2, j1, m_all, theta_all, variant):
-    """Quadrature sums (unit cell scale) of every row of the stacked masses
-    at the points ``(m_all, theta_all)``, as a (rows, points) array."""
-    # a tile is a run of at most `per_tile` points with one θ whose cells span
-    # fewer than `per_tile` indices; with one row, at most _TILE of each
-    per_tile = max(1, _TILE // w1.shape[0])
     order = np.lexsort((m_all, theta_all))
-    sums = np.zeros((w1.shape[0], order.size))
+    tiles = []
     start = 0
     while start < order.size:
         theta = theta_all[order[start]]
@@ -180,9 +182,121 @@ def _stacked_sums(w1, i1, w2, j1, m_all, theta_all, variant):
         stop = start + int(np.searchsorted(theta_all[order[start:stop]], theta, "right"))
         ms = m_all[order[start:stop]]
         stop = start + int(np.searchsorted(ms, ms[0] + per_tile))
-        tile = order[start:stop]
-        sums[:, tile] = _tile_values(w1, i1, w2, j1, m_all[tile], theta, variant)
+        tiles.append(order[start:stop])
         start = stop
+    return tiles
+
+
+def _chunks(tiles, m_all, theta_all, n1, n2):
+    """Chunks: runs of consecutive tiles with one θ whose shared table fits
+    _TABLE and whose points span fewer cells than ``f2`` (``n2`` cells).
+
+    Points whose cells span ``s`` indices touch ``(s + n1 - 1) x (s + n2 - 1)``
+    offset pairs.  A tile over the budget alone is a chunk of its own.
+    """
+    chunks = []
+    for tile in tiles:
+        if chunks:
+            first = chunks[-1][0][0]
+            span = m_all[tile[-1]] - m_all[first]
+            fits = span < n2 and (span + n1) * (span + n2) <= _TABLE
+            if theta_all[tile[0]] == theta_all[first] and fits:
+                chunks[-1].append(tile)
+                continue
+        chunks.append([tile])
+    return chunks
+
+
+def _chunk_sums(w1, i1, w2, j1, m_all, tiles, theta, variant, sums):
+    """Write the quadrature sums (unit cell scale) of every row at the points
+    of one chunk of tiles with one θ into the columns ``tiles`` of ``sums``.
+
+    Rows of ``w1`` and ``w2`` hold the masses of consecutive cells ending
+    at cells ``i1`` and ``j1``.  Row ``ρ`` and column ``c`` of the chunk's
+    table are the offsets ``a = m0 - i1 + ρ`` and ``b = m0 - j1 + c``, ``m0``
+    the chunk's first point, so a tile whose first point is ``m0 + d`` reads
+    its table from row and column ``d`` on: row ``r`` of its ``T1`` and of
+    its ``T2`` are table row and column ``d + r``.  Column ``q * len(m) + k``
+    of both belongs to input row ``q`` and point ``k``.
+
+    A tile reads the table rows of its strips with ``f1`` mass.  The first
+    tile to read a row evaluates it out to the last column that any tile
+    reads in it, so each entry that some tile reads is evaluated once in the
+    chunk.  The points of a chunk span fewer cells than ``f2``, so every tile's
+    columns overlap the first reader's, and no entry is evaluated that a
+    tile alone would not evaluate.  When one tile's table is over _TABLE,
+    the table is a strip buffer and each strip is evaluated into it in turn.
+    """
+    m0 = m_all[tiles[0][0]]
+    span = m_all[tiles[-1][-1]] - m0
+    shape = (span + w1.shape[1], span + w2.shape[1])
+    whole = shape[0] * shape[1] <= _TABLE
+    table = np.empty(shape if whole else (_STRIP, shape[1]))
+    a = np.arange(shape[0]) + (m0 - i1)
+    b = np.arange(shape[1]) + (m0 - j1)
+    # mass1[c] marks f1 mass at c cells from the support's end, as the
+    # windows read it, so row r of a tile's T1 has mass when r - c is the
+    # shift of one of its points for some marked c
+    mass1 = (w1 != 0.0).any(axis=0)[::-1].astype(float)
+    strips, last = [], np.zeros(shape[0], dtype=np.int64)
+    for tile in tiles:
+        m = m_all[tile]
+        hits = np.zeros(m[-1] - m[0] + 1)
+        hits[m - m[0]] = 1.0
+        rows = np.convolve(hits, mass1) > 0.0
+        live = np.flatnonzero(np.logical_or.reduceat(rows, np.arange(0, rows.size, _STRIP)))
+        strips.append(live * _STRIP)
+        # the end of the tile's columns, for the rows it reads
+        read = (live[:, None] * _STRIP + np.arange(_STRIP)).ravel()
+        last[m[0] - m0 + read[read < rows.size]] = m[-1] - m0 + w2.shape[1]
+    done = np.zeros(shape[0], dtype=bool)
+    # windows of every shift from m0; a tile reads its points' windows
+    win1 = _windows(w1, span)
+    win2 = _windows(w2, span)
+    for tile, tile_strips in zip(tiles, strips):
+        m = m_all[tile]
+        d = m[0] - m0
+        height = d + m[-1] - m[0] + w1.shape[1]  # end of the tile's table rows
+        end = d + m[-1] - m[0] + w2.shape[1]  # end of its table columns
+        cols = w1.shape[0] * m.size
+        pick = (np.arange(w1.shape[0])[:, None], span - (m - m0))
+        t2 = win2[(*pick, slice(d, end))].reshape(cols, -1).T
+        tile_sums = np.zeros(cols)
+        # strips evaluated at once: all the tile's, or one into the buffer
+        for block in [tile_strips] if whole else tile_strips[:, None]:
+            top = 0 if whole else d + block[0]  # chunk row of the table's first row
+            rows = (d + block[:, None] + np.arange(_STRIP)).ravel()
+            rows = rows[rows < height]
+            rows = rows[~done[rows]]
+            done[rows] = True
+            # runs of at most _STRIP consecutive rows with the same last column
+            heads = np.ones(rows.size, dtype=bool)
+            heads[1:] = (np.diff(rows) != 1) | (np.diff(last[rows]) != 0)
+            heads[::_STRIP] = True
+            bounds = [*np.flatnonzero(heads), rows.size]
+            for lo, hi in zip(bounds, bounds[1:]):
+                first, stop = rows[lo], last[rows[lo]]
+                out = table[first - top : first - top + hi - lo, d:stop]
+                _kernel_table(a[first : first + hi - lo], b[d:stop], theta, variant, out)
+            for r in block:
+                t1_strip = win1[(*pick, slice(d + r, min(d + r + _STRIP, height)))]
+                t1_strip = t1_strip.reshape(cols, -1).T
+                strip = slice(d + r - top, d + r - top + t1_strip.shape[0])
+                prod = table[strip, d:end] @ t2
+                prod *= t1_strip
+                tile_sums += prod.sum(axis=0)
+        sums[:, tile] = tile_sums.reshape(w1.shape[0], m.size)
+        # let go of this tile's T2 before the next tile copies its own
+        del t2
+
+
+def _stacked_sums(w1, i1, w2, j1, m_all, theta_all, variant):
+    """Quadrature sums (unit cell scale) of every row of the stacked masses
+    at the points ``(m_all, theta_all)``, as a (rows, points) array."""
+    sums = np.zeros((w1.shape[0], m_all.size))
+    tiles = _tiles(m_all, theta_all, max(1, _TILE // w1.shape[0]))
+    for chunk in _chunks(tiles, m_all, theta_all, w1.shape[1], w2.shape[1]):
+        _chunk_sums(w1, i1, w2, j1, m_all, chunk, theta_all[chunk[0][0]], variant, sums)
     return sums
 
 
@@ -194,9 +308,10 @@ def bilinear_riesz_rows(
     """Evaluate the bilinear Riesz transform of each pair ``(f1, f2)`` at
     the same ``points``, one :class:`RieszValues` per pair.
 
-    The pairs share each tile's kernel table, so a stack of pairs costs
-    far fewer kernel evaluations than one :func:`bilinear_riesz` call per
-    pair; the values agree with those calls to rounding.
+    The pairs share each kernel table, and so do the consecutive tiles of
+    points that one table covers, so a stack of pairs costs far fewer
+    kernel evaluations than one :func:`bilinear_riesz` call per pair; the
+    values agree with those calls to rounding.
     """
     if variant not in ("direct", "adjoint_slot1"):
         raise ValueError(f"unknown variant {variant!r}")

@@ -210,7 +210,14 @@ def _octant_masses(s: float, x0, x1, y0, y1, radius) -> np.ndarray:
     vals = np.zeros(t.shape)
     ok = far > near
     vals[ok] = _ray_masses(s, near[ok], gap[ok])
-    return np.bincount(rect, weights=(vals @ _POLAR_WEIGHTS) * half, minlength=len(lo))
+    # add each piece's weighted nodes in one fixed order: a matrix-vector
+    # product may order them by the piece's row, and a cell's bits would
+    # then depend on the other cells of the call
+    vals *= _POLAR_WEIGHTS
+    total = vals[:, 0].copy()
+    for k in range(1, vals.shape[1]):
+        total += vals[:, k]
+    return np.bincount(rect, weights=total * half, minlength=len(lo))
 
 
 def quadrant_masses(a: float, x0, x1, y0, y1, radius=math.inf) -> np.ndarray:

@@ -19,6 +19,7 @@ from mweights.powermass import (
     Rect,
     RectInBall,
     interval_masses,
+    planar_masses,
     power_mass,
 )
 
@@ -383,3 +384,36 @@ def test_planar_masses_peak_memory_stays_bounded(support):
     assert peak < 8 * 2**20
     if support is not None:
         assert float(np.sum(got)) == pytest.approx(2.0 * math.pi / (a + 2.0), rel=1e-13)
+
+
+@pytest.mark.parametrize("L", [4, 6])
+@pytest.mark.parametrize("a", [-1.5, 0.7])
+def test_planar_cell_masses_do_not_depend_on_the_batch(L, a):
+    # a cell's mass has the same bits whichever other cells share its call:
+    # every cell of the box capped by the unit ball (so the four origin
+    # cells, the cut cells, and cells inside and outside) against the four
+    # origin cells alone, the cut cells alone, a shuffled subset, and single
+    # cells, with and without the cap
+    lat = Lattice(default_box(2), L)
+    N = lat.cells_per_axis
+    edge = -2.0 + lat.h * np.arange(N)
+    i, j = (c.ravel() for c in np.meshgrid(np.arange(N), np.arange(N), indexing="ij"))
+    x0, x1, y0, y1 = edge[i], edge[i] + lat.h, edge[j], edge[j] + lat.h
+    near = np.hypot(np.maximum(np.maximum(x0, -x1), 0.0), np.maximum(np.maximum(y0, -y1), 0.0))
+    far = np.hypot(np.maximum(-x0, x1), np.maximum(-y0, y1))
+    origin = np.flatnonzero(near == 0.0)
+    cut = np.flatnonzero((near < 1.0) & (far > 1.0))
+    assert origin.size == 4 and cut.size > 0
+    rng = np.random.default_rng(L)
+    subsets = [
+        origin,
+        cut,
+        rng.permutation(i.size)[: i.size // 3],
+        *[[k] for k in rng.choice(cut, 5, replace=False)],
+        *[[k] for k in origin],
+    ]
+    for radius in (1.0, math.inf):
+        full = planar_masses(a, x0, x1, y0, y1, radius)
+        for sub in subsets:
+            got = planar_masses(a, x0[sub], x1[sub], y0[sub], y1[sub], radius)
+            assert np.array_equal(got, full[sub])

@@ -405,8 +405,9 @@ def test_stacked_rows_validate_their_inputs():
 def test_a_sweep_stack_evaluates_fewer_kernel_entries_in_less_memory(variant, monkeypatch):
     # the six rows of an L = 10 criterion-7 sweep share one stacked call:
     # together they evaluate fewer kernel entries than six one-pair calls,
-    # and at most 1,000,000 per variant (2,000,000 for both sweeps, against
-    # 3,520,536 one row at a time), without a larger working set
+    # and at most 360,000 per variant (a chunk of six 21-point tiles shares
+    # one 381 x 381 table: 2 x 145,161 + 259 x 259 = 357,403 at most; the
+    # tiles one at a time evaluated 981,193), without a larger working set
     import tracemalloc
 
     from mweights import riesz_problem
@@ -424,7 +425,7 @@ def test_a_sweep_stack_evaluates_fewer_kernel_entries_in_less_memory(variant, mo
     bilinear_riesz_rows(pairs, pts, variant)
     stacked = count[0]
     assert 0 < stacked < 6 * one_pair
-    assert stacked <= 1_000_000
+    assert stacked <= 360_000
     peaks = []
     for call in (
         lambda: bilinear_riesz(*pairs[0], pts, variant=variant),
@@ -438,3 +439,123 @@ def test_a_sweep_stack_evaluates_fewer_kernel_entries_in_less_memory(variant, mo
             tracemalloc.stop()
     assert peaks[1] <= peaks[0]
     assert all(np.all(rv.values > 0.0) for rv in rvs)
+
+
+@pytest.mark.parametrize("variant", ["direct", "adjoint_slot1"])
+def test_chunks_of_tiles_share_one_table_within_the_budget(variant, monkeypatch):
+    # six rows, so a tile holds at most 21 points.  f1 is empty on 100
+    # cells, so some strips meet no f1 mass.  With the budget cut to 15,000
+    # entries, the repeated midpoints make two tiles that share one table,
+    # the run of 21 midpoints makes a tile over the budget alone, and the
+    # quarter points, a second θ, make a chunk of their own
+    from mweights.operators import riesz
+
+    lat = lattice(8)
+    N = lat.cells_per_axis
+    h = lat.h
+    lo = lat.box.lo[0]
+    rng = np.random.default_rng(23)
+    pairs = []
+    for q in range(6):
+        v1 = np.zeros(N)
+        v2 = np.zeros(N)
+        v1[10:200] = rng.random(190) * (rng.random(190) < 0.5)
+        v1[40:140] = 0.0
+        v2[50:120] = rng.random(70) * (rng.random(70) < 0.5)
+        v1[[10, 199]] = v2[[50, 119]] = 1.0
+        pairs.append((GridFunction(lat, v1), GridFunction(lat, v2)))
+    n1, n2 = 190, 70
+    cells = np.concatenate([np.repeat(np.arange(120, 125), 8), np.arange(150, 171)])
+    quarters = np.arange(60, 64)
+    pts = np.concatenate([lo + (cells + 0.5) * h, lo + (quarters + 0.75) * h])
+    default = bilinear_riesz_rows(pairs, pts, variant)
+
+    table = riesz._kernel_table
+    counts, tables = {}, {}
+
+    def counted(*args, **kwargs):
+        out = table(*args, **kwargs)
+        counts[budget] += out.size
+        tables[budget].add(out.base.shape)
+        return out
+
+    monkeypatch.setattr(riesz, "_kernel_table", counted)
+    # budget 0 puts every tile alone in a strip buffer, as tiles once were
+    for budget in (0, 15_000):
+        counts[budget], tables[budget] = 0, set()
+        monkeypatch.setattr(riesz, "_TABLE", budget)
+        res = bilinear_riesz_rows(pairs, pts, variant)
+    # the shared table of the repeated midpoints (5 cells), the strip
+    # buffer of the 21-cell run, and the quarter points' table (4 cells)
+    assert tables[15_000] == {
+        (5 + n1 - 1, 5 + n2 - 1), (riesz._STRIP, 21 + n2 - 1), (4 + n1 - 1, 4 + n2 - 1)
+    }
+    for (f1, f2), rv, dv in zip(pairs, res, default):
+        want, flags = brute_riesz(f1, f2, pts, variant)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(rv.values - want)) <= 1e-12 * scale
+        assert np.max(np.abs(rv.values - dv.values)) <= 2e-15 * scale
+        assert np.array_equal(rv.pv_approximate, flags)
+    # every table entry the tiles span, one tile at a time: the two tiles of
+    # 21 and 19 repeated midpoints span 3 cells each.  Alone, the tiles skip
+    # the strips without f1 mass; in a chunk, they share what they overlap
+    tiles = [3, 3, 21, 4]
+    full = sum((s + n1 - 1) * (s + n2 - 1) for s in tiles)
+    assert 0 < counts[15_000] < counts[0] < full
+
+
+@pytest.mark.parametrize("variant", ["direct", "adjoint_slot1"])
+@pytest.mark.parametrize("layout", ["clusters", "repeats", "random"])
+def test_a_chunk_evaluates_no_more_entries_than_its_tiles_alone(variant, layout, monkeypatch):
+    # "clusters": f2 on one cell and two clusters of 64 midpoints 200 cells
+    # apart, so two tiles whose tables fit one budget read columns 136 apart
+    # in the rows they share, and a table over the chunk would evaluate the
+    # columns between them, which neither tile reads.  "repeats": the same
+    # masses at two midpoints 130 times each, so the last tile reads only
+    # rows that earlier tiles of its chunk evaluated.  "random": sparse
+    # masses on 150 and 130 cells in a stack of three pairs, at random points
+    # of two θ classes
+    from mweights.operators import riesz
+
+    lat = lattice(9)
+    N = lat.cells_per_axis
+    h = lat.h
+    lo = lat.box.lo[0]
+    rng = np.random.default_rng(29)
+    if layout in ("clusters", "repeats"):
+        v1 = np.zeros(N)
+        v1[100:300] = rng.random(200) + 0.5
+        v2 = np.zeros(N)
+        if layout == "clusters":
+            v2[150] = 1.0
+            cells = np.concatenate([np.arange(100, 164), np.arange(300, 364)])
+        else:
+            v2[120:220] = rng.random(100) + 0.5
+            cells = np.repeat([100, 101], 130)
+        pairs = [(GridFunction(lat, v1), GridFunction(lat, v2))]
+        pts = lo + (cells + 0.5) * h
+    else:
+        pairs = []
+        for _ in range(3):
+            v1, v2 = np.zeros(N), np.zeros(N)
+            v1[150:300] = rng.random(150) * (rng.random(150) < 0.3)
+            v2[200:330] = rng.random(130) * (rng.random(130) < 0.3)
+            pairs.append((GridFunction(lat, v1), GridFunction(lat, v2)))
+        cells = np.sort(rng.choice(N, size=150, replace=False))
+        pts = lo + (cells + rng.choice([0.5, 0.25], size=cells.size)) * h
+    table = riesz._kernel_table
+    counts, values = {}, {}
+
+    def counted(*args, **kwargs):
+        out = table(*args, **kwargs)
+        counts[budget] += out.size
+        return out
+
+    monkeypatch.setattr(riesz, "_kernel_table", counted)
+    for budget in (0, riesz._TABLE):
+        counts[budget] = 0
+        monkeypatch.setattr(riesz, "_TABLE", budget)
+        values[budget] = np.array([rv.values for rv in bilinear_riesz_rows(pairs, pts, variant)])
+    assert 0 < counts[riesz._TABLE] <= counts[0]
+    scale = np.max(np.abs(values[0]))
+    assert np.max(np.abs(values[riesz._TABLE] - values[0])) <= 2e-15 * scale
