@@ -31,9 +31,9 @@ import numpy as np
 from .powermass import (
     Ball,
     Interval,
+    IntervalPlan,
+    PlanarPlan,
     Rect,
-    interval_masses,
-    planar_masses,
     rect_gauss_masses,
 )
 
@@ -152,6 +152,10 @@ class Lattice:
             edges.append((np.maximum(e0, s_lo), np.minimum(e0 + self.h, s_hi)))
         return edges
 
+    @functools.cached_property
+    def _mass_plans(self) -> dict:
+        return {}
+
     def power_masses(self, exponent: float, support=None) -> np.ndarray:
         """Exact integral of |x|^exponent over every cell, clipped to ``support``.
 
@@ -160,11 +164,22 @@ class Lattice:
         from the origin is at least its longest side; the cells nearer the
         origin (on the default box, the four that touch it) and the cells a
         ``Ball`` cuts take the graded polar rule of :func:`planar_masses`,
-        all in one call.
+        all in one call. The exponent-free geometry (clipped edges, origin
+        splits, which cells take which rule, polar pieces and ray lengths)
+        is built once per support, on its first call, and kept with the
+        lattice; each call then runs only the exponent step.
         """
+        plan = self._mass_plans.get(support)
+        if plan is None:
+            plan = self._mass_plans[support] = self._mass_plan(support)
+        return plan(exponent)
+
+    def _mass_plan(self, support):
+        """The exponent-free part of :meth:`power_masses` on ``support``, as
+        a function of the exponent."""
         edges = self._clipped_edges(support)
         if self.n == 1:
-            return interval_masses(exponent, *edges[0])
+            return IntervalPlan(*edges[0]).masses
         if self.n != 2:
             raise NotImplementedError("cell masses are implemented for n <= 2")
         (x0, x1), (y0, y1) = edges
@@ -179,13 +194,17 @@ class Lattice:
             cut = ~inside & (np.hypot(dx[:, None], dy[None, :]) < support.radius)
         side = np.maximum((x1 - x0)[:, None], (y1 - y0)[None, :])
         near_origin = inside & (dx[:, None] ** 2 + dy[None, :] ** 2 < side**2)
-        out = np.where(
-            inside & ~near_origin, rect_gauss_masses(exponent, x0, x1, y0, y1), 0.0
-        )
+        rule = inside & ~near_origin
         i, j = np.nonzero(cut | near_origin)
         radius = support.radius if isinstance(support, Ball) else math.inf
-        out[i, j] = planar_masses(exponent, x0[i], x1[i], y0[j], y1[j], radius)
-        return out
+        polar = PlanarPlan(x0[i], x1[i], y0[j], y1[j], radius)
+
+        def masses(exponent):
+            out = np.where(rule, rect_gauss_masses(exponent, x0, x1, y0, y1), 0.0)
+            out[i, j] = polar.masses(exponent)
+            return out
+
+        return masses
 
 
 def common_lattice(items: Sequence) -> Lattice:

@@ -79,31 +79,53 @@ def unit_sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def _power_diffs(base: np.ndarray, top: np.ndarray, s: float) -> np.ndarray:
-    """(top^s - base^s)/s for 0 <= base < top, elementwise and stable for tiny s
-    and for thin intervals away from the origin.
+class _Rays:
+    """The exponent-free part of (far^s - near^s)/s for far = near + gap,
+    0 <= near, 0 < gap: log(far/near), taken as log1p(gap/near) so that thin
+    gaps stay exact, and where near == 0."""
 
-    s == 0 gives log(top/base), taken as log1p((top - base)/base). base == 0
-    requires s > 0.
+    def __init__(self, near: np.ndarray, gap: np.ndarray):
+        zero = near == 0.0
+        self.near, self.gap, self.zero = near, gap, np.flatnonzero(zero)
+        self.logr = np.log1p(gap / np.where(zero, 1.0, near))
+
+    def masses(self, s: float) -> np.ndarray:
+        """(far^s - near^s)/s, stable for tiny s; near == 0 requires s > 0."""
+        if s == 0.0:
+            return self.logr
+        out = self.near**s * np.expm1(s * self.logr) / s
+        out[self.zero] = self.gap[self.zero] ** s / s
+        return out
+
+
+class IntervalPlan:
+    """The exponent-free part of :func:`interval_masses` over fixed intervals.
+
+    Each interval is split at the origin and its negative part reflected;
+    :meth:`masses` then takes the closed form on both parts as whole arrays.
     """
-    if s <= 0.0 and np.any(base == 0.0):
-        raise ValueError(f"exponent {s - 1.0!r} is not integrable at the origin")
-    return _ray_masses(s, base, top - base)
+
+    def __init__(self, lo, hi):
+        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+        self.shape, self.halves = lo.shape, []
+        for base, top in ((np.maximum(lo, 0.0), hi), (np.maximum(-hi, 0.0), -lo)):
+            keep = top > base
+            if np.any(keep):
+                self.halves.append((keep, _Rays(base[keep], top[keep] - base[keep])))
+
+    def masses(self, a: float) -> np.ndarray:
+        s = a + 1.0
+        out = np.zeros(self.shape)
+        for keep, rays in self.halves:
+            if s <= 0.0 and rays.zero.size:
+                raise ValueError(f"exponent {s - 1.0!r} is not integrable at the origin")
+            out[keep] += rays.masses(s)
+        return out
 
 
 def interval_masses(a: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Integral of |x|^a over every interval [lo[k], hi[k]]; 0 where hi <= lo.
-
-    Each interval is split at the origin and its negative part reflected, so
-    both parts take the closed form of :func:`_power_diffs` on whole arrays.
-    """
-    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    out = np.zeros(lo.shape)
-    for base, top in ((np.maximum(lo, 0.0), hi), (np.maximum(-hi, 0.0), -lo)):
-        keep = top > base
-        if np.any(keep):
-            out[keep] += _power_diffs(base[keep], top[keep], a + 1.0)
-    return out
+    """Integral of |x|^a over every interval [lo[k], hi[k]]; 0 where hi <= lo."""
+    return IntervalPlan(lo, hi).masses(a)
 
 
 def rect_gauss_masses(a: float, x0, x1, y0, y1) -> np.ndarray:
@@ -139,21 +161,11 @@ def _ball_mass(a: float, radius: float, n: int) -> float:
     return unit_sphere_area(n) * radius**s / s
 
 
-def _ray_masses(s: float, near: np.ndarray, gap: np.ndarray) -> np.ndarray:
-    """(far^s - near^s)/s for far = near + gap, 0 <= near, 0 < gap.
-
-    Stable for thin gaps and tiny s; near == 0 requires s > 0.
-    """
-    zero = near == 0.0
-    logr = np.log1p(gap / np.where(zero, 1.0, near))
-    if s == 0.0:
-        return logr
-    return np.where(zero, gap**s / s, near**s * np.expm1(s * logr) / s)
-
-
-def _octant_masses(s: float, x0, x1, y0, y1, radius) -> np.ndarray:
-    """Polar integral of (far^s - near^s)/s over the angles t <= pi/4 of
-    each first-quadrant rectangle capped by its ball.
+def _octant_pieces(x0, x1, y0, y1, radius):
+    """The exponent-free part of the polar integral of (far^s - near^s)/s
+    over the angles t <= pi/4 of each first-quadrant rectangle capped by its
+    ball: every graded piece's rectangle and half width, and the rays at its
+    nodes that meet the rectangle.
 
     On [0, pi/4] the angular integrand is analytic between the breakpoints
     below (corner angles and circle crossings); its nearest singularity is
@@ -207,61 +219,73 @@ def _octant_masses(s: float, x0, x1, y0, y1, radius) -> np.ndarray:
         (x1 - x0)[rect, None] / cos,
         np.where((far == far_y) & (near == near_y), (y1 - y0)[rect, None] / sin, far - near),
     )
-    vals = np.zeros(t.shape)
     ok = far > near
-    vals[ok] = _ray_masses(s, near[ok], gap[ok])
-    # add each piece's weighted nodes in one fixed order: a matrix-vector
-    # product may order them by the piece's row, and a cell's bits would
-    # then depend on the other cells of the call
-    vals *= _POLAR_WEIGHTS
-    total = vals[:, 0].copy()
-    for k in range(1, vals.shape[1]):
-        total += vals[:, k]
-    return np.bincount(rect, weights=total * half, minlength=len(lo))
+    return rect, half, ok, _Rays(near[ok], gap[ok])
+
+
+class PlanarPlan:
+    """The exponent-free part of :func:`planar_masses` over fixed rectangles
+    capped by B(0, radius).
+
+    Each rectangle is split at the axes and its four parts reflected into
+    the first quadrant. Empty parts, and parts outside the ball, have mass
+    0. The part of a kept one above the diagonal is the part below it of the
+    mirrored rectangle [y0, y1] x [x0, x1], so both halves go through one
+    polar rule on [0, pi/4] (:func:`_octant_pieces`). :meth:`masses` adds
+    the four parts in the order (+x, +y), (+x, -y), (-x, +y), (-x, -y).
+    """
+
+    def __init__(self, x0, x1, y0, y1, radius=math.inf):
+        x0, x1, y0, y1, radius = np.broadcast_arrays(
+            *(np.asarray(v, dtype=float) for v in (x0, x1, y0, y1, radius))
+        )
+        xs = [(np.maximum(x0, 0.0), np.maximum(x1, 0.0)), (np.maximum(-x1, 0.0), np.maximum(-x0, 0.0))]
+        ys = [(np.maximum(y0, 0.0), np.maximum(y1, 0.0)), (np.maximum(-y1, 0.0), np.maximum(-y0, 0.0))]
+        parts = [(*xx, *yy) for xx in xs for yy in ys]
+        x0, x1, y0, y1 = (np.stack(edge) for edge in zip(*parts))
+        radius = np.stack([radius] * 4)
+        self.keep = (x1 > x0) & (y1 > y0) & (np.hypot(x0, y0) < radius)
+        self.kept = int(np.count_nonzero(self.keep))
+        if self.kept:
+            x0, x1, y0, y1, radius = (v[self.keep] for v in (x0, x1, y0, y1, radius))
+            self.origin = bool(np.any((x0 == 0.0) & (y0 == 0.0)))
+            below_and_mirrored = ((x0, y0), (x1, y1), (y0, x0), (y1, x1), (radius, radius))
+            pieces = _octant_pieces(*(np.concatenate(pair) for pair in below_and_mirrored))
+            self.rect, self.half, self.ok, self.rays = pieces
+
+    def masses(self, a: float) -> np.ndarray:
+        """Raises ValueError when a part has a corner at the origin and a <= -2."""
+        q = np.zeros(self.keep.shape)
+        if self.kept:
+            if a + 2.0 <= 0.0 and self.origin:
+                raise ValueError(f"|x|^{a} is not integrable at the origin in n=2")
+            vals = np.zeros(self.ok.shape)
+            vals[self.ok] = self.rays.masses(a + 2.0)
+            # add each piece's weighted nodes in one fixed order: a
+            # matrix-vector product may order them by the piece's row, and a
+            # cell's bits would then depend on the other cells of the call
+            vals *= _POLAR_WEIGHTS
+            total = vals[:, 0].copy()
+            for k in range(1, vals.shape[1]):
+                total += vals[:, k]
+            halves = np.bincount(self.rect, weights=total * self.half, minlength=2 * self.kept)
+            q[self.keep] = halves[: self.kept] + halves[self.kept :]
+        return ((q[0] + q[1]) + q[2]) + q[3]
 
 
 def quadrant_masses(a: float, x0, x1, y0, y1, radius=math.inf) -> np.ndarray:
-    """Integral of |x|^a over every [x0, x1] x [y0, y1] cap B(0, radius).
-
-    The rectangles lie in the closed first quadrant (0 <= x0, 0 <= y0); empty
-    ones, and ones outside the ball, have mass 0. The part of a rectangle
-    above the diagonal is the part below it of the mirrored rectangle
-    [y0, y1] x [x0, x1], so both halves go through one polar rule on
-    [0, pi/4] (:func:`_octant_masses`). Raises ValueError when a rectangle
-    has a corner at the origin and a <= -2.
+    """Integral of |x|^a over every [x0, x1] x [y0, y1] cap B(0, radius), for
+    rectangles in the closed first quadrant (0 <= x0, 0 <= y0): the one-part
+    case of :class:`PlanarPlan`. Raises ValueError when a rectangle has a
+    corner at the origin and a <= -2.
     """
-    x0, x1, y0, y1, radius = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (x0, x1, y0, y1, radius))
-    )
-    out = np.zeros(x0.shape)
-    keep = (x1 > x0) & (y1 > y0) & (np.hypot(x0, y0) < radius)
-    if not np.any(keep):
-        return out
-    x0, x1, y0, y1, radius = (v[keep] for v in (x0, x1, y0, y1, radius))
-    if a + 2.0 <= 0.0 and np.any((x0 == 0.0) & (y0 == 0.0)):
-        raise ValueError(f"|x|^{a} is not integrable at the origin in n=2")
-    below_and_mirrored = ((x0, y0), (x1, y1), (y0, x0), (y1, x1), (radius, radius))
-    halves = _octant_masses(a + 2.0, *(np.concatenate(pair) for pair in below_and_mirrored))
-    out[keep] = halves[: len(x0)] + halves[len(x0) :]
-    return out
+    return PlanarPlan(x0, x1, y0, y1, radius).masses(a)
 
 
 def planar_masses(a: float, x0, x1, y0, y1, radius=math.inf) -> np.ndarray:
-    """Integral of |x|^a over every [x0, x1] x [y0, y1] cap B(0, radius).
-
-    Each rectangle is split at the axes and its four parts reflected into
-    the first quadrant, stacked on a leading axis for one
-    :func:`quadrant_masses` call, and added in the order (+x, +y),
-    (+x, -y), (-x, +y), (-x, -y).
-    """
-    x0, x1, y0, y1, radius = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (x0, x1, y0, y1, radius))
-    )
-    xs = [(np.maximum(x0, 0.0), np.maximum(x1, 0.0)), (np.maximum(-x1, 0.0), np.maximum(-x0, 0.0))]
-    ys = [(np.maximum(y0, 0.0), np.maximum(y1, 0.0)), (np.maximum(-y1, 0.0), np.maximum(-y0, 0.0))]
-    parts = [(*xx, *yy) for xx in xs for yy in ys]
-    q = quadrant_masses(a, *(np.stack(edge) for edge in zip(*parts)), np.stack([radius] * 4))
-    return ((q[0] + q[1]) + q[2]) + q[3]
+    """Integral of |x|^a over every [x0, x1] x [y0, y1] cap B(0, radius),
+    in one :class:`PlanarPlan`."""
+    return PlanarPlan(x0, x1, y0, y1, radius).masses(a)
 
 
 def power_mass(a: float, region) -> float:
