@@ -34,7 +34,7 @@ from .powermass import (
     IntervalPlan,
     PlanarPlan,
     Rect,
-    rect_gauss_masses,
+    RectRulePlan,
 )
 
 __all__ = [
@@ -160,14 +160,21 @@ class Lattice:
         """Exact integral of |x|^exponent over every cell, clipped to ``support``.
 
         n=1 is the closed form on whole arrays. n=2 uses a 12x12 tensor
-        Gauss-Legendre rule on every cell inside the support whose distance
-        from the origin is at least its longest side; the cells nearer the
-        origin (on the default box, the four that touch it) and the cells a
-        ``Ball`` cuts take the graded polar rule of :func:`planar_masses`,
-        all in one call. The exponent-free geometry (clipped edges, origin
-        splits, which cells take which rule, polar pieces and ray lengths)
-        is built once per support, on its first call, and kept with the
-        lattice; each call then runs only the exponent step.
+        Gauss-Legendre rule on the cells inside the support whose distance
+        from the origin is at least their longest side, and on those only;
+        the cells nearer the origin (on the default box, the four that touch
+        it) and the cells a ``Ball`` cuts take the graded polar rule of
+        :func:`planar_masses`, all in one call.
+
+        The exponent-free geometry is built on the first call for each
+        support and kept with the lattice: for n=1 the clipped edges, the
+        origin split and the log ratios (:class:`IntervalPlan`); for n=2 the
+        clipped edges, the tensor-rule cells and their nodes
+        (:class:`RectRulePlan`), and the polar cells with their pieces and
+        rays (:class:`PlanarPlan`). Each call then runs only the exponent
+        step, with the bits of a fresh lattice. The tensor rule's values at
+        its nodes are computed per call, in blocks of bounded size, and not
+        kept.
         """
         plan = self._mass_plans.get(support)
         if plan is None:
@@ -198,9 +205,12 @@ class Lattice:
         i, j = np.nonzero(cut | near_origin)
         radius = support.radius if isinstance(support, Ball) else math.inf
         polar = PlanarPlan(x0[i], x1[i], y0[j], y1[j], radius)
+        tensor = RectRulePlan(x0, x1, y0, y1)
 
         def masses(exponent):
-            out = np.where(rule, rect_gauss_masses(exponent, x0, x1, y0, y1), 0.0)
+            out = np.zeros(rule.shape)
+            ri, rj = np.nonzero(rule)
+            out[ri, rj] = tensor.masses(exponent, ri, rj)
             out[i, j] = polar.masses(exponent)
             return out
 

@@ -3,13 +3,19 @@
 Everything here is exact up to floating point for n = 1 and for balls in any
 dimension. Planar rectangles (with or without a ball cap) are reduced to
 piecewise-analytic one-dimensional polar integrals and evaluated with a fixed
-graded Gauss rule (:func:`quadrant_masses`); the radial integral is in closed
+graded Gauss rule (:class:`PlanarPlan`); the radial integral is in closed
 form, so the singularity of |x|^a at the origin never meets a quadrature node.
 
-Every form works on whole arrays: :func:`interval_masses` is the closed form
-over many intervals at once, :func:`planar_masses` the polar rule over many
-rectangles, and :func:`rect_gauss_masses` a cheaper fixed tensor
-Gauss-Legendre rule for planar rectangles away from the origin.
+Every form works on whole arrays, in two steps. A plan holds the
+exponent-free geometry of fixed regions: :class:`IntervalPlan` the origin
+split of many intervals and each part's log ratio, :class:`PlanarPlan` the
+axis split of many rectangles and their graded polar pieces and rays, and
+:class:`RectRulePlan` the nodes of a cheaper fixed tensor Gauss-Legendre
+rule for planar rectangles away from the origin. Its ``masses`` method then
+runs only the exponent step, once per exponent; :func:`interval_masses`,
+:func:`planar_masses` and :func:`rect_gauss_masses` are the one-shot case.
+Every rule adds its nodes in one fixed order, so a region's mass has the
+same bits whichever other regions share its call.
 """
 from __future__ import annotations
 
@@ -21,9 +27,12 @@ import numpy as np
 
 __all__ = [
     "Interval",
+    "IntervalPlan",
     "Ball",
+    "PlanarPlan",
     "Rect",
     "RectInBall",
+    "RectRulePlan",
     "interval_masses",
     "planar_masses",
     "power_mass",
@@ -35,8 +44,9 @@ __all__ = [
 # rule for each graded piece of the polar integrals
 _POLAR_NODES, _POLAR_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
-# tensor rule for rectangles away from the origin, evaluated in row blocks of
-# at most _RULE_BLOCK node values so the temporaries stay a fixed size
+# tensor rule for rectangles away from the origin, evaluated in blocks of
+# rectangles of at most _RULE_BLOCK node values so the temporaries stay a
+# fixed size
 _RULE_NODES, _RULE_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _RULE_BLOCK = 1 << 17
 
@@ -102,24 +112,29 @@ class IntervalPlan:
     """The exponent-free part of :func:`interval_masses` over fixed intervals.
 
     Each interval is split at the origin and its negative part reflected;
-    :meth:`masses` then takes the closed form on both parts as whole arrays.
+    :meth:`masses` then takes the closed form on the kept parts of both
+    halves as one array, and adds each interval's negative part to its
+    positive one.
     """
 
     def __init__(self, lo, hi):
         lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-        self.shape, self.halves = lo.shape, []
+        self.shape, parts = lo.shape, []
         for base, top in ((np.maximum(lo, 0.0), hi), (np.maximum(-hi, 0.0), -lo)):
-            keep = top > base
-            if np.any(keep):
-                self.halves.append((keep, _Rays(base[keep], top[keep] - base[keep])))
+            keep = (top > base).ravel()
+            parts.append((np.flatnonzero(keep), base.ravel()[keep], top.ravel()[keep]))
+        (self.pos, b0, t0), (self.neg, b1, t1) = parts
+        self.rays = _Rays(np.concatenate([b0, b1]), np.concatenate([t0 - b0, t1 - b1]))
 
     def masses(self, a: float) -> np.ndarray:
         s = a + 1.0
+        if s <= 0.0 and self.rays.zero.size:
+            raise ValueError(f"exponent {s - 1.0!r} is not integrable at the origin")
+        parts = self.rays.masses(s)
         out = np.zeros(self.shape)
-        for keep, rays in self.halves:
-            if s <= 0.0 and rays.zero.size:
-                raise ValueError(f"exponent {s - 1.0!r} is not integrable at the origin")
-            out[keep] += rays.masses(s)
+        flat = out.reshape(-1)
+        flat[self.pos] = parts[: len(self.pos)]
+        flat[self.neg] += parts[len(self.pos) :]
         return out
 
 
@@ -128,26 +143,61 @@ def interval_masses(a: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return IntervalPlan(lo, hi).masses(a)
 
 
+def _node_sum(v: np.ndarray) -> np.ndarray:
+    """sum_k w_k v[k] over the 12 tensor-rule nodes on the leading axis of v,
+    in place and in one fixed order, so each entry's bits depend on its own
+    nodes only (a matrix-vector product may order them by the entry's row).
+    The weights are symmetric: mirrored nodes are added before one product
+    weights both, and the six weighted planes are then added by halves."""
+    n = len(v) // 2
+    v[:n] += v[: n - 1 : -1]
+    v = v[:n]
+    v *= _RULE_WEIGHTS[:n].reshape((n,) + (1,) * (v.ndim - 1))
+    while n > 1:
+        v[: n // 2] += v[n - n // 2 : n]
+        n -= n // 2
+    return v[0]
+
+
+class RectRulePlan:
+    """The exponent-free part of :func:`rect_gauss_masses` on the rectangles
+    [x0[i], x1[i]] x [y0[j], y1[j]]: the squared nodes along each axis and
+    the areas."""
+
+    def __init__(self, x0, x1, y0, y1):
+        x0, x1, y0, y1 = (np.asarray(v, dtype=float) for v in (x0, x1, y0, y1))
+        self.xsq, self.ysq = (
+            (0.5 * (lo + hi) + 0.5 * (hi - lo) * _RULE_NODES[:, None]) ** 2
+            for lo, hi in ((x0, x1), (y0, y1))
+        )
+        self.sx, self.sy = 0.25 * (x1 - x0), y1 - y0
+
+    def masses(self, a: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """The rule on the rectangles (i[k], j[k]) only, in blocks of at most
+        _RULE_BLOCK node values."""
+        out = np.empty(len(i))
+        cells = max(1, _RULE_BLOCK // len(_RULE_NODES) ** 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for c in range(0, len(i), cells):
+                # r2[l, k, cell] = |(x node k, y node l)|^2: the sums add planes
+                r2 = self.xsq.take(i[c : c + cells], axis=1)
+                r2 = r2 + self.ysq.take(j[c : c + cells], axis=1)[:, None]
+                np.power(r2, 0.5 * a, out=r2)
+                out[c : c + cells] = _node_sum(_node_sum(r2))
+        return out * self.sx[i] * self.sy[j]
+
+
 def rect_gauss_masses(a: float, x0, x1, y0, y1) -> np.ndarray:
     """Integral of |x|^a over every rectangle [x0[i], x1[i]] x [y0[j], y1[j]].
 
     A 12 x 12 tensor Gauss-Legendre rule, accurate to a few ulps on
     rectangles whose distance from the origin is at least their longest
-    side. Nearer rectangles need :func:`planar_masses`.
+    side. Nearer rectangles need :func:`planar_masses`. A rectangle's value
+    does not depend on the others of the call.
     """
-    x0, x1, y0, y1 = (np.asarray(v, dtype=float) for v in (x0, x1, y0, y1))
-    xs = 0.5 * (x0 + x1)[:, None] + 0.5 * (x1 - x0)[:, None] * _RULE_NODES
-    ys = 0.5 * (y0 + y1)[:, None] + 0.5 * (y1 - y0)[:, None] * _RULE_NODES
-    ysq = (ys * ys).reshape(-1)
-    out = np.empty((len(x0), len(y0)))
-    rows = max(1, _RULE_BLOCK // (len(_RULE_NODES) * max(ysq.size, 1)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(0, len(x0), rows):
-            r2 = (xs[i : i + rows] ** 2)[:, :, None] + ysq
-            np.power(r2, 0.5 * a, out=r2)
-            by_y = r2.reshape(r2.shape[0], len(_RULE_NODES), len(y0), -1) @ _RULE_WEIGHTS
-            out[i : i + rows] = _RULE_WEIGHTS @ by_y
-        return out * (0.25 * (x1 - x0))[:, None] * (y1 - y0)
+    plan = RectRulePlan(x0, x1, y0, y1)
+    shape = (plan.sx.size, plan.sy.size)
+    return plan.masses(a, *np.indices(shape).reshape(2, -1)).reshape(shape)
 
 
 def _ball_mass(a: float, radius: float, n: int) -> float:

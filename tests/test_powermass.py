@@ -21,6 +21,7 @@ from mweights.powermass import (
     interval_masses,
     planar_masses,
     power_mass,
+    rect_gauss_masses,
 )
 
 
@@ -417,3 +418,84 @@ def test_planar_cell_masses_do_not_depend_on_the_batch(L, a):
         for sub in subsets:
             got = planar_masses(a, x0[sub], x1[sub], y0[sub], y1[sub], radius)
             assert np.array_equal(got, full[sub])
+
+
+@pytest.mark.parametrize("L", [4, 6])
+@pytest.mark.parametrize("a", [-1.5, 0.7, -0.875])
+def test_tensor_rule_cell_masses_do_not_depend_on_the_batch(L, a):
+    # the tensor rule's rectangle (i, j) has the same bits whichever rows
+    # and columns share its call: random row and column subsets, shuffled,
+    # and single cells, against one call over the whole lattice
+    lat = Lattice(default_box(2), L)
+    N = lat.cells_per_axis
+    x0 = -2.0 + lat.h * np.arange(N)
+    x1 = x0 + lat.h
+    full = rect_gauss_masses(a, x0, x1, x0, x1)
+    # the fixed order changes only the last bits of the plain weighted sum
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    xs = 0.5 * (x0 + x1)[:, None] + 0.5 * lat.h * nodes
+    r = np.hypot(xs[:, :, None, None], xs[None, None, :, :])
+    plain = np.einsum("k,l,ikjl->ij", weights, weights, r**a) * (0.25 * lat.h**2)
+    np.testing.assert_allclose(full, plain, rtol=4e-15, atol=0.0)
+    rng = np.random.default_rng(L)
+    for _ in range(20):
+        rows = rng.choice(N, int(rng.integers(1, N + 1)), replace=False)
+        cols = rng.choice(N, int(rng.integers(1, N + 1)), replace=False)
+        got = rect_gauss_masses(a, x0[rows], x1[rows], x0[cols], x1[cols])
+        assert np.array_equal(got, full[np.ix_(rows, cols)])
+
+
+MASS_SUPPORTS = {
+    1: [None, Ball(1.0, 1), Interval(-1.0, 0.0), Interval(-0.3, 0.7)],
+    2: [None, Ball(1.0, 2), Rect((0.0, 0.0), (1.0, 1.0)), Rect((-0.3, 0.2), (1.5, 1.7))],
+}
+
+
+@pytest.mark.parametrize("n, L", [(1, 10), (2, 4), (2, 5)])
+def test_reused_mass_plans_give_a_fresh_lattices_bits(n, L):
+    # one lattice keeps a plan per support; calls in a shuffled exponent and
+    # support order must give the bits of a fresh lattice's first call
+    calls = [(a, s) for a in (-0.875, 0.7, 0.0, -0.5, 2.0) for s in MASS_SUPPORTS[n]]
+    order = np.random.default_rng(n + L).permutation(len(calls))
+    lat = Lattice(default_box(n), L)
+    for k in np.concatenate([order, order[::-1]]):
+        a, support = calls[k]
+        got = lat.power_masses(a, support)
+        assert np.array_equal(got, Lattice(default_box(n), L).power_masses(a, support))
+    assert set(lat._mass_plans) == set(MASS_SUPPORTS[n])
+
+
+@pytest.mark.parametrize(
+    "n, support, a, message",
+    [
+        (1, Ball(1.0, 1), -1.0, "exponent -1.0 is not integrable at the origin"),
+        (1, None, -1.5, "exponent -1.5 is not integrable at the origin"),
+        (2, None, -2.0, "|x|^-2.0 is not integrable at the origin in n=2"),
+        (2, Ball(1.0, 2), -2.5, "|x|^-2.5 is not integrable at the origin in n=2"),
+    ],
+)
+def test_a_plan_built_by_an_integrable_exponent_still_refuses_others(n, support, a, message):
+    lat = Lattice(default_box(n), 4)
+    before = lat.power_masses(-0.5, support)
+    with pytest.raises(ValueError) as err:
+        lat.power_masses(a, support)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as fresh:
+        Lattice(default_box(n), 4).power_masses(a, support)
+    assert str(fresh.value) == message
+    assert np.array_equal(lat.power_masses(-0.5, support), before)
+
+
+def test_kept_mass_plans_stay_small():
+    # a plan keeps the geometry, not the tensor rule's node values
+    tracemalloc.start()
+    try:
+        lat = Lattice(default_box(2), 8)
+        for support in (None, Ball(1.0, 2)):
+            for a in (-1.5, 0.7):
+                lat.power_masses(a, support)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(lat._mass_plans) == 2
+    assert current < 2 * 2**20
