@@ -166,15 +166,10 @@ class Lattice:
         it) and the cells a ``Ball`` cuts take the graded polar rule of
         :func:`planar_masses`, all in one call.
 
-        The exponent-free geometry is built on the first call for each
-        support and kept with the lattice: for n=1 the clipped edges, the
-        origin split and the log ratios (:class:`IntervalPlan`); for n=2 the
-        clipped edges, the tensor-rule cells and their nodes
-        (:class:`RectRulePlan`), and the polar cells with their pieces and
-        rays (:class:`PlanarPlan`). Each call then runs only the exponent
-        step, with the bits of a fresh lattice. The tensor rule's values at
-        its nodes are computed per call, in blocks of bounded size, and not
-        kept.
+        The exponent-free geometry (:class:`IntervalPlan`; for n=2 the
+        tensor-rule cells, :class:`RectRulePlan` and :class:`PlanarPlan`) is
+        built on the first call for each support and kept with the lattice,
+        so a call runs only the exponent step, with a fresh lattice's bits.
         """
         plan = self._mass_plans.get(support)
         if plan is None:

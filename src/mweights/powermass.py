@@ -289,8 +289,10 @@ class PlanarPlan:
         x0, x1, y0, y1, radius = np.broadcast_arrays(
             *(np.asarray(v, dtype=float) for v in (x0, x1, y0, y1, radius))
         )
-        xs = [(np.maximum(x0, 0.0), np.maximum(x1, 0.0)), (np.maximum(-x1, 0.0), np.maximum(-x0, 0.0))]
-        ys = [(np.maximum(y0, 0.0), np.maximum(y1, 0.0)), (np.maximum(-y1, 0.0), np.maximum(-y0, 0.0))]
+        xs, ys = (
+            [(np.maximum(u, 0.0), np.maximum(v, 0.0)), (np.maximum(-v, 0.0), np.maximum(-u, 0.0))]
+            for u, v in ((x0, x1), (y0, y1))
+        )
         parts = [(*xx, *yy) for xx in xs for yy in ys]
         x0, x1, y0, y1 = (np.stack(edge) for edge in zip(*parts))
         radius = np.stack([radius] * 4)
@@ -324,11 +326,7 @@ class PlanarPlan:
 
 
 def quadrant_masses(a: float, x0, x1, y0, y1, radius=math.inf) -> np.ndarray:
-    """Integral of |x|^a over every [x0, x1] x [y0, y1] cap B(0, radius), for
-    rectangles in the closed first quadrant (0 <= x0, 0 <= y0): the one-part
-    case of :class:`PlanarPlan`. Raises ValueError when a rectangle has a
-    corner at the origin and a <= -2.
-    """
+    """:func:`planar_masses` for rectangles in the closed first quadrant."""
     return PlanarPlan(x0, x1, y0, y1, radius).masses(a)
 
 
