@@ -31,21 +31,24 @@ most ``_TILE`` columns, one per (row, point).  A tile contracts the table
 with the ``f2`` masses through one Toeplitz window per row,
 ``T2[b, k] = w2[m_k - b]``, copied once into one matrix, and with the
 ``f1`` masses through another, ``T1[a, k] = w1[m_k - a]``, read from
-sliding windows: in strips of ``_STRIP`` rows ``a``, each strip's table is
-multiplied by ``T2`` for every row at once and summed against the strip's
-rows of ``T1``, and a strip where no row has ``f1`` mass is skipped.
+sliding windows.  Its table rows ``a`` come in strips of ``_STRIP``; a
+strip where no row has ``f1`` mass is skipped, and each run of the other
+strips is one product with ``T2`` for every row at once, summed against
+the run's rows of ``T1``.
 
 Consecutive tiles of one ``θ`` overlap in most of their offsets, so a run
 of them, a chunk, reads its strips from one table over the chunk's
 offsets, and its windows from one set, as long as that table holds at
 most ``_TABLE`` entries and the chunk's points span fewer cells than
-``f2``.  The table is evaluated lazily: the first tile to read a row
-evaluates it, in pieces of at most ``_STRIP`` rows, out to the last column
-that a tile of the chunk reads in it.  So every offset pair is evaluated
-at most once per chunk, and only where some tile alone would evaluate it.
-A tile whose own table is over ``_TABLE`` evaluates its strips one at a
-time into a strip buffer, so the working set stays bounded whatever the
-number of points and the support sizes.
+``f2``; the whole ``θ`` class of an L = 10 criterion-7 sweep is one chunk.
+The table is filled before any product: each row is evaluated from the
+first column of the first tile that reads it to the last column of the
+last, and runs of rows with one column range are evaluated together, at
+most ``_FILL`` rows at a time.  So every offset pair is evaluated at most
+once per chunk, and only where some tile alone would evaluate it.  A tile
+whose own table is over ``_TABLE`` evaluates its strips one at a time into
+a strip buffer, each just before its product, so the working set stays
+bounded whatever the number of points and the support sizes.
 """
 from __future__ import annotations
 
@@ -65,12 +68,13 @@ __all__ = [
     "direct_kernel",
 ]
 
-# columns (rows x points) per tile, table rows per strip, and kernel
-# entries in one chunk's table (about 1.2 MiB): a one-pair tile of an
-# L = 10 criterion-7 sweep (383 x 383 entries) still gets a table of its own
+# columns (rows x points) per tile, table rows per strip, table rows per
+# kernel call, and kernel entries in one chunk's table (2 MiB): a whole θ
+# class of an L = 10 criterion-7 sweep (511 x 511 entries) is one table
 _TILE = 128
 _STRIP = 32
-_TABLE = 150_000
+_FILL = 64
+_TABLE = 2**18
 
 
 def direct_kernel(x, y1, y2):
@@ -219,13 +223,18 @@ def _chunk_sums(w1, i1, w2, j1, m_all, tiles, theta, variant, sums):
     its ``T2`` are table row and column ``d + r``.  Column ``q * len(m) + k``
     of both belongs to input row ``q`` and point ``k``.
 
-    A tile reads the table rows of its strips with ``f1`` mass.  The first
-    tile to read a row evaluates it out to the last column that any tile
-    reads in it, so each entry that some tile reads is evaluated once in the
-    chunk.  The points of a chunk span fewer cells than ``f2``, so every tile's
-    columns overlap the first reader's, and no entry is evaluated that a
-    tile alone would not evaluate.  When one tile's table is over _TABLE,
-    the table is a strip buffer and each strip is evaluated into it in turn.
+    A tile reads the table rows of its strips with ``f1`` mass.  Every row
+    that some tile reads is evaluated before any product, from its first
+    reader's first column to its last reader's last column, so each entry
+    that some tile reads is evaluated once in the chunk.  The points of a
+    chunk span fewer cells than ``f2``, so the columns of the tiles that
+    read a row overlap, and no entry is evaluated that no tile reads.  A
+    tile then makes one product per run of its live strips,
+    ``T2ᵀ @ table[run, columns]ᵀ``, and adds the row sums of the product
+    times the run's ``T1ᵀ``; a run is cut where its product would pass
+    _TABLE entries.  When one tile's table is over _TABLE, the table is a
+    strip buffer: each run is one strip, evaluated into it just before its
+    product.
     """
     m0 = m_all[tiles[0][0]]
     span = m_all[tiles[-1][-1]] - m0
@@ -238,53 +247,64 @@ def _chunk_sums(w1, i1, w2, j1, m_all, tiles, theta, variant, sums):
     # windows read it, so row r of a tile's T1 has mass when r - c is the
     # shift of one of its points for some marked c
     mass1 = (w1 != 0.0).any(axis=0)[::-1].astype(float)
-    strips, last = [], np.zeros(shape[0], dtype=np.int64)
+    # each tile's runs of table rows, and each row's first and last column
+    # read (0 where no tile reads it); the tiles come in order of their
+    # first column and of their last
+    runs = []
+    first = np.zeros(shape[0], dtype=np.int64)
+    last = np.zeros(shape[0], dtype=np.int64)
     for tile in tiles:
         m = m_all[tile]
+        d = m[0] - m0
         hits = np.zeros(m[-1] - m[0] + 1)
         hits[m - m[0]] = 1.0
         rows = np.convolve(hits, mass1) > 0.0
-        live = np.flatnonzero(np.logical_or.reduceat(rows, np.arange(0, rows.size, _STRIP)))
-        strips.append(live * _STRIP)
-        # the end of the tile's columns, for the rows it reads
-        read = (live[:, None] * _STRIP + np.arange(_STRIP)).ravel()
-        last[m[0] - m0 + read[read < rows.size]] = m[-1] - m0 + w2.shape[1]
-    done = np.zeros(shape[0], dtype=bool)
+        live = np.zeros(-(-rows.size // _STRIP) + 2, dtype=bool)
+        live[1:-1] = np.logical_or.reduceat(rows, np.arange(0, rows.size, _STRIP))
+        read = np.repeat(live[1:-1], _STRIP)[: rows.size]
+        first[d : d + rows.size][read & (last[d : d + rows.size] == 0)] = d
+        last[d : d + rows.size][read] = d + m[-1] - m[0] + w2.shape[1]
+        # runs of live strips, cut so that a product holds at most _TABLE
+        # entries; in a strip buffer, each strip is a run
+        most = max(1, _TABLE // (_STRIP * w1.shape[0] * m.size)) if whole else 1
+        edges = np.flatnonzero(live[1:] != live[:-1]).tolist()
+        runs.append([
+            (d + j * _STRIP, d + min((j + most) * _STRIP, stop * _STRIP, rows.size))
+            for start, stop in zip(edges[::2], edges[1::2])
+            for j in range(start, stop, most)
+        ])
+    if whole:
+        # runs of consecutive rows with one column range, at most _FILL rows
+        # to a call
+        rows = np.flatnonzero(last)
+        cuts = (np.diff(rows) != 1) | (np.diff(first[rows]) != 0) | (np.diff(last[rows]) != 0)
+        edges = [0, *(np.flatnonzero(cuts) + 1).tolist(), rows.size]
+        for lo, hi in zip(edges, edges[1:]):
+            for top in range(rows[lo], rows[hi - 1] + 1, _FILL):
+                stop = min(top + _FILL, rows[hi - 1] + 1)
+                c = slice(first[top], last[top])
+                _kernel_table(a[top:stop], b[c], theta, variant, table[top:stop, c])
     # windows of every shift from m0; a tile reads its points' windows
     win1 = _windows(w1, span)
     win2 = _windows(w2, span)
-    for tile, tile_strips in zip(tiles, strips):
+    for tile, tile_runs in zip(tiles, runs):
         m = m_all[tile]
         d = m[0] - m0
-        height = d + m[-1] - m[0] + w1.shape[1]  # end of the tile's table rows
-        end = d + m[-1] - m[0] + w2.shape[1]  # end of its table columns
+        end = d + m[-1] - m[0] + w2.shape[1]  # end of the tile's table columns
         cols = w1.shape[0] * m.size
         pick = (np.arange(w1.shape[0])[:, None], span - (m - m0))
-        t2 = win2[(*pick, slice(d, end))].reshape(cols, -1).T
+        # T2 and T1 are held transposed: row q * len(m) + k of each is
+        # input row q at point k
+        t2 = win2[(*pick, slice(d, end))].reshape(cols, -1)
         tile_sums = np.zeros(cols)
-        # strips evaluated at once: all the tile's, or one into the buffer
-        for block in [tile_strips] if whole else tile_strips[:, None]:
-            top = 0 if whole else d + block[0]  # chunk row of the table's first row
-            rows = (d + block[:, None] + np.arange(_STRIP)).ravel()
-            rows = rows[rows < height]
-            rows = rows[~done[rows]]
-            done[rows] = True
-            # runs of at most _STRIP consecutive rows with the same last column
-            heads = np.ones(rows.size, dtype=bool)
-            heads[1:] = (np.diff(rows) != 1) | (np.diff(last[rows]) != 0)
-            heads[::_STRIP] = True
-            bounds = [*np.flatnonzero(heads), rows.size]
-            for lo, hi in zip(bounds, bounds[1:]):
-                first, stop = rows[lo], last[rows[lo]]
-                out = table[first - top : first - top + hi - lo, d:stop]
-                _kernel_table(a[first : first + hi - lo], b[d:stop], theta, variant, out)
-            for r in block:
-                t1_strip = win1[(*pick, slice(d + r, min(d + r + _STRIP, height)))]
-                t1_strip = t1_strip.reshape(cols, -1).T
-                strip = slice(d + r - top, d + r - top + t1_strip.shape[0])
-                prod = table[strip, d:end] @ t2
-                prod *= t1_strip
-                tile_sums += prod.sum(axis=0)
+        for top, stop in tile_runs:
+            base = 0 if whole else top  # chunk row of the table's first row
+            if not whole:
+                # the strip, over the tile's columns
+                _kernel_table(a[top:stop], b[d:end], theta, variant, table[: stop - top, d:end])
+            t1 = win1[(*pick, slice(top, stop))].reshape(cols, -1)
+            prod = t2 @ table[top - base : stop - base, d:end].T
+            tile_sums += np.einsum("ij,ij->i", prod, t1)
         sums[:, tile] = tile_sums.reshape(w1.shape[0], m.size)
         # let go of this tile's T2 before the next tile copies its own
         del t2

@@ -36,7 +36,6 @@ __all__ = [
     "interval_masses",
     "planar_masses",
     "power_mass",
-    "quadrant_masses",
     "rect_gauss_masses",
     "unit_sphere_area",
 ]
@@ -323,11 +322,6 @@ class PlanarPlan:
             halves = np.bincount(self.rect, weights=total * self.half, minlength=2 * self.kept)
             q[self.keep] = halves[: self.kept] + halves[self.kept :]
         return ((q[0] + q[1]) + q[2]) + q[3]
-
-
-def quadrant_masses(a: float, x0, x1, y0, y1, radius=math.inf) -> np.ndarray:
-    """:func:`planar_masses` for rectangles in the closed first quadrant."""
-    return PlanarPlan(x0, x1, y0, y1, radius).masses(a)
 
 
 def planar_masses(a: float, x0, x1, y0, y1, radius=math.inf) -> np.ndarray:

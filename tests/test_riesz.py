@@ -405,9 +405,14 @@ def test_stacked_rows_validate_their_inputs():
 def test_a_sweep_stack_evaluates_fewer_kernel_entries_in_less_memory(variant, monkeypatch):
     # the six rows of an L = 10 criterion-7 sweep share one stacked call:
     # together they evaluate fewer kernel entries than six one-pair calls,
-    # and at most 360,000 per variant (a chunk of six 21-point tiles shares
-    # one 381 x 381 table: 2 x 145,161 + 259 x 259 = 357,403 at most; the
-    # tiles one at a time evaluated 981,193), without a larger working set
+    # without a larger working set.  Their 13 tiles of at most 21 points
+    # share one 511 x 511 table, tile t reading rows and columns 21 t to
+    # 21 t + 275 (the last tile, of 4 points, to 510).  Each row is evaluated
+    # from its first reader's first column to its last reader's last column:
+    # 200,893 entries per variant.  The margin is one tile's step of 21 full
+    # table rows (511 x 21 = 10,731), below what filling 64-row blocks over
+    # their column hull adds (15,297); two chunks of tiles evaluate 265,918,
+    # and the tiles one at a time 981,193
     import tracemalloc
 
     from mweights import riesz_problem
@@ -425,7 +430,7 @@ def test_a_sweep_stack_evaluates_fewer_kernel_entries_in_less_memory(variant, mo
     bilinear_riesz_rows(pairs, pts, variant)
     stacked = count[0]
     assert 0 < stacked < 6 * one_pair
-    assert stacked <= 360_000
+    assert stacked <= 200_893 + 511 * 21
     peaks = []
     for call in (
         lambda: bilinear_riesz(*pairs[0], pts, variant=variant),
@@ -439,6 +444,82 @@ def test_a_sweep_stack_evaluates_fewer_kernel_entries_in_less_memory(variant, mo
             tracemalloc.stop()
     assert peaks[1] <= peaks[0]
     assert all(np.all(rv.values > 0.0) for rv in rvs)
+
+
+@pytest.mark.parametrize("variant", ["direct", "adjoint_slot1"])
+def test_a_sweep_stack_fills_one_table_before_its_products_in_few_calls(variant, monkeypatch):
+    # the θ class of an L = 10 criterion-7 stack is one chunk with one
+    # 511 x 511 table.  A row's column range changes only at the first row
+    # of a tile (a new last reader) or past the last row of one (a new
+    # first reader), so the rows fall into runs between those cuts; a fill
+    # made before any product evaluates each run in calls of at most _FILL
+    # rows.  Tiles start 21 rows apart, so every run is shorter than _FILL
+    # and the bound is 2 x 13 - 1 = 25 calls.  A fill interleaved with the
+    # tiles cuts each tile's first rows at strip or block edges too, and a
+    # fill per strip makes one call per strip product
+    from mweights import riesz_problem
+    from mweights.operators import riesz
+
+    lat = lattice(10)
+    P = (2.0, 2.0) if variant == "direct" else (4.0, 4.0)
+    probs = [riesz_problem(P, 2.0**-k, lat, variant=variant) for k in range(2, 8)]
+    cells = np.nonzero(probs[0].region.mask)[0]
+    pts = lat.box.lo[0] + (cells + 0.5) * lat.h
+    n = cells.size  # points, and cells of each support
+    assert n == 256
+    per_tile = riesz._TILE // len(probs)
+    starts = np.arange(0, n, per_tile)
+    stops = np.minimum(starts + per_tile, n) - 1 + n  # past each tile's last row
+    cuts = np.union1d(starts, stops)
+    assert cuts[-1] == 2 * n - 1
+    bound = int(np.sum(-(-np.diff(cuts) // riesz._FILL)))
+    assert bound == 2 * starts.size - 1
+
+    table = riesz._kernel_table
+    calls, tables = [0], set()
+
+    def counted(*args, **kwargs):
+        out = table(*args, **kwargs)
+        calls[0] += 1
+        tables.add(out.base.shape)
+        return out
+
+    monkeypatch.setattr(riesz, "_kernel_table", counted)
+    rvs = bilinear_riesz_rows([prob.fs for prob in probs], pts, variant)
+    assert tables == {(2 * n - 1, 2 * n - 1)}
+    assert 0 < calls[0] <= bound
+    assert all(np.all(rv.values > 0.0) for rv in rvs)
+
+
+@pytest.mark.parametrize("variant", ["direct", "adjoint_slot1"])
+def test_a_tall_table_is_contracted_in_bounded_products(variant):
+    # f1 on all 16,384 cells at L = 14, f2 on one cell, and 128 copies of one
+    # point: the table, 16,384 x 1 entries, fits the budget, but one product
+    # over all its rows for 128 columns, and the T1 rows it is summed
+    # against, would take 16 MiB each
+    import tracemalloc
+
+    from mweights.operators import riesz
+
+    lat = lattice(14)
+    N = lat.cells_per_axis
+    h = lat.h
+    mids = lat.box.lo[0] + (np.arange(N) + 0.5) * h
+    v2 = np.zeros(N)
+    v2[N // 4] = 1.0
+    f1, f2 = GridFunction(lat, np.linspace(1.0, 2.0, N)), GridFunction(lat, v2)
+    pts = np.full(riesz._TILE, mids[N // 2] + 0.25 * h)
+    tracemalloc.start()
+    try:
+        res = bilinear_riesz(f1, f2, pts, variant=variant)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    kernel = direct_kernel if variant == "direct" else adjoint_kernel
+    want = np.sum(kernel(pts[0], mids, mids[N // 4]) * f1.values) * h * h
+    assert np.all(res.values == res.values[0]) and not res.pv_approximate.any()
+    assert abs(res.values[0] - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("variant", ["direct", "adjoint_slot1"])
