@@ -56,6 +56,7 @@ from .operators import (
     multilinear_maximal,
     multilinear_maximal_rows,
     sparse_operator,
+    sparse_operator_rows,
     weighted_dyadic_maximal,
 )
 from .experiments import (
@@ -134,6 +135,7 @@ __all__ = [
     "riesz_problem",
     "run_sweep",
     "sparse_operator",
+    "sparse_operator_rows",
     "third_offset",
     "unit_sphere_area",
     "upper_bound_audit",

@@ -51,9 +51,14 @@ def analytic_power_norm(f: GridFunction, p: float, w: Weight) -> float:
 
 def grid_lp_norm(values: np.ndarray, p: float, w: Weight) -> float:
     """Discrete ``L^p(w)`` norm of cell values."""
+    return _lp_norm(values, p, w.cell_masses())
+
+
+def _lp_norm(values: np.ndarray, p: float, masses: np.ndarray) -> float:
+    """:func:`grid_lp_norm` against a weight's cell ``masses``."""
     if p <= 0:
         raise ValueError("norm exponent must be positive")
-    return float(np.sum(np.abs(values) ** p * w.cell_masses())) ** (1.0 / p)
+    return float(np.sum(np.abs(values) ** p * masses)) ** (1.0 / p)
 
 
 def hybrid_lower_norm(

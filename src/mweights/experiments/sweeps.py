@@ -23,12 +23,12 @@ import numpy as np
 from ..grid import GridFunction, Lattice, default_box, ShiftedGridFamily
 from ..operators import (
     RieszValues,
+    SparseFamily,
     SparsenessError,
     bilinear_riesz_rows,
     build_sparse_family,
-    multilinear_maximal,
     multilinear_maximal_rows,
-    sparse_operator,
+    sparse_operator_rows,
 )
 from ..weights import (
     ApReport,
@@ -36,12 +36,13 @@ from ..weights import (
     ExponentTuple,
     Weight,
     WeightVector,
-    ap_constant,
+    _densities,
+    _scan_rows,
     ap_constant_rows,
     random_weight,
 )
 from .extremals import ExtremalProblem
-from .norms import grid_lp_norm, hybrid_lower_norm
+from .norms import _lp_norm, grid_lp_norm, hybrid_lower_norm
 
 __all__ = [
     "AuditError",
@@ -325,6 +326,10 @@ class AuditError(RuntimeError):
     sparse family was the root alone."""
 
 
+# why an audit trial was skipped, in the order the audit checks
+SKIP_REASONS = ("input_norms", "sparseness", "degenerate_lhs_ap")
+
+
 @dataclass(frozen=True)
 class AuditReport:
     """Random-input check that ratios respect the predicted power.
@@ -332,7 +337,12 @@ class AuditReport:
     ``largest_family`` is the most cubes in one sparse family (0 for the
     maximal operator); ``family_generations`` maps each generation to the
     number of sparse family cubes selected in it, summed over the trials
-    (empty for the maximal operator).
+    (empty for the maximal operator).  ``skipped_by_reason`` splits
+    ``skipped`` by :data:`SKIP_REASONS`: a zero or non-finite product of
+    input norms, a family that missed the half-volume guarantee, and a
+    zero or non-finite output norm or weight constant.
+    ``degenerate_cubes`` sums :attr:`ApReport.degenerate` over the trials
+    that gave a quotient.
     """
 
     operator: str
@@ -346,6 +356,8 @@ class AuditReport:
     seed: int
     largest_family: int
     family_generations: Dict[int, int]
+    skipped_by_reason: Dict[str, int]
+    degenerate_cubes: int
 
     def to_json(self) -> dict:
         return {
@@ -353,6 +365,7 @@ class AuditReport:
             "target_exponent": self.target_exponent,
             "trials": self.trials,
             "skipped": self.skipped,
+            "skipped_by_reason": dict(self.skipped_by_reason),
             "quotients": list(self.quotients),
             "max_quotient": self.max_quotient,
             "weight_kind": self.weight_kind,
@@ -360,6 +373,7 @@ class AuditReport:
             "seed": self.seed,
             "largest_family": self.largest_family,
             "family_generations": {str(g): k for g, k in self.family_generations.items()},
+            "degenerate_cubes": self.degenerate_cubes,
         }
 
 
@@ -382,6 +396,15 @@ def upper_bound_audit(
     select cubes below the root; a sparse audit in which every family is the
     root alone never runs that walk and raises :class:`AuditError`, as does
     an audit whose every trial was skipped.
+
+    The trials run as one stack, as a sweep's rows do.  Each trial is drawn,
+    its input norms checked and its sparse family built on its own; its
+    inputs, its joint weight's cell masses and its weight densities are
+    then written into stacks, and no weight or grid function outlives the
+    trial.  After the draws, one :func:`sparse_operator_rows` call (or one
+    :func:`multilinear_maximal_rows` call) and one weight-constant scan run
+    over every kept trial.  Both work elementwise along the trial axis, so
+    every quotient has the bits of a trial run alone.
     """
     if operator not in ("sparse", "maximal"):
         raise ValueError(f"unknown operator {operator!r}: use 'sparse' or 'maximal'")
@@ -401,8 +424,13 @@ def upper_bound_audit(
 
     family = CubeFamily(lattice, kind="shifted")
     rng = np.random.default_rng(seed)
-    quotients: List[float] = []
-    skipped = 0
+    # the stacks of the trials kept so far; a skipped trial's slot is reused
+    inputs = np.empty((trials, et.m) + lattice.shape)
+    joint_masses = np.empty((trials,) + lattice.shape)
+    densities = np.empty((1 + et.m, trials) + lattice.shape)
+    families: List[SparseFamily] = []
+    rhs_products: List[float] = []
+    skipped_by_reason = dict.fromkeys(SKIP_REASONS, 0)
     largest = 0
     generations: Counter = Counter()
     for _ in range(trials):
@@ -421,37 +449,53 @@ def upper_bound_audit(
         ]
         rhs_product = float(np.prod(rhs))
         if rhs_product <= 0.0 or not np.isfinite(rhs_product):
-            skipped += 1
+            skipped_by_reason["input_norms"] += 1
             logger.debug("audit trial skipped: degenerate input norms %s", rhs)
             continue
-        try:
-            if operator == "sparse":
+        if operator == "sparse":
+            try:
                 fam = build_sparse_family(fs, grid, root=root)
-                largest = max(largest, len(fam))
-                generations.update(cube.g for cube in fam.cubes)
-                out = sparse_operator(fam, fs)
-            else:
-                out = multilinear_maximal(fs)[0]
-        except SparsenessError as err:
-            skipped += 1
-            logger.debug("audit trial skipped: %s", err)
-            continue
-        lhs = grid_lp_norm(out.values, et.p, wv.joint)
-        ap = float(ap_constant(wv, family).constant)
+            except SparsenessError as err:
+                skipped_by_reason["sparseness"] += 1
+                logger.debug("audit trial skipped: %s", err)
+                continue
+            largest = max(largest, len(fam))
+            generations.update(cube.g for cube in fam.cubes)
+            families.append(fam)
+        k = len(rhs_products)
+        rhs_products.append(rhs_product)
+        inputs[k] = [f.values for f in fs]
+        joint_masses[k] = wv.joint.cell_masses()
+        densities[:, k] = _densities([wv], lambda f: f.values)
+    kept = len(rhs_products)
+    rows = [[GridFunction(lattice, values) for values in trial] for trial in inputs[:kept]]
+    if operator == "sparse":
+        outs = sparse_operator_rows(families, rows)
+    else:
+        outs = [lower for lower, _ in multilinear_maximal_rows(rows)]
+    lhs_norms = [_lp_norm(out.values, et.p, masses) for out, masses in zip(outs, joint_masses)]
+    del inputs, joint_masses, families, rows, outs  # before the scan's pyramids
+    reports = _scan_rows(et, densities[:, :kept].reshape((-1,) + lattice.shape), family)
+    quotients: List[float] = []
+    degenerate = 0
+    for lhs, rhs_product, report in zip(lhs_norms, rhs_products, reports):
+        ap = float(report.constant)
         if lhs <= 0.0 or not np.isfinite(lhs) or not np.isfinite(ap) or ap <= 0.0:
-            skipped += 1
+            skipped_by_reason["degenerate_lhs_ap"] += 1
             logger.debug("audit trial skipped: degenerate lhs=%s ap=%s", lhs, ap)
             continue
         quotients.append((lhs / rhs_product) / ap**target)
+        degenerate += report.degenerate
     if not quotients:
-        raise AuditError("every audit trial was skipped; nothing to report")
+        reasons = ", ".join(f"{k} {reason}" for reason, k in skipped_by_reason.items() if k)
+        raise AuditError(f"every audit trial was skipped ({reasons}); nothing to report")
     if operator == "sparse" and largest == 1:
         raise AuditError("every sparse family is the root alone; the stopping walk never ran")
     return AuditReport(
         operator=operator,
         target_exponent=target,
         trials=trials,
-        skipped=skipped,
+        skipped=sum(skipped_by_reason.values()),
         quotients=tuple(quotients),
         max_quotient=max(quotients),
         weight_kind=weight_kind,
@@ -459,4 +503,6 @@ def upper_bound_audit(
         seed=seed,
         largest_family=largest,
         family_generations=dict(sorted(generations.items())),
+        skipped_by_reason=skipped_by_reason,
+        degenerate_cubes=degenerate,
     )

@@ -119,10 +119,6 @@ class Lattice:
         lo = np.asarray(self.box.lo) + self.h * np.asarray(idx, dtype=float)
         return lo, lo + self.h
 
-    def cube_geometry(self, cube: "DyadicCube") -> Tuple[np.ndarray, np.ndarray]:
-        lo = np.asarray(self.box.lo) + self.h * np.asarray(cube.start, dtype=float)
-        return lo, lo + self.h * cube.size
-
     def cube_cells(self, cube: "DyadicCube") -> Tuple[slice, ...]:
         """Per axis, the slice of the cube's cells inside the box."""
         N = self.cells_per_axis
@@ -501,9 +497,6 @@ class ShiftedGridFamily:
     def standard(self) -> DyadicGrid:
         return self.grids[0]
 
-    def by_beta(self, beta: Tuple[int, ...]) -> DyadicGrid:
-        return self.by_id["b" + "".join(str(b) for b in beta)]
-
     def random_cube(self, rng: np.random.Generator) -> DyadicCube:
         """A random grid, then a random generation in [G_MIN, L], then a
         random cube of that generation meeting the box."""
@@ -575,9 +568,9 @@ class GridFunction:
         values = np.asarray(values, dtype=float)
         if values.shape != lattice.shape:
             raise ValueError(f"values shape {values.shape} != lattice shape {lattice.shape}")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("grid function values must be finite")
-        if np.any(values < 0.0):
+        if (values < 0.0).any():
             raise ValueError("grid function values must be nonnegative")
         self.lattice = lattice
         self.values = values
@@ -599,9 +592,6 @@ class GridFunction:
     @classmethod
     def zeros(cls, lattice: Lattice) -> "GridFunction":
         return cls(lattice, np.zeros(lattice.shape))
-
-    def total_mass(self) -> float:
-        return float(np.sum(self.values)) * self.lattice.cell_volume
 
     def save(self, path) -> None:
         header = {

@@ -11,7 +11,9 @@ from .maximal import (
 from .riesz import (
     RieszValues, adjoint_kernel, bilinear_riesz, bilinear_riesz_rows, direct_kernel
 )
-from .sparse import SparseFamily, SparsenessError, build_sparse_family, sparse_operator
+from .sparse import (
+    SparseFamily, SparsenessError, build_sparse_family, sparse_operator, sparse_operator_rows
+)
 
 __all__ = [
     "RieszValues",
@@ -26,5 +28,6 @@ __all__ = [
     "multilinear_maximal",
     "multilinear_maximal_rows",
     "sparse_operator",
+    "sparse_operator_rows",
     "weighted_dyadic_maximal",
 ]

@@ -7,12 +7,19 @@ threshold index ``k``.  Each selected cube keeps the cells not claimed by
 any deeper selected cube.  A family stores its kept regions as one owner
 array over the lattice, so they are pairwise disjoint by their format; the
 half-volume guarantee on them is verified, never assumed.
+
+Each family is built on its own, but families that share a root apply as
+one stack: :func:`sparse_operator_rows` reads one child-sum pyramid of the
+root's subtree for every family's inputs and adds each cube size's products
+in one pass, coarse to fine, with the bits one :func:`sparse_operator` call
+per family gives.  The upper-bound audit applies all of its trials' families
+that way.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +29,13 @@ from ..grid import (
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["SparseFamily", "SparsenessError", "build_sparse_family", "sparse_operator"]
+__all__ = [
+    "SparseFamily",
+    "SparsenessError",
+    "build_sparse_family",
+    "sparse_operator",
+    "sparse_operator_rows",
+]
 
 
 class SparsenessError(RuntimeError):
@@ -144,7 +157,7 @@ def build_sparse_family(
     outside = np.ones(lat.shape, dtype=bool)
     outside[lat.cube_cells(root)] = False
     for g in gs:
-        if np.any(g.values[outside] != 0.0):
+        if (g.values[outside] != 0.0).any():
             raise ValueError("root cube must contain the joint support")
 
     levels = cube_levels(np.stack([g.values for g in gs]), lat, root)
@@ -164,6 +177,7 @@ def build_sparse_family(
         taus = [a * lambda0]
         while top > taus[-1]:
             taus.append(taus[-1] * a)
+        taus = np.array(taus)
         # one pass per generation, coarse to fine, painting the owner of
         # each selected cube's cells over its ancestors'.  env is the largest
         # threshold index any ancestor exceeded.  A zero cube has index 0, so
@@ -174,8 +188,8 @@ def build_sparse_family(
         while size >= 1:
             for axis in range(lat.n):
                 env = env.repeat(2, axis=axis)
-            exceed = np.searchsorted(taus, tables[size])
-            for index in np.argwhere(exceed > env):
+            exceed = taus.searchsorted(tables[size])
+            for index in zip(*(exceed > env).nonzero()):
                 start = [s + int(k) * size for s, k in zip(root.start, index)]
                 cube = grid.cube_containing_cell(start, lat.L - size.bit_length() + 1)
                 owner[lat.cube_cells(cube)] = len(cubes)
@@ -194,19 +208,59 @@ def build_sparse_family(
     )
 
 
+def sparse_operator_rows(
+    families: Sequence[SparseFamily], rows: Sequence[Sequence[GridFunction]]
+) -> List[GridFunction]:
+    """:func:`sparse_operator` of every family on its own tuple of inputs
+    ("row").
+
+    The families share one root, so the rows run as one stack: one
+    child-sum pyramid of the root's subtree (:func:`grid.cube_levels`)
+    carries every row's inputs, level k holding every cube of 2^k cells by
+    its offset from the root's start.  Then each cube size, coarse to fine,
+    reads the averages of every row's cubes of that size in one gather and
+    adds their products onto the cubes' cells in one pass.  Sums and
+    products work elementwise, and each cell adds its cubes coarse to fine,
+    which is the family order of a built family, so every row has the bits
+    of its own :func:`sparse_operator` call.
+    """
+    families, rows = list(families), [tuple(fs) for fs in rows]
+    if len(families) != len(rows):
+        raise ValueError(f"{len(families)} sparse families for {len(rows)} rows of inputs")
+    if not rows:
+        return []
+    lat = common_lattice([*families, *(f for fs in rows for f in fs)])
+    root = families[0].root
+    if any(fam.root != root for fam in families[1:]):
+        raise ValueError("the sparse families of a stack must share one root")
+    if any(len(fs) != len(rows[0]) for fs in rows[1:]):
+        raise ValueError("the rows of a stack must have the same number of inputs")
+    levels = cube_levels(np.stack([[f.values for f in fs] for fs in rows]), lat, root)
+    # per cube size, the row and the offset from the root of each cube
+    by_size: Dict[int, List[Tuple[int, ...]]] = {}
+    for r, fam in enumerate(families):
+        for cube in fam.cubes:
+            offset = tuple((s - q) // cube.size for s, q in zip(cube.start, root.start))
+            by_size.setdefault(cube.size, []).append((r,) + offset)
+    out = np.zeros((len(rows),) + lat.shape)
+    # the root lies inside the box: its cells, and each size's blocks of them
+    # as (row, offsets..., cells...)
+    under = out[(slice(None),) + lat.cube_cells(root)]
+    order = (0, *range(1, 2 * lat.n, 2), *range(2, 2 * lat.n + 1, 2))
+    for size in sorted(by_size, reverse=True):
+        index = tuple(np.array(by_size[size]).T)
+        sums = levels[size.bit_length() - 1][index[:1] + (slice(None),) + index[1:]]
+        blocks = under.reshape((len(rows),) + (root.size // size, size) * lat.n).transpose(order)
+        products = _products(lat, sums.T, size)
+        np.add.at(blocks, index, products.reshape(products.shape + (1,) * lat.n))
+    return [GridFunction(lat, values) for values in out]
+
+
 def sparse_operator(fam: SparseFamily, fs: Sequence[GridFunction]) -> GridFunction:
     """Sum over selected cubes of the product of averages times the cube.
 
     Every cube lies under the family's root, so the averages come from the
-    root's child-sum pyramid (:func:`grid.cube_levels`), level k holding
-    every cube of 2^k cells by its offset from the root's start, with the
-    bits of :func:`grid.cell_average`.
+    root's child-sum pyramid (:func:`grid.cube_levels`).  This is the
+    one-row case of :func:`sparse_operator_rows`.
     """
-    lat = common_lattice([*fs, fam])
-    levels = cube_levels(np.stack([f.values for f in fs]), lat, fam.root)
-    out = np.zeros(lat.shape)
-    for cube in fam.cubes:
-        index = tuple((s - r) // cube.size for s, r in zip(cube.start, fam.root.start))
-        sums = levels[cube.size.bit_length() - 1][(slice(None),) + index]
-        out[lat.cube_cells(cube)] += _products(lat, sums, cube.size)
-    return GridFunction(lat, out)
+    return sparse_operator_rows([fam], [fs])[0]

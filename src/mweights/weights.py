@@ -421,7 +421,17 @@ def ap_constant_rows(wvs: Sequence[WeightVector], family: CubeFamily) -> List[Ap
         raise ValueError("the rows of a stack must share one exponent tuple")
     if family.lattice != lat:
         raise ValueError(f"cube family {family.describe} is not on the weights' lattice {lat}")
-    rows = len(wvs)
+    return _scan_rows(P, _densities(wvs, lambda f: f.values), family)
+
+
+def _scan_rows(P: ExponentTuple, densities: np.ndarray, family: CubeFamily) -> List[ApReport]:
+    """The scan of :func:`ap_constant_rows` over the stacked cell densities
+    of :func:`_densities` (``(1 + m) * rows`` entries on the family's
+    lattice): one report per row, the NaN supremand refused."""
+    lat = family.lattice
+    rows = len(densities) // (1 + P.m)
+    if not rows:
+        return []
     best = [float("-inf")] * rows
     args: List[Optional[Callable[[], DyadicCube]]] = [None] * rows
     degenerate = np.zeros(rows, dtype=np.int64)
@@ -448,7 +458,6 @@ def ap_constant_rows(wvs: Sequence[WeightVector], family: CubeFamily) -> List[Ap
             elif math.isnan(top):
                 nans[r] += int(np.count_nonzero(np.isnan(row)))
 
-    densities = _densities(wvs, lambda f: f.values)
     gens = family.generations
     volumes = [lat.cube_volume(2 ** (lat.L - g)) for g in gens]
     for grid in family.grids:

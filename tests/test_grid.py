@@ -35,6 +35,16 @@ def make_lattice(n=1, L=3):
     return Lattice(default_box(n), L)
 
 
+def cube_lo(lat, cube):
+    """Oracle: the lower corner of a cube in box coordinates."""
+    return np.asarray(lat.box.lo) + lat.h * np.asarray(cube.start, dtype=float)
+
+
+def total_mass(f):
+    """Oracle: the integral of a grid function over the box."""
+    return float(np.sum(f.values)) * f.lattice.cell_volume
+
+
 def test_lattice_geometry():
     lat = make_lattice(1, 3)
     assert lat.cells_per_axis == 8
@@ -70,8 +80,7 @@ def test_standard_grid_is_origin_anchored():
     mid = 2**4
     for g in range(-2, 6):
         cube = std.cube_containing_cell((mid,), g)
-        lo, _ = lat.cube_geometry(cube)
-        assert lo[0] == 0.0
+        assert cube_lo(lat, cube)[0] == 0.0
 
 
 def test_partition_and_nesting():
@@ -253,7 +262,7 @@ def test_cell_average_frozen_indicator():
     std = fam.standard
     # [0,1) = cells 4,5 at generation 2
     q_01 = std.cube_containing_cell((4,), 2)
-    assert lat.cube_geometry(q_01)[0][0] == 0.0
+    assert cube_lo(lat, q_01)[0] == 0.0
     assert cell_average(f, q_01) == pytest.approx(1.0)
     # [0,2) at generation 1
     q_02 = std.cube_containing_cell((4,), 1)
@@ -292,7 +301,7 @@ def test_cube_averages_reject_a_grid_cube_of_another_lattice():
     for read in (cube_averages, cell_average, lambda _, q: per_cube_ap(wv, q)):
         with pytest.raises(ValueError, match="is not on the lattice"):
             read(f, other)
-    own = ShiftedGridFamily(lat).by_beta((1,)).cube(3, (1,))
+    own = ShiftedGridFamily(lat).by_id["b1"].cube(3, (1,))
     assert cell_average(f, own) > 0.0
     moved = DyadicCube(own.grid_id, own.g, own.j, (own.start[0] + 1,), own.size)
     with pytest.raises(ValueError, match="is not on the lattice"):
@@ -317,14 +326,14 @@ def test_from_power_values_are_exact_cell_averages():
     # cell [0, h) touches the singularity: average is h^(eps-1)/eps exactly
     assert f.values[(32,)] == pytest.approx(lat.h ** (eps - 1.0) / eps, rel=1e-12)
     # total mass: int_{-1}^{1} |x|^(eps-1) = 2/eps
-    assert f.total_mass() == pytest.approx(2.0 / eps, rel=1e-12)
+    assert total_mass(f) == pytest.approx(2.0 / eps, rel=1e-12)
 
 
 def test_from_power_disc_support_2d():
     lat = Lattice(default_box(2), 4)
     f = GridFunction.from_power(lat, 1.0, Ball(1.0, 2))
     # total mass: int_B |x| = 2*pi/3
-    assert f.total_mass() == pytest.approx(2.0 * math.pi / 3.0, rel=1e-9)
+    assert total_mass(f) == pytest.approx(2.0 * math.pi / 3.0, rel=1e-9)
 
 
 def test_serialization_bit_exact(tmp_path):

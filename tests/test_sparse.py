@@ -21,6 +21,7 @@ from mweights.operators import (
     build_sparse_family,
     dyadic_maximal,
     sparse_operator,
+    sparse_operator_rows,
 )
 from mweights.powermass import Interval
 from mweights.selftest import matches_oracle, stopping_edge_cases, stopping_oracle
@@ -319,6 +320,64 @@ def test_sparse_operator_matches_per_cube_averages_bitwise(n, L, seed):
             prod *= cell_average(g, cube)
         want[tuple(slice(s, s + cube.size) for s in cube.start)] += prod
     assert np.array_equal(sparse_operator(fam, gs).values, want)
+
+
+@pytest.mark.parametrize("n,L,seed", [(1, 8, 3), (2, 5, 5)])
+def test_sparse_operator_rows_match_each_family_alone_bitwise(n, L, seed):
+    # log-normal inputs under one root give families of different lengths;
+    # every row of the stack must have the bits of its own call and of a
+    # plain loop over cell_average, which adds each cell's cubes in family
+    # order (at n = 1, adding them fine to coarse changes a row's bits)
+    lat = lattice(L, n)
+    grid = std_grid(lat)
+    N = lat.cells_per_axis
+    root = cube_for(grid, (N // 2,) * n, N // 2)
+    support = np.zeros(lat.shape, dtype=bool)
+    support[lat.cube_cells(root)] = True
+    rng = np.random.default_rng(seed)
+    rows = [
+        [GridFunction(lat, rng.lognormal(0.0, 2.0, lat.shape) * support) for _ in range(2)]
+        for _ in range(6)
+    ]
+    fams = [build_sparse_family(fs, grid, root=root) for fs in rows]
+    assert len({len(fam) for fam in fams}) > 1 and max(len(fam) for fam in fams) > 2
+    stacked = sparse_operator_rows(fams, rows)
+    assert len(stacked) == len(rows)
+    for fam, gs, out in zip(fams, rows, stacked):
+        assert np.array_equal(out.values, sparse_operator(fam, gs).values)
+        want = np.zeros(lat.shape)
+        for cube in fam.cubes:
+            prod = 1.0
+            for g in gs:
+                prod *= cell_average(g, cube)
+            want[tuple(slice(s, s + cube.size) for s in cube.start)] += prod
+        assert np.array_equal(out.values, want)
+
+
+def test_sparse_operator_rows_reject_other_roots_and_lattices():
+    lat = lattice(6)
+    grid = std_grid(lat)
+    right, left = cube_for(grid, (32,), 32), cube_for(grid, (0,), 32)
+    vals = np.zeros(64)
+    vals[32:] = np.arange(1.0, 33.0)
+    f_right, f_left = GridFunction(lat, vals), GridFunction(lat, vals[::-1].copy())
+    fam_right = build_sparse_family([f_right], grid, root=right)
+    fam_left = build_sparse_family([f_left], grid, root=left)
+    with pytest.raises(ValueError, match="share one root"):
+        sparse_operator_rows([fam_right, fam_left], [[f_right], [f_left]])
+    coarse = lattice(5)
+    coarse_vals = np.zeros(32)
+    coarse_vals[16:] = np.arange(1.0, 17.0)
+    f_coarse = GridFunction(coarse, coarse_vals)
+    coarse_grid = std_grid(coarse)
+    fam_coarse = build_sparse_family([f_coarse], coarse_grid, root=cube_for(coarse_grid, (16,), 16))
+    with pytest.raises(ValueError, match="share one lattice"):
+        sparse_operator_rows([fam_right, fam_coarse], [[f_right], [f_coarse]])
+    with pytest.raises(ValueError, match="share one lattice"):
+        sparse_operator_rows([fam_right, fam_right], [[f_right], [f_coarse]])
+    with pytest.raises(ValueError, match="1 sparse families for 2 rows"):
+        sparse_operator_rows([fam_right], [[f_right], [f_right]])
+    assert sparse_operator_rows([], []) == []
 
 
 def test_sparse_family_validation_rejects_thin_region():

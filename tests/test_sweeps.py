@@ -1,7 +1,9 @@
 """Tests for sweep execution, exponent fitting, CSV output, and audits."""
+import dataclasses
 import json
 import math
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,9 +21,24 @@ from mweights.experiments import (
     write_gnuplot,
     write_sweep_csv,
 )
-from mweights.experiments import sweeps
-from mweights.grid import GridFunction, Lattice, default_box
-from mweights.weights import Weight, WeightVector, ExponentTuple
+from mweights import weights
+from mweights.experiments import grid_lp_norm, sweeps
+from mweights.grid import GridFunction, Lattice, ShiftedGridFamily, default_box
+from mweights.operators import (
+    SparsenessError,
+    build_sparse_family,
+    multilinear_maximal,
+    sparse,
+    sparse_operator,
+)
+from mweights.weights import (
+    CubeFamily,
+    ExponentTuple,
+    Weight,
+    WeightVector,
+    ap_constant,
+    random_weight,
+)
 
 
 def synthetic_row(eps, ap, ratio):
@@ -372,3 +389,169 @@ def test_sparse_audit_below_p_one_and_at_three_slots(exponents, largest):
 def test_audit_rejects_unknown_operator():
     with pytest.raises(ValueError, match="operator"):
         upper_bound_audit((2.0, 2.0), L=5, trials=2, seed=1, operator="fourier")
+
+
+def audit_one_trial_at_a_time(
+    exponents, L, trials, seed, target, operator="sparse", n=1, weight_kind="mixed"
+):
+    """Oracle: the audit with every trial run alone, start to end, through
+    ``build_sparse_family``, ``sparse_operator`` (or ``multilinear_maximal``)
+    and ``ap_constant``, with the draws in the audit's order.  Returns the
+    quotients, the skips by reason, the largest family, the cubes per
+    generation and the degenerate cubes of the counted trials."""
+    et = ExponentTuple(exponents)
+    lattice = Lattice(default_box(n), L)
+    grid = ShiftedGridFamily(lattice).standard
+    root = grid.cube(1, (0,) * n)
+    support = np.zeros(lattice.shape, dtype=bool)
+    support[lattice.cube_cells(root)] = True
+    family = CubeFamily(lattice, kind="shifted")
+    rng = np.random.default_rng(seed)
+    quotients, skips, largest, generations, degenerate = [], Counter(), 0, Counter(), 0
+    for _ in range(trials):
+        fs = tuple(
+            GridFunction(lattice, rng.lognormal(0.0, 2.0, lattice.shape) * support)
+            for _ in range(et.m)
+        )
+        if weight_kind == "constant":
+            ws = tuple(Weight.constant(lattice) for _ in range(et.m))
+        else:
+            ws = tuple(random_weight(rng, lattice, p_i) for p_i in et.exponents)
+        wv = WeightVector(ws, et)
+        rhs = float(np.prod([grid_lp_norm(f.values, p, w) for f, p, w in zip(fs, exponents, ws)]))
+        if not (rhs > 0.0 and np.isfinite(rhs)):
+            skips["input_norms"] += 1
+            continue
+        if operator == "sparse":
+            try:
+                fam = build_sparse_family(fs, grid, root=root)
+            except SparsenessError:
+                skips["sparseness"] += 1
+                continue
+            largest = max(largest, len(fam))
+            generations.update(cube.g for cube in fam.cubes)
+            out = sparse_operator(fam, fs)
+        else:
+            out = multilinear_maximal(fs)[0]
+        lhs = grid_lp_norm(out.values, et.p, wv.joint)
+        report = ap_constant(wv, family)
+        ap = report.constant
+        if not (lhs > 0.0 and np.isfinite(lhs) and np.isfinite(ap) and ap > 0.0):
+            skips["degenerate_lhs_ap"] += 1
+            continue
+        quotients.append((lhs / rhs) / ap**target)
+        degenerate += report.degenerate
+    return quotients, dict(skips), largest, dict(sorted(generations.items())), degenerate
+
+
+@pytest.mark.parametrize(
+    "exponents, L, trials, seed, operator, n, weight_kind",
+    [
+        ((2.0, 2.0), 8, 8, 3, "sparse", 1, "mixed"),
+        ((1.5, 1.5), 8, 10, 3, "sparse", 1, "mixed"),
+        ((2.0, 2.0, 2.0), 8, 10, 3, "sparse", 1, "mixed"),
+        ((2.0, 2.0), 5, 4, 3, "sparse", 2, "mixed"),
+        ((2.0, 2.0), 7, 6, 3, "maximal", 1, "mixed"),
+        ((2.0, 2.0), 8, 6, 11, "sparse", 1, "constant"),
+    ],
+)
+def test_stacked_audit_matches_trials_run_one_at_a_time(
+    exponents, L, trials, seed, operator, n, weight_kind
+):
+    rep = upper_bound_audit(
+        exponents, L=L, trials=trials, seed=seed, operator=operator, n=n, weight_kind=weight_kind
+    )
+    quotients, skips, largest, generations, degenerate = audit_one_trial_at_a_time(
+        exponents, L, trials, seed, rep.target_exponent, operator, n, weight_kind
+    )
+    assert rep.quotients == tuple(quotients)  # bit for bit
+    assert rep.skipped == sum(skips.values())
+    assert {k: v for k, v in rep.skipped_by_reason.items() if v} == skips
+    assert rep.largest_family == largest
+    assert rep.family_generations == generations
+    assert rep.degenerate_cubes == degenerate
+
+
+def test_audit_runs_one_weight_constant_scan_and_one_sparse_apply(monkeypatch):
+    # the trials share one pyramid per shifted grid in the weight-constant
+    # scan and one pyramid of the root's subtree in the sparse operator;
+    # every sparse build reads its own
+    calls = Counter()
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(weights, "_grid_averages")
+    counting(sparse, "cube_levels")
+    counting(sweeps, "build_sparse_family")
+    rep = upper_bound_audit((2.0, 2.0), L=7, trials=6, seed=11, operator="sparse")
+    assert len(rep.quotients) == 6
+    assert calls["_grid_averages"] == 2  # the two shifted grids at n = 1
+    assert calls["build_sparse_family"] == 6
+    assert calls["cube_levels"] == calls["build_sparse_family"] + 1
+
+
+def test_audit_skips_add_up_by_reason(monkeypatch):
+    # trial 0's input norms vanish, the second build misses sparseness and
+    # the first output norm of the stack vanishes: one skip of each reason
+    norms, builds, lhs_calls = Counter(), Counter(), Counter()
+    real_norm, real_build = sweeps.grid_lp_norm, sweeps.build_sparse_family
+    real_lp = sweeps._lp_norm
+
+    def norm(*args):
+        norms["n"] += 1
+        return 0.0 if norms["n"] <= 2 else real_norm(*args)
+
+    def build(*args, **kwargs):
+        builds["n"] += 1
+        if builds["n"] == 2:
+            raise SparsenessError("kept region below one half")
+        return real_build(*args, **kwargs)
+
+    def lp(*args):
+        lhs_calls["n"] += 1
+        return 0.0 if lhs_calls["n"] == 1 else real_lp(*args)
+
+    monkeypatch.setattr(sweeps, "grid_lp_norm", norm)
+    monkeypatch.setattr(sweeps, "build_sparse_family", build)
+    monkeypatch.setattr(sweeps, "_lp_norm", lp)
+    rep = upper_bound_audit((2.0, 2.0), L=7, trials=8, seed=11, operator="sparse")
+    assert rep.skipped_by_reason == {"input_norms": 1, "sparseness": 1, "degenerate_lhs_ap": 1}
+    assert rep.skipped == sum(rep.skipped_by_reason.values()) == 3
+    assert len(rep.quotients) == rep.trials - rep.skipped == 5
+    blob = json.loads(json.dumps(rep.to_json()))
+    assert blob["skipped_by_reason"] == rep.skipped_by_reason
+    assert blob["degenerate_cubes"] == rep.degenerate_cubes
+
+
+def test_every_skip_for_vanishing_input_norms_reads_as_input_norms(monkeypatch):
+    monkeypatch.setattr(sweeps, "grid_lp_norm", lambda *args: 0.0)
+    with pytest.raises(AuditError, match=r"every audit trial was skipped \(3 input_norms\)"):
+        upper_bound_audit((2.0, 2.0), L=5, trials=3, seed=1, operator="sparse")
+
+
+def test_audit_degenerate_cubes_sum_over_the_counted_trials(monkeypatch):
+    # the first trial of the stack is skipped for its output norm; its
+    # degenerate cubes must not count
+    real_scan, real_lp = sweeps._scan_rows, sweeps._lp_norm
+    lhs_calls = Counter()
+
+    def scan(*args):
+        reports = real_scan(*args)
+        return [dataclasses.replace(r, degenerate=10 + k) for k, r in enumerate(reports)]
+
+    def lp(*args):
+        lhs_calls["n"] += 1
+        return 0.0 if lhs_calls["n"] == 1 else real_lp(*args)
+
+    monkeypatch.setattr(sweeps, "_scan_rows", scan)
+    monkeypatch.setattr(sweeps, "_lp_norm", lp)
+    rep = upper_bound_audit((2.0, 2.0), L=7, trials=4, seed=11, operator="sparse")
+    assert rep.skipped_by_reason["degenerate_lhs_ap"] == 1
+    assert rep.degenerate_cubes == 11 + 12 + 13
