@@ -329,6 +329,10 @@ class AuditError(RuntimeError):
 # why an audit trial was skipped, in the order the audit checks
 SKIP_REASONS = ("input_norms", "sparseness", "degenerate_lhs_ap")
 
+# lattice cells of the trials an audit stacks at once: 32 trials at n = 1,
+# L = 10, and two at n = 2, L = 7, so the stacks do not grow with trials
+_AUDIT_STACK_CELLS = 1 << 15
+
 
 @dataclass(frozen=True)
 class AuditReport:
@@ -397,14 +401,17 @@ def upper_bound_audit(
     root alone never runs that walk and raises :class:`AuditError`, as does
     an audit whose every trial was skipped.
 
-    The trials run as one stack, as a sweep's rows do.  Each trial is drawn,
+    The trials run in stacks, as a sweep's rows do.  Each trial is drawn,
     its input norms checked and its sparse family built on its own; its
-    inputs, its joint weight's cell masses and its weight densities are
-    then written into stacks, and no weight or grid function outlives the
-    trial.  After the draws, one :func:`sparse_operator_rows` call (or one
+    inputs, its joint weight's cell masses and its weight densities then
+    join the stack, and no weight vector outlives the trial.  Once the
+    stack holds ``_AUDIT_STACK_CELLS`` lattice cells (at least one trial),
+    and after the last draw, one :func:`sparse_operator_rows` call (or one
     :func:`multilinear_maximal_rows` call) and one weight-constant scan run
-    over every kept trial.  Both work elementwise along the trial axis, so
-    every quotient has the bits of a trial run alone.
+    over its trials and the stack is emptied, so memory does not grow with
+    ``trials``.  A 20-trial audit at n = 1, L = 10 is one stack.  Both
+    steps work elementwise along the trial axis, so every quotient has the
+    bits of a trial run alone.
     """
     if operator not in ("sparse", "maximal"):
         raise ValueError(f"unknown operator {operator!r}: use 'sparse' or 'maximal'")
@@ -424,12 +431,29 @@ def upper_bound_audit(
 
     family = CubeFamily(lattice, kind="shifted")
     rng = np.random.default_rng(seed)
-    # the stacks of the trials kept so far; a skipped trial's slot is reused
-    inputs = np.empty((trials, et.m) + lattice.shape)
-    joint_masses = np.empty((trials,) + lattice.shape)
-    densities = np.empty((1 + et.m, trials) + lattice.shape)
+    # the stack of kept trials not yet run; a full stack runs before the
+    # next draw, so at most `size` trials are held at once
+    size = max(1, min(trials, _AUDIT_STACK_CELLS // math.prod(lattice.shape)))
+    densities = np.empty((1 + et.m, size) + lattice.shape)
+    inputs: List[Tuple[GridFunction, ...]] = []
+    joint_masses: List[np.ndarray] = []
     families: List[SparseFamily] = []
     rhs_products: List[float] = []
+    lhs_norms: List[float] = []
+    reports: List[ApReport] = []
+
+    def run_stack() -> None:
+        if operator == "sparse":
+            outs = sparse_operator_rows(families, inputs)
+        else:
+            outs = [lower for lower, _ in multilinear_maximal_rows(inputs)]
+        lhs_norms.extend(
+            _lp_norm(out.values, et.p, masses) for out, masses in zip(outs, joint_masses)
+        )
+        kept = len(inputs)
+        del outs, inputs[:], joint_masses[:], families[:]  # before the scan's pyramids
+        reports.extend(_scan_rows(et, densities[:, :kept].reshape((-1,) + lattice.shape), family))
+
     skipped_by_reason = dict.fromkeys(SKIP_REASONS, 0)
     largest = 0
     generations: Counter = Counter()
@@ -462,20 +486,14 @@ def upper_bound_audit(
             largest = max(largest, len(fam))
             generations.update(cube.g for cube in fam.cubes)
             families.append(fam)
-        k = len(rhs_products)
         rhs_products.append(rhs_product)
-        inputs[k] = [f.values for f in fs]
-        joint_masses[k] = wv.joint.cell_masses()
-        densities[:, k] = _densities([wv], lambda f: f.values)
-    kept = len(rhs_products)
-    rows = [[GridFunction(lattice, values) for values in trial] for trial in inputs[:kept]]
-    if operator == "sparse":
-        outs = sparse_operator_rows(families, rows)
-    else:
-        outs = [lower for lower, _ in multilinear_maximal_rows(rows)]
-    lhs_norms = [_lp_norm(out.values, et.p, masses) for out, masses in zip(outs, joint_masses)]
-    del inputs, joint_masses, families, rows, outs  # before the scan's pyramids
-    reports = _scan_rows(et, densities[:, :kept].reshape((-1,) + lattice.shape), family)
+        densities[:, len(inputs)] = _densities([wv], lambda f: f.values)
+        inputs.append(fs)
+        joint_masses.append(wv.joint.cell_masses())
+        if len(inputs) == size:
+            run_stack()
+    if inputs:
+        run_stack()
     quotients: List[float] = []
     degenerate = 0
     for lhs, rhs_product, report in zip(lhs_norms, rhs_products, reports):

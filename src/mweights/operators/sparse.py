@@ -12,8 +12,8 @@ Each family is built on its own, but families that share a root apply as
 one stack: :func:`sparse_operator_rows` reads one child-sum pyramid of the
 root's subtree for every family's inputs and adds each cube size's products
 in one pass, coarse to fine, with the bits one :func:`sparse_operator` call
-per family gives.  The upper-bound audit applies all of its trials' families
-that way.
+per family gives.  The upper-bound audit applies its trials' families that
+way, a stack of at most 2^15 lattice cells at a time.
 """
 from __future__ import annotations
 

@@ -497,6 +497,44 @@ def test_audit_runs_one_weight_constant_scan_and_one_sparse_apply(monkeypatch):
     assert calls["cube_levels"] == calls["build_sparse_family"] + 1
 
 
+@pytest.mark.parametrize("operator", ["sparse", "maximal"])
+def test_an_audit_in_several_stacks_matches_trials_run_one_at_a_time(monkeypatch, operator):
+    # three L = 8 trials to a stack: ten trials run as 3 + 3 + 3 + 1
+    monkeypatch.setattr(sweeps, "_AUDIT_STACK_CELLS", 3 * 256 + 255)
+    scans = Counter()
+    real_scan = sweeps._scan_rows
+
+    def scan(P, densities, family):
+        scans[len(densities) // (1 + P.m)] += 1
+        return real_scan(P, densities, family)
+
+    monkeypatch.setattr(sweeps, "_scan_rows", scan)
+    rep = upper_bound_audit((2.0, 2.0), L=8, trials=10, seed=3, operator=operator)
+    quotients, skips, largest, generations, degenerate = audit_one_trial_at_a_time(
+        (2.0, 2.0), 8, 10, 3, rep.target_exponent, operator
+    )
+    assert not skips and scans == {3: 3, 1: 1}
+    assert rep.quotients == tuple(quotients)  # bit for bit
+    assert rep.largest_family == largest
+    assert rep.family_generations == generations
+    assert rep.degenerate_cubes == degenerate
+
+
+def test_a_planar_audit_holds_no_more_than_a_small_stack_at_once():
+    # a 20-trial stack at n = 2, L = 7 peaks at about 30 MiB; one trial at
+    # a time, at about 4.6 MiB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        rep = upper_bound_audit((2.0, 2.0), L=7, trials=20, seed=3, n=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.quotients) == 20
+    assert peak < 8 * 2**20
+
+
 def test_audit_skips_add_up_by_reason(monkeypatch):
     # trial 0's input norms vanish, the second build misses sparseness and
     # the first output norm of the stack vanishes: one skip of each reason
