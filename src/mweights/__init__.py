@@ -33,7 +33,7 @@ from .grid import (
     default_box,
     third_offset,
 )
-from .powermass import Ball, Interval, Rect, RectInBall, power_mass, unit_sphere_area
+from .powermass import Ball, Interval, Rect, power_mass, unit_sphere_area
 from .weights import (
     ApReport,
     CubeFamily,
@@ -103,7 +103,6 @@ __all__ = [
     "Minorant",
     "PowerDescriptor",
     "Rect",
-    "RectInBall",
     "RieszValues",
     "ShiftedGridFamily",
     "SparseFamily",

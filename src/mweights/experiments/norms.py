@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..grid import CellRegion, GridFunction, common_lattice
+from ..grid import GridFunction, common_lattice
 from ..powermass import power_mass
 from ..weights import Weight
 
@@ -66,7 +66,6 @@ def hybrid_lower_norm(
     p: float,
     w: Weight,
     minorant: Optional[Minorant] = None,
-    region: Optional[CellRegion] = None,
 ) -> float:
     """Cellwise max of the lattice term and the minorant's exact integral.
 
@@ -78,8 +77,6 @@ def hybrid_lower_norm(
     if p <= 0:
         raise ValueError("norm exponent must be positive")
     lat_term = np.abs(values) ** p * w.cell_masses()
-    if region is not None:
-        lat_term = np.where(region.mask, lat_term, 0.0)
     if minorant is not None:
         combined = Weight(w.lattice, exponent=minorant.exponent * p + w.exponent)
         minor_term = abs(minorant.coeff) ** p * w.values * combined.cell_masses()

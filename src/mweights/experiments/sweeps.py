@@ -131,13 +131,7 @@ def _assemble_row(
         quad_ok = bool(np.all(np.isfinite(rv.values)) and np.all(rv.values >= cone))
         quad_min_ratio = float(np.min(rv.values / cone))
         pv_points = int(np.count_nonzero(rv.pv_approximate))
-    lhs = hybrid_lower_norm(
-        out_values,
-        prob.lhs_exponent,
-        prob.lhs_weight,
-        minorant=prob.minorant,
-        region=prob.region,
-    )
+    lhs = hybrid_lower_norm(out_values, prob.lhs_exponent, prob.lhs_weight, minorant=prob.minorant)
     ap = float(report.constant)
     rhs_product = float(np.prod(prob.rhs_norms))
     ratio = lhs / rhs_product if rhs_product > 0 else float("nan")

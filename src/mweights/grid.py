@@ -155,17 +155,17 @@ class Lattice:
     def power_masses(self, exponent: float, support=None) -> np.ndarray:
         """Exact integral of |x|^exponent over every cell, clipped to ``support``.
 
-        n=1 is the closed form on whole arrays. n=2 uses a 12x12 tensor
-        Gauss-Legendre rule on the cells inside the support whose distance
+        n=1 is the closed form of :class:`IntervalPlan` on whole arrays.
+        n=2 uses the 12x12 tensor Gauss-Legendre rule of
+        :class:`RectRulePlan` on the cells inside the support whose distance
         from the origin is at least their longest side, and on those only;
         the cells nearer the origin (on the default box, the four that touch
-        it) and the cells a ``Ball`` cuts take the graded polar rule of
-        :func:`planar_masses`, all in one call.
+        it) and the cells a ``Ball`` cuts take the graded polar rule of one
+        :class:`PlanarPlan`.
 
-        The exponent-free geometry (:class:`IntervalPlan`; for n=2 the
-        tensor-rule cells, :class:`RectRulePlan` and :class:`PlanarPlan`) is
-        built on the first call for each support and kept with the lattice,
-        so a call runs only the exponent step, with a fresh lattice's bits.
+        These plans (for n=2 with the tensor-rule cells) are built on the
+        first call for each support and kept with the lattice, so a call
+        runs only their exponent step, with a fresh lattice's bits.
         """
         plan = self._mass_plans.get(support)
         if plan is None:
@@ -406,10 +406,6 @@ class CubeLayout:
     def shape(self) -> Tuple[int, ...]:
         return tuple(len(s) for s in self.starts)
 
-    @property
-    def full_volume(self) -> float:
-        return self.lattice.cube_volume(self.size)
-
     def cell_slots(self) -> Tuple[np.ndarray, ...]:
         """Per axis, the index of the cube holding each cell (grid layouts)."""
         cells = np.arange(self.lattice.cells_per_axis)
@@ -551,6 +547,23 @@ def _support_from_json(d: dict):
     raise ValueError(f"unknown support kind {d['kind']!r}")
 
 
+def _header_lattice(header) -> Lattice:
+    """The lattice a grid file's header names; ValueError unless ``L`` is a
+    nonnegative int, ``box.lo`` one number per axis (``n``) and
+    ``box.side`` finite and positive."""
+    try:
+        L, n, lo, side = header["L"], header["n"], header["box"]["lo"], header["box"]["side"]
+    except TypeError:
+        raise ValueError("the header is not a JSON object holding a box object") from None
+    if type(L) is not int or L < 0:
+        raise ValueError(f"L = {L!r} is not a nonnegative integer")
+    if not (type(lo) is list and len(lo) == n and all(type(x) in (int, float) for x in lo)):
+        raise ValueError(f"box.lo = {lo!r} does not hold one number per axis (n = {n!r})")
+    if not (type(side) in (int, float) and 0 < side < math.inf):
+        raise ValueError(f"box.side = {side!r} is not a positive number")
+    return Lattice(Box(tuple(lo), side), L)
+
+
 class GridFunction:
     """Nonnegative function stored as one cell average per lattice cell.
 
@@ -616,9 +629,7 @@ class GridFunction:
     def load(cls, path) -> "GridFunction":
         with open(path) as fh:
             header = json.loads(fh.readline())
-            lattice = Lattice(
-                Box(tuple(header["box"]["lo"]), header["box"]["side"]), header["L"]
-            )
+            lattice = _header_lattice(header)
             count = lattice.cells_per_axis**lattice.n
             flat = np.zeros(count)
             seen = np.zeros(count, dtype=bool)

@@ -57,7 +57,7 @@ def _product_max(grid: DyadicGrid, stacked: np.ndarray, g_min: int) -> np.ndarra
     lat = grid.lattice
 
     def products(sums: np.ndarray, layout: CubeLayout) -> np.ndarray:
-        return (sums * lat.cell_volume / layout.full_volume).prod(axis=-lat.n - 1)
+        return (sums * lat.cell_volume / lat.cube_volume(layout.size)).prod(axis=-lat.n - 1)
 
     return _chain_max(grid, stacked, g_min, products)
 

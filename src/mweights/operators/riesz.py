@@ -36,19 +36,20 @@ strip where no row has ``f1`` mass is skipped, and each run of the other
 strips is one product with ``T2`` for every row at once, summed against
 the run's rows of ``T1``.
 
-Consecutive tiles of one ``θ`` overlap in most of their offsets, so a run
-of them, a chunk, reads its strips from one table over the chunk's
-offsets, and its windows from one set, as long as that table holds at
-most ``_TABLE`` entries and the chunk's points span fewer cells than
-``f2``; the whole ``θ`` class of an L = 10 criterion-7 sweep is one chunk.
-The table is filled before any product: each row is evaluated from the
-first column of the first tile that reads it to the last column of the
-last, and runs of rows with one column range are evaluated together, at
-most ``_FILL`` rows at a time.  So every offset pair is evaluated at most
-once per chunk, and only where some tile alone would evaluate it.  A tile
-whose own table is over ``_TABLE`` evaluates its strips one at a time into
-a strip buffer, each just before its product, so the working set stays
-bounded whatever the number of points and the support sizes.
+Consecutive tiles of one ``θ`` overlap in most of their offsets.  So
+when a ``θ`` class's table holds at most ``_TABLE`` entries and its points
+span fewer cells than ``f2``, all its tiles are one chunk: they read their
+strips from one table over the class's offsets, and their windows from one
+set.  Otherwise each tile of the class is a chunk of its own.  The whole
+``θ`` class of an L = 10 criterion-7 sweep is one chunk.  The table is
+filled before any product: each row is evaluated from the first column of
+the first tile that reads it to the last column of the last, and runs of
+rows with one column range are evaluated together, at most ``_FILL`` rows
+at a time.  So every offset pair is evaluated at most once per chunk, and
+only where some tile alone would evaluate it.  A tile whose own table is
+over ``_TABLE`` evaluates its strips one at a time into a strip buffer,
+each just before its product, so the working set stays bounded whatever
+the number of points and the support sizes.
 """
 from __future__ import annotations
 
@@ -171,43 +172,29 @@ def _pv_flags(w1, w2, m, theta):
     return near_mass(w1) & near_mass(w2)
 
 
-def _tiles(m_all, theta_all, per_tile):
-    """The points' tiles as index arrays, in order of θ and then of cell.
+def _chunks(m_all, theta_all, per_tile, n1, n2):
+    """The points' tiles as index arrays, in order of θ and then of cell,
+    grouped into chunks.
 
     A tile is a run of at most ``per_tile`` points with one θ whose cells
-    span fewer than ``per_tile`` indices; with one row, at most _TILE of each.
+    span fewer than ``per_tile`` indices; with one row, at most _TILE of
+    each.  Points whose cells span ``s`` indices touch
+    ``(s + n1 - 1) x (s + n2 - 1)`` offset pairs.  All the tiles of one θ
+    are one chunk when that table fits _TABLE and their points span fewer
+    cells than ``f2`` (``n2`` cells); otherwise each tile is a chunk.
     """
     order = np.lexsort((m_all, theta_all))
-    tiles = []
-    start = 0
-    while start < order.size:
-        theta = theta_all[order[start]]
-        stop = min(start + per_tile, order.size)
-        stop = start + int(np.searchsorted(theta_all[order[start:stop]], theta, "right"))
-        ms = m_all[order[start:stop]]
-        stop = start + int(np.searchsorted(ms, ms[0] + per_tile))
-        tiles.append(order[start:stop])
-        start = stop
-    return tiles
-
-
-def _chunks(tiles, m_all, theta_all, n1, n2):
-    """Chunks: runs of consecutive tiles with one θ whose shared table fits
-    _TABLE and whose points span fewer cells than ``f2`` (``n2`` cells).
-
-    Points whose cells span ``s`` indices touch ``(s + n1 - 1) x (s + n2 - 1)``
-    offset pairs.  A tile over the budget alone is a chunk of its own.
-    """
+    classes = np.split(order, np.flatnonzero(np.diff(theta_all[order])) + 1) if order.size else []
     chunks = []
-    for tile in tiles:
-        if chunks:
-            first = chunks[-1][0][0]
-            span = m_all[tile[-1]] - m_all[first]
-            fits = span < n2 and (span + n1) * (span + n2) <= _TABLE
-            if theta_all[tile[0]] == theta_all[first] and fits:
-                chunks[-1].append(tile)
-                continue
-        chunks.append([tile])
+    for cls in classes:
+        ms, tiles, start = m_all[cls], [], 0
+        while start < cls.size:
+            stop = start + int(np.searchsorted(ms[start : start + per_tile], ms[start] + per_tile))
+            tiles.append(cls[start:stop])
+            start = stop
+        span = ms[-1] - ms[0]
+        fits = span < n2 and (span + n1) * (span + n2) <= _TABLE
+        chunks.extend([tiles] if fits else ([tile] for tile in tiles))
     return chunks
 
 
@@ -314,8 +301,8 @@ def _stacked_sums(w1, i1, w2, j1, m_all, theta_all, variant):
     """Quadrature sums (unit cell scale) of every row of the stacked masses
     at the points ``(m_all, theta_all)``, as a (rows, points) array."""
     sums = np.zeros((w1.shape[0], m_all.size))
-    tiles = _tiles(m_all, theta_all, max(1, _TILE // w1.shape[0]))
-    for chunk in _chunks(tiles, m_all, theta_all, w1.shape[1], w2.shape[1]):
+    per_tile = max(1, _TILE // w1.shape[0])
+    for chunk in _chunks(m_all, theta_all, per_tile, w1.shape[1], w2.shape[1]):
         _chunk_sums(w1, i1, w2, j1, m_all, chunk, theta_all[chunk[0][0]], variant, sums)
     return sums
 

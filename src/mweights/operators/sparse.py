@@ -58,7 +58,6 @@ class SparseFamily:
     generation's selected cubes in C order of their index ``j``.
     """
 
-    grid_id: str
     cubes: Tuple[DyadicCube, ...]
     lattice: Lattice
     owner: np.ndarray
@@ -95,6 +94,11 @@ class SparseFamily:
 
     def __len__(self) -> int:
         return len(self.cubes)
+
+    @property
+    def grid_id(self) -> str:
+        """The id of the root's grid, which holds every cube of the family."""
+        return self.root.grid_id
 
     @property
     def kept(self) -> np.ndarray:
@@ -198,7 +202,6 @@ def build_sparse_family(
             size //= 2
 
     return SparseFamily(
-        grid_id=grid.grid_id,
         cubes=tuple(cubes),
         lattice=lat,
         owner=owner,

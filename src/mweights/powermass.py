@@ -12,10 +12,9 @@ split of many intervals and each part's log ratio, :class:`PlanarPlan` the
 axis split of many rectangles and their graded polar pieces and rays, and
 :class:`RectRulePlan` the nodes of a cheaper fixed tensor Gauss-Legendre
 rule for planar rectangles away from the origin. Its ``masses`` method then
-runs only the exponent step, once per exponent; :func:`interval_masses`,
-:func:`planar_masses` and :func:`rect_gauss_masses` are the one-shot case.
-Every rule adds its nodes in one fixed order, so a region's mass has the
-same bits whichever other regions share its call.
+runs only the exponent step, once per exponent; :func:`power_mass` is the
+one-region case. Every rule adds its nodes in one fixed order, so a
+region's mass has the same bits whichever other regions share its call.
 """
 from __future__ import annotations
 
@@ -31,12 +30,8 @@ __all__ = [
     "Ball",
     "PlanarPlan",
     "Rect",
-    "RectInBall",
     "RectRulePlan",
-    "interval_masses",
-    "planar_masses",
     "power_mass",
-    "rect_gauss_masses",
     "unit_sphere_area",
 ]
 
@@ -74,15 +69,6 @@ class Rect:
     hi: Tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class RectInBall:
-    """Intersection of an axis-aligned box with a ball at the origin."""
-
-    lo: Tuple[float, ...]
-    hi: Tuple[float, ...]
-    radius: float
-
-
 def unit_sphere_area(n: int) -> float:
     """Surface measure of the unit sphere in R^n (2 for n=1, 2*pi for n=2)."""
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
@@ -108,7 +94,9 @@ class _Rays:
 
 
 class IntervalPlan:
-    """The exponent-free part of :func:`interval_masses` over fixed intervals.
+    """The integral of |x|^a over fixed intervals [lo, hi], 0 where
+    hi <= lo: the plan holds the exponent-free part, and :meth:`masses`
+    takes one exponent.
 
     Each interval is split at the origin and its negative part reflected;
     :meth:`masses` then takes the closed form on the kept parts of both
@@ -137,11 +125,6 @@ class IntervalPlan:
         return out
 
 
-def interval_masses(a: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Integral of |x|^a over every interval [lo[k], hi[k]]; 0 where hi <= lo."""
-    return IntervalPlan(lo, hi).masses(a)
-
-
 def _node_sum(v: np.ndarray) -> np.ndarray:
     """sum_k w_k v[k] over the 12 tensor-rule nodes on the leading axis of v,
     in place and in one fixed order, so each entry's bits depend on its own
@@ -159,9 +142,15 @@ def _node_sum(v: np.ndarray) -> np.ndarray:
 
 
 class RectRulePlan:
-    """The exponent-free part of :func:`rect_gauss_masses` on the rectangles
-    [x0[i], x1[i]] x [y0[j], y1[j]]: the squared nodes along each axis and
-    the areas."""
+    """A 12 x 12 tensor Gauss-Legendre rule for the integral of |x|^a over
+    the rectangles [x0[i], x1[i]] x [y0[j], y1[j]]; the plan holds the
+    squared nodes along each axis and the areas.
+
+    The rule is accurate to a few ulps on rectangles whose distance from the
+    origin is at least their longest side; nearer rectangles need
+    :class:`PlanarPlan`. A rectangle's value does not depend on the others
+    of the call.
+    """
 
     def __init__(self, x0, x1, y0, y1):
         x0, x1, y0, y1 = (np.asarray(v, dtype=float) for v in (x0, x1, y0, y1))
@@ -184,19 +173,6 @@ class RectRulePlan:
                 np.power(r2, 0.5 * a, out=r2)
                 out[c : c + cells] = _node_sum(_node_sum(r2))
         return out * self.sx[i] * self.sy[j]
-
-
-def rect_gauss_masses(a: float, x0, x1, y0, y1) -> np.ndarray:
-    """Integral of |x|^a over every rectangle [x0[i], x1[i]] x [y0[j], y1[j]].
-
-    A 12 x 12 tensor Gauss-Legendre rule, accurate to a few ulps on
-    rectangles whose distance from the origin is at least their longest
-    side. Nearer rectangles need :func:`planar_masses`. A rectangle's value
-    does not depend on the others of the call.
-    """
-    plan = RectRulePlan(x0, x1, y0, y1)
-    shape = (plan.sx.size, plan.sy.size)
-    return plan.masses(a, *np.indices(shape).reshape(2, -1)).reshape(shape)
 
 
 def _ball_mass(a: float, radius: float, n: int) -> float:
@@ -273,8 +249,9 @@ def _octant_pieces(x0, x1, y0, y1, radius):
 
 
 class PlanarPlan:
-    """The exponent-free part of :func:`planar_masses` over fixed rectangles
-    capped by B(0, radius).
+    """The integral of |x|^a over fixed rectangles [x0, x1] x [y0, y1]
+    capped by B(0, radius): the plan holds the exponent-free part, and
+    :meth:`masses` takes one exponent.
 
     Each rectangle is split at the axes and its four parts reflected into
     the first quadrant. Empty parts, and parts outside the ball, have mass
@@ -324,32 +301,24 @@ class PlanarPlan:
         return ((q[0] + q[1]) + q[2]) + q[3]
 
 
-def planar_masses(a: float, x0, x1, y0, y1, radius=math.inf) -> np.ndarray:
-    """Integral of |x|^a over every [x0, x1] x [y0, y1] cap B(0, radius),
-    in one :class:`PlanarPlan`."""
-    return PlanarPlan(x0, x1, y0, y1, radius).masses(a)
-
-
 def power_mass(a: float, region) -> float:
     """Integral of |x|^a over the region.
 
     Closed forms for intervals and balls; the graded polar rule of
-    :func:`planar_masses` for planar rectangles. Raises ValueError when
+    :class:`PlanarPlan` for planar rectangles. Raises ValueError when
     |x|^a is not integrable on the region (exponent a <= -n with the origin
     inside).
     """
     if isinstance(region, Ball):
         return _ball_mass(a, region.radius, region.n)
     if isinstance(region, Interval):
-        lo, hi, radius = (region.lo,), (region.hi,), math.inf
+        lo, hi = (region.lo,), (region.hi,)
     elif isinstance(region, Rect):
-        lo, hi, radius = region.lo, region.hi, math.inf
-    elif isinstance(region, RectInBall):
-        lo, hi, radius = region.lo, region.hi, region.radius
+        lo, hi = region.lo, region.hi
     else:
         raise TypeError(f"unsupported region type: {type(region).__name__}")
     if len(lo) == 1:
-        return float(interval_masses(a, max(lo[0], -radius), min(hi[0], radius)))
+        return float(IntervalPlan(lo[0], hi[0]).masses(a))
     if len(lo) == 2:
-        return float(planar_masses(a, lo[0], hi[0], lo[1], hi[1], radius))
+        return float(PlanarPlan(lo[0], hi[0], lo[1], hi[1]).masses(a))
     raise NotImplementedError("rectangle masses are implemented for n <= 2")

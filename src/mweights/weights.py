@@ -33,7 +33,6 @@ from .grid import (
     Lattice,
     ShiftedGridFamily,
     aligned_window_sums,
-    cell_average,
     common_lattice,
     cube_averages,
 )
@@ -180,9 +179,6 @@ class Weight:
                 self.lattice, self.cell_masses() / self.lattice.cell_volume
             )
         return self._density
-
-    def average(self, cube: DyadicCube) -> float:
-        return cell_average(self.density(), cube)
 
     def mass_on(self, region: CellRegion) -> float:
         return float(np.sum(self.cell_masses()[region.mask]))

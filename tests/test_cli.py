@@ -211,6 +211,42 @@ def test_maximal_malformed_grid_file_is_config_error(tmp_path, capsys):
     assert "outside" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ('{"n": 1, "L": -1, "box": {"lo": [-2.0], "side": 4.0}, "descriptor": null}', "L = -1"),
+        ('{"n": 1, "L": 2.5, "box": {"lo": [-2.0], "side": 4.0}, "descriptor": null}', "L = 2.5"),
+        ('{"n": 1, "L": "3", "box": {"lo": [-2.0], "side": 4.0}, "descriptor": null}', "L = '3'"),
+        ('[1, 3, [-2.0], 4.0]', "not a JSON object"),
+        ('{"n": 1, "L": 3, "box": {"lo": [-2.0, 0.0], "side": 4.0}, "descriptor": null}', "box.lo"),
+        ('{"n": 1, "L": 3, "box": {"lo": [-2.0], "side": 0.0}, "descriptor": null}', "box.side"),
+        ('{"n": 1, "L": 3, "box": {"lo": [-2.0], "side": 4.0}, "descriptor": [1]}', "cannot load"),
+    ],
+)
+def test_maximal_malformed_grid_file_header_is_config_error(header, message, tmp_path, capsys):
+    path = tmp_path / "bad.grid"
+    path.write_text("\n".join([header, *(f"{i},1.0" for i in range(8))]) + "\n")
+    assert main(["maximal", "--f", f"grid:{path}", "--L", "3"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["apconst", "--p", "2,2", "--w", "const,const"],
+        ["maximal", "--f", "const,const"],
+        ["mw-sweep", "--p", "2,2", "--eps", "2^-2..2^-3"],
+    ],
+    ids=["apconst", "maximal", "mw-sweep"],
+)
+def test_unwritable_out_is_config_error(args, tmp_path, capsys):
+    out = tmp_path / "missing" / "x"
+    assert main([*args, "--L", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(out.parent) in err and "Traceback" not in err
+
+
 def test_maximal_non_finite_constant_is_config_error(capsys):
     assert main(["maximal", "--f", "const:nan,const", "--L", "3"]) == 2
     assert "finite" in capsys.readouterr().err

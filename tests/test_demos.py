@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in ``src``."""
+"""Every demo script, and the README's library quick start, runs to
+completion against the package in ``src``."""
 import os
 import subprocess
 import sys
@@ -27,3 +28,11 @@ def test_demo_runs(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_quick_start_runs(capsys):
+    # the block imports public names, so renaming or deleting one fails here
+    section = (ROOT / "README.md").read_text().split("## Quick start (library)", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()

@@ -27,7 +27,7 @@ from mweights.grid import (
     third_offset,
     window_sums,
 )
-from mweights.powermass import Ball, Interval, Rect, RectInBall
+from mweights.powermass import Ball, Interval, Rect
 from mweights.weights import CubeFamily
 
 
@@ -373,7 +373,7 @@ def test_serialization_refuses_an_unknown_support(tmp_path):
     f = GridFunction(
         Lattice(default_box(2), 2),
         np.ones((4, 4)),
-        PowerDescriptor(-0.5, RectInBall((0.0, 0.0), (1.0, 1.0), 1.0)),
+        PowerDescriptor(-0.5, "quarter disc"),
     )
     with pytest.raises(ValueError, match="cannot serialize"):
         f.save(tmp_path / "f.gridfn")

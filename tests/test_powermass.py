@@ -16,13 +16,18 @@ from mweights.grid import Lattice, default_box
 from mweights.powermass import (
     Ball,
     Interval,
+    IntervalPlan,
+    PlanarPlan,
     Rect,
-    RectInBall,
-    interval_masses,
-    planar_masses,
+    RectRulePlan,
     power_mass,
-    rect_gauss_masses,
 )
+
+
+def rect_in_ball(a, lo, hi, radius):
+    """The mass of |x|^a on the rectangle [lo, hi] cap B(0, radius), by the
+    plan that ``Lattice.power_masses`` builds for a ``Ball`` support."""
+    return float(PlanarPlan(lo[0], hi[0], lo[1], hi[1], radius).masses(a))
 
 
 def midpoint_1d(a, lo, hi, cells=400_001):
@@ -138,17 +143,17 @@ def test_interval_against_midpoint_oracle():
 
 def test_rect_in_ball_frozen_values():
     # quarter disc: int 1/|x| over [0,1]^2 cap B(0,1) = pi/2
-    got = power_mass(-1.0, RectInBall((0.0, 0.0), (1.0, 1.0), 1.0))
+    got = rect_in_ball(-1.0, (0.0, 0.0), (1.0, 1.0), 1.0)
     assert got == pytest.approx(math.pi / 2.0, rel=1e-11)
     # a=0: area of the quarter disc
-    got = power_mass(0.0, RectInBall((0.0, 0.0), (1.0, 1.0), 1.0))
+    got = rect_in_ball(0.0, (0.0, 0.0), (1.0, 1.0), 1.0)
     assert got == pytest.approx(math.pi / 4.0, rel=1e-11)
     # rect fully inside the ball reduces to the plain rect mass
-    inside = power_mass(-0.5, RectInBall((0.1, 0.1), (0.3, 0.2), 5.0))
+    inside = rect_in_ball(-0.5, (0.1, 0.1), (0.3, 0.2), 5.0)
     plain = power_mass(-0.5, Rect((0.1, 0.1), (0.3, 0.2)))
     assert inside == pytest.approx(plain, rel=1e-12)
     # rect fully outside
-    assert power_mass(1.0, RectInBall((2.0, 2.0), (3.0, 3.0), 1.0)) == 0.0
+    assert rect_in_ball(1.0, (2.0, 2.0), (3.0, 3.0), 1.0) == 0.0
 
 
 def test_rect_in_ball_against_midpoint_oracle():
@@ -160,13 +165,15 @@ def test_rect_in_ball_against_midpoint_oracle():
     rr = np.hypot(mx[:, None], my[None, :])
     area = (hi[0] - lo[0]) * (hi[1] - lo[1]) / 4001**2
     want = float(np.sum(np.where(rr <= r, rr**a, 0.0)) * area)
-    got = power_mass(a, RectInBall(lo, hi, r))
+    got = rect_in_ball(a, lo, hi, r)
     assert got == pytest.approx(want, rel=2e-4)
 
 
 def test_interval_in_ball_one_dim():
-    # n=1: Interval clipped by Ball radius
-    got = power_mass(0.5, RectInBall((-2.0,), (0.5,), 1.0))
+    # n=1: a Ball support clips each cell to [-r, r]; the cells of
+    # [-2, 0.5] at L = 3 then hold the mass of [-1, 0.5]
+    masses = Lattice(default_box(1), 3).power_masses(0.5, Ball(1.0, 1))
+    got = float(np.sum(masses[:5]))
     want = power_mass(0.5, Interval(-1.0, 0.5))
     assert got == pytest.approx(want, rel=1e-14)
 
@@ -332,7 +339,7 @@ def test_rect_support_masses_sum_to_the_rect_mass():
 def test_thin_intervals_match_mpmath(mp, a, lo, hi):
     # a thin interval away from the origin needs log1p of its relative width;
     # log(hi/lo) lost up to 1e-10 here.  a = -1 takes the logarithmic branch
-    got = float(interval_masses(a, lo, hi))
+    got = float(IntervalPlan(lo, hi).masses(a))
     with mp.workdps(40):
         u, v = sorted(abs(mp.mpf(x)) for x in (lo, hi))
         want = mp.log(v / u) if a == -1.0 else (v ** (a + 1) - u ** (a + 1)) / (a + 1)
@@ -373,7 +380,7 @@ def test_sampled_ball_cut_cells_at_l8_match_mpmath(mp, a):
 
 
 @pytest.mark.parametrize("support", [None, Ball(1.0, 2)], ids=["none", "ball"])
-def test_planar_masses_peak_memory_stays_bounded(support):
+def test_planar_cell_masses_peak_memory_stays_bounded(support):
     a = -2.0 + 2.0**-9
     lat = Lattice(default_box(2), 8)
     tracemalloc.start()
@@ -414,10 +421,17 @@ def test_planar_cell_masses_do_not_depend_on_the_batch(L, a):
         *[[k] for k in origin],
     ]
     for radius in (1.0, math.inf):
-        full = planar_masses(a, x0, x1, y0, y1, radius)
+        full = PlanarPlan(x0, x1, y0, y1, radius).masses(a)
         for sub in subsets:
-            got = planar_masses(a, x0[sub], x1[sub], y0[sub], y1[sub], radius)
+            got = PlanarPlan(x0[sub], x1[sub], y0[sub], y1[sub], radius).masses(a)
             assert np.array_equal(got, full[sub])
+
+
+def tensor_rule(a, x0, x1, y0, y1):
+    """The tensor rule on every rectangle [x0[i], x1[i]] x [y0[j], y1[j]]."""
+    plan = RectRulePlan(x0, x1, y0, y1)
+    shape = (x0.size, y0.size)
+    return plan.masses(a, *np.indices(shape).reshape(2, -1)).reshape(shape)
 
 
 @pytest.mark.parametrize("L", [4, 6])
@@ -430,7 +444,7 @@ def test_tensor_rule_cell_masses_do_not_depend_on_the_batch(L, a):
     N = lat.cells_per_axis
     x0 = -2.0 + lat.h * np.arange(N)
     x1 = x0 + lat.h
-    full = rect_gauss_masses(a, x0, x1, x0, x1)
+    full = tensor_rule(a, x0, x1, x0, x1)
     # the fixed order changes only the last bits of the plain weighted sum
     nodes, weights = np.polynomial.legendre.leggauss(12)
     xs = 0.5 * (x0 + x1)[:, None] + 0.5 * lat.h * nodes
@@ -441,7 +455,7 @@ def test_tensor_rule_cell_masses_do_not_depend_on_the_batch(L, a):
     for _ in range(20):
         rows = rng.choice(N, int(rng.integers(1, N + 1)), replace=False)
         cols = rng.choice(N, int(rng.integers(1, N + 1)), replace=False)
-        got = rect_gauss_masses(a, x0[rows], x1[rows], x0[cols], x1[cols])
+        got = tensor_rule(a, x0[rows], x1[rows], x0[cols], x1[cols])
         assert np.array_equal(got, full[np.ix_(rows, cols)])
 
 

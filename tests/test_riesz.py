@@ -526,9 +526,12 @@ def test_a_tall_table_is_contracted_in_bounded_products(variant):
 def test_chunks_of_tiles_share_one_table_within_the_budget(variant, monkeypatch):
     # six rows, so a tile holds at most 21 points.  f1 is empty on 100
     # cells, so some strips meet no f1 mass.  With the budget cut to 15,000
-    # entries, the repeated midpoints make two tiles that share one table,
-    # the run of 21 midpoints makes a tile over the budget alone, and the
-    # quarter points, a second θ, make a chunk of their own
+    # entries, the 32 repeated quarter points (one θ, two tiles, 4 cells)
+    # fit one table and share it.  The midpoints (another θ, three tiles)
+    # span 51 cells, too many for one table, so each tile is a chunk of its
+    # own: the two of repeated midpoints (3 cells each) fit the budget
+    # alone, and the run of 21 midpoints is over it and runs in a strip
+    # buffer
     from mweights.operators import riesz
 
     lat = lattice(8)
@@ -547,12 +550,12 @@ def test_chunks_of_tiles_share_one_table_within_the_budget(variant, monkeypatch)
         pairs.append((GridFunction(lat, v1), GridFunction(lat, v2)))
     n1, n2 = 190, 70
     cells = np.concatenate([np.repeat(np.arange(120, 125), 8), np.arange(150, 171)])
-    quarters = np.arange(60, 64)
+    quarters = np.repeat(np.arange(60, 64), 8)
     pts = np.concatenate([lo + (cells + 0.5) * h, lo + (quarters + 0.75) * h])
     default = bilinear_riesz_rows(pairs, pts, variant)
 
-    table = riesz._kernel_table
-    counts, tables = {}, {}
+    table, chunk_sums = riesz._kernel_table, riesz._chunk_sums
+    counts, tables, chunks = {}, {}, {}
 
     def counted(*args, **kwargs):
         out = table(*args, **kwargs)
@@ -560,16 +563,24 @@ def test_chunks_of_tiles_share_one_table_within_the_budget(variant, monkeypatch)
         tables[budget].add(out.base.shape)
         return out
 
+    def recorded(w1, i1, w2, j1, m_all, tiles, theta, *args):
+        chunks[budget].append((float(theta), [len(tile) for tile in tiles]))
+        return chunk_sums(w1, i1, w2, j1, m_all, tiles, theta, *args)
+
     monkeypatch.setattr(riesz, "_kernel_table", counted)
+    monkeypatch.setattr(riesz, "_chunk_sums", recorded)
     # budget 0 puts every tile alone in a strip buffer, as tiles once were
     for budget in (0, 15_000):
-        counts[budget], tables[budget] = 0, set()
+        counts[budget], tables[budget], chunks[budget] = 0, set(), []
         monkeypatch.setattr(riesz, "_TABLE", budget)
         res = bilinear_riesz_rows(pairs, pts, variant)
-    # the shared table of the repeated midpoints (5 cells), the strip
-    # buffer of the 21-cell run, and the quarter points' table (4 cells)
+    tiles = [(0.0, [21]), (0.0, [19]), (0.0, [21]), (0.25, [21]), (0.25, [11])]
+    assert chunks[0] == tiles
+    assert chunks[15_000] == [*tiles[:3], (0.25, [21, 11])]
+    # the table of each repeated-midpoint tile (3 cells), the strip buffer
+    # of the 21-cell run, and the quarter points' shared table (4 cells)
     assert tables[15_000] == {
-        (5 + n1 - 1, 5 + n2 - 1), (riesz._STRIP, 21 + n2 - 1), (4 + n1 - 1, 4 + n2 - 1)
+        (3 + n1 - 1, 3 + n2 - 1), (riesz._STRIP, 21 + n2 - 1), (4 + n1 - 1, 4 + n2 - 1)
     }
     for (f1, f2), rv, dv in zip(pairs, res, default):
         want, flags = brute_riesz(f1, f2, pts, variant)
@@ -577,11 +588,11 @@ def test_chunks_of_tiles_share_one_table_within_the_budget(variant, monkeypatch)
         assert np.max(np.abs(rv.values - want)) <= 1e-12 * scale
         assert np.max(np.abs(rv.values - dv.values)) <= 2e-15 * scale
         assert np.array_equal(rv.pv_approximate, flags)
-    # every table entry the tiles span, one tile at a time: the two tiles of
-    # 21 and 19 repeated midpoints span 3 cells each.  Alone, the tiles skip
-    # the strips without f1 mass; in a chunk, they share what they overlap
-    tiles = [3, 3, 21, 4]
-    full = sum((s + n1 - 1) * (s + n2 - 1) for s in tiles)
+    # every table entry the tiles span, one tile at a time.  Alone, the
+    # tiles skip the strips without f1 mass; in the quarter points' chunk,
+    # its two tiles share what they overlap
+    spans = [3, 3, 21, 3, 2]
+    full = sum((s + n1 - 1) * (s + n2 - 1) for s in spans)
     assert 0 < counts[15_000] < counts[0] < full
 
 

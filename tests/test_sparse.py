@@ -170,7 +170,6 @@ def test_generation_walk_matches_depth_first_oracle(n, L, trials):
         for k, (_, mask) in enumerate(oracle):
             owner[mask] = k
         depth_first = SparseFamily(
-            grid_id=grid.grid_id,
             cubes=tuple(c for c, _ in oracle),
             lattice=lat,
             owner=owner,
@@ -275,7 +274,6 @@ def test_sparse_operator_two_cube_hand_sum():
     owner[20:24] = 0
     owner[16:20] = 1
     fam = SparseFamily(
-        grid_id=grid.grid_id,
         cubes=(q_big, q_small),
         lattice=lat,
         owner=owner,
@@ -388,7 +386,6 @@ def test_sparse_family_validation_rejects_thin_region():
     thin[16] = 0
     with pytest.raises(SparsenessError):
         SparseFamily(
-            grid_id=grid.grid_id,
             cubes=(q,),
             lattice=lat,
             owner=thin,
@@ -451,7 +448,6 @@ def test_sparse_family_validation_rejects_malformed_owner(fault, match):
     cube, owner = fault(q, owner)
     with pytest.raises(ValueError, match=re.escape(match)):
         SparseFamily(
-            grid_id=grid.grid_id,
             cubes=(cube,),
             lattice=lat,
             owner=owner,
@@ -535,6 +531,30 @@ def test_sparse_family_json_round_trip_keys():
     for entry in blob:
         assert set(entry) == {"grid", "g", "j", "eq_cells"}
         assert entry["grid"] == grid.grid_id
+
+
+def test_a_family_reports_the_grid_of_its_root():
+    # the grid id is read from the root, so a family cannot name another grid
+    lat = lattice(6)
+    grid = ShiftedGridFamily(lat).grids[1]
+    vals = np.zeros(64)
+    vals[32] = 1.0
+    root = grid.cube_containing_cell((30,), 1)
+    assert lat.holds(root)
+    fam = build_sparse_family([GridFunction(lat, vals)], grid, root=root)
+    assert len(fam) > 1 and grid.grid_id != std_grid(lat).grid_id
+    assert fam.grid_id == fam.root.grid_id == grid.grid_id
+    assert {entry["grid"] for entry in fam.to_json()} == {grid.grid_id}
+    with pytest.raises(TypeError):
+        SparseFamily(
+            grid_id=std_grid(lat).grid_id,
+            cubes=fam.cubes,
+            lattice=lat,
+            owner=fam.owner,
+            a=fam.a,
+            lambda0=fam.lambda0,
+            root=fam.root,
+        )
 
 
 def test_holder_step_on_random_cell_regions():

@@ -22,8 +22,9 @@ from mweights.experiments import (
     write_sweep_csv,
 )
 from mweights import weights
-from mweights.experiments import grid_lp_norm, sweeps
+from mweights.experiments import Minorant, grid_lp_norm, hybrid_lower_norm, sweeps
 from mweights.grid import GridFunction, Lattice, ShiftedGridFamily, default_box
+from mweights.powermass import Interval, power_mass
 from mweights.operators import (
     SparsenessError,
     build_sparse_family,
@@ -90,6 +91,49 @@ def test_fit_exponent_rejects_constant_abscissa():
     rows = [synthetic_row(2.0**-k, 5.0, 2.0**k) for k in range(2, 8)]
     with pytest.raises(ValueError, match="degenerate"):
         fit_exponent(rows)
+
+
+def _norm_inputs():
+    """Values with zeros, a weight g |x|^0.5 with a random step g, and a
+    minorant 0.3 |x|^-0.4 on the cells of [-1, 1], at n = 1, L = 4."""
+    lat = Lattice(default_box(1), 4)
+    rng = np.random.default_rng(61)
+    values = rng.random(16) * 2.0
+    values[[3, 7, 12]] = 0.0
+    w = Weight.power(lat, 0.5) * Weight.from_values(lat, rng.random(16) + 0.5)
+    mask = np.zeros(16, dtype=bool)
+    mask[4:12] = True
+    return lat, values, w, Minorant(coeff=0.3, exponent=-0.4, mask=mask)
+
+
+def test_hybrid_lower_norm_takes_the_cellwise_max_on_the_minorant_mask():
+    lat, values, w, minorant = _norm_inputs()
+    p = 1.5
+    edges = lat.box.lo[0] + lat.h * np.arange(17)
+    lattice_term = values**p * w.cell_masses()
+    # the minorant's exact integral against the weight, cell by cell
+    minor_term = np.array([
+        minorant.coeff**p * w.values[k] * power_mass(-0.4 * p + 0.5, Interval(lo, hi))
+        for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))
+    ])
+    mask = minorant.mask
+    assert np.any(mask & (lattice_term > minor_term)) and np.any(mask & (minor_term > lattice_term))
+    assert np.any(~mask & (minor_term > lattice_term))
+    want = np.sum(np.where(mask, np.maximum(lattice_term, minor_term), lattice_term)) ** (1 / p)
+    assert hybrid_lower_norm(values, p, w, minorant) == pytest.approx(want, rel=1e-13)
+    # the minorant counts only on its mask: with none of its cells, the
+    # lattice norm is left alone
+    off = Minorant(minorant.coeff, minorant.exponent, np.zeros_like(mask))
+    assert hybrid_lower_norm(values, p, w, off) == grid_lp_norm(values, p, w)
+
+
+def test_hybrid_lower_norm_without_a_minorant_is_the_lattice_norm():
+    _, values, w, minorant = _norm_inputs()
+    for p in (0.5, 1.0, 1.5, 3.0):
+        assert hybrid_lower_norm(values, p, w) == grid_lp_norm(values, p, w)
+    for p in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive"):
+            hybrid_lower_norm(values, p, w, minorant)
 
 
 def test_run_sweep_rows_ordered_and_finite():
