@@ -319,9 +319,9 @@ def _config_flags(args: argparse.Namespace) -> List[str]:
 # ------------------------------------------------------------------- dispatch
 def _emit(blob: dict, out: Optional[str]) -> None:
     text = json.dumps(blob, indent=2)
-    print(text)
     if out:
         Path(out).write_text(text + "\n")
+    print(text)
 
 
 def _lattice(args: argparse.Namespace) -> Lattice:
@@ -413,18 +413,14 @@ def _run_sweep(args: argparse.Namespace, builder, default_prefix: str, **kwargs)
     prefix = args.out or default_prefix
     csv_path = Path(f"{prefix}.csv")
     write_sweep_csv(rows, csv_path)
-    fit_blob = None
     try:
         fit = fit_exponent(rows)
     except ValueError as err:
-        fit = None
-        fit_blob = {"error": str(err)}
-    if fit is not None:
-        write_fit_json(fit, Path(f"{prefix}-fit.json"))
-        write_gnuplot(csv_path, Path(f"{prefix}.gp"), fit=fit)
-        fit_blob = fit.to_json()
+        fit, fit_blob = None, {"error": str(err)}
     else:
-        write_gnuplot(csv_path, Path(f"{prefix}.gp"), fit=None)
+        write_fit_json(fit, Path(f"{prefix}-fit.json"))
+        fit_blob = fit.to_json()
+    write_gnuplot(csv_path, Path(f"{prefix}.gp"), fit=fit)
     blob = {
         "rows": len(rows),
         "csv": str(csv_path),
@@ -445,8 +441,6 @@ def _run_sweep(args: argparse.Namespace, builder, default_prefix: str, **kwargs)
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise ConfigError(f"--trials {args.trials} must be at least 1")
     report = upper_bound_audit(
         parse_exponents(args.p),
         L=args.L,
@@ -484,6 +478,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             args = parser.parse_args(argv + _config_flags(args))
+        out = getattr(args, "out", None)
+        if out and not Path(out).parent.is_dir():
+            raise ConfigError(f"--out directory {Path(out).parent} does not exist")
         return args.run(args)
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a bad flag
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG

@@ -7,6 +7,11 @@ fitted slope is the measured growth exponent; the sharpness experiments
 compare it with the predicted one.  Audits run the complementary direction:
 random inputs and weights, checking that ratios never outrun the predicted
 power of the weight constant.
+
+Both run as stacks.  A sweep's rows are of one kind and run through each
+layer (the operator, the weight-constant scan) in one call; an audit's
+trials run that way one block of draws at a time, so its memory does not
+grow with the number of trials.
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ import logging
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -41,7 +46,7 @@ from ..weights import (
     ap_constant_rows,
     random_weight,
 )
-from .extremals import ExtremalProblem
+from .extremals import ExtremalProblem, _as_exponents
 from .norms import _lp_norm, grid_lp_norm, hybrid_lower_norm
 
 __all__ = [
@@ -92,21 +97,7 @@ class FitResult:
     eps_max: float
 
     def to_json(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "residual": self.residual,
-            "eps_min": self.eps_min,
-            "eps_max": self.eps_max,
-        }
-
-
-def _riesz_call(prob: ExtremalProblem) -> Tuple[str, np.ndarray]:
-    """The quadrature variant of a Riesz problem and its evaluation points,
-    the midpoints of the minorant's cells."""
-    lat = prob.fs[0].lattice
-    idx = np.nonzero(prob.region.mask)[0]
-    return prob.kind.split(":", 1)[1], lat.box.lo[0] + (idx + 0.5) * lat.h
+        return asdict(self)
 
 
 def _assemble_row(
@@ -155,49 +146,47 @@ def _assemble_row(
 
 
 def _evaluate_rows(problems: Sequence[ExtremalProblem]) -> List[SweepRow]:
-    """Rows of problems on one lattice with one exponent tuple, each layer
-    run once for all of them as a stack.
+    """Rows of problems of one kind on one lattice with one exponent tuple,
+    each layer run once for all of them as a stack.
 
-    The maximal problems share one :func:`multilinear_maximal_rows` call;
-    Riesz problems with one variant and the same evaluation points share one
-    :func:`bilinear_riesz_rows` call; and every problem's weights share one
-    :func:`ap_constant_rows` call.  Each row's ``ms`` includes its share of
-    the stacked calls.
+    Maximal problems make one :func:`multilinear_maximal_rows` call; Riesz
+    problems make one :func:`bilinear_riesz_rows` call at the midpoints of
+    their minorant's cells, which must be the same cells for every problem;
+    and every problem's weights share one :func:`ap_constant_rows` call.
+    Each row's ``ms`` includes its share of the stacked calls.  A stack of
+    more than one kind, or of Riesz problems with different minorant cells,
+    raises ``ValueError``.
     """
     started = time.perf_counter()
-    lat = problems[0].fs[0].lattice
-    out_values: List[Optional[np.ndarray]] = [None] * len(problems)
-    rvs: List[Optional[RieszValues]] = [None] * len(problems)
-    maximal: List[int] = []
-    stacks: Dict[Tuple[str, bytes], Tuple[np.ndarray, List[int]]] = {}
-    for k, prob in enumerate(problems):
-        if prob.kind == "maximal":
-            maximal.append(k)
-        elif prob.kind.startswith("riesz:"):
-            # A midpoint quadrature value cannot see mass below the cell
-            # scale, and the share of the output norm sitting below that
-            # scale grows as the spike sharpens, so mixing quadrature cells
-            # into the norm lets the measurement's bias drift with the spike
-            # strength and flattens the fitted growth.  The cone minorant
-            # integrates the singularity exactly with a uniform constant;
-            # measuring the output norm by it alone keeps the bias constant,
-            # so the fit reflects the operator rather than the mesh.  The
-            # quadrature checks the minorant instead: the row counts only if
-            # the quadrature is finite and at least the minorant at every
-            # evaluation point, so a wrong kernel or wrong cone constant
-            # makes criterion 7 refuse the sweep.
-            out_values[k] = np.zeros(lat.shape)
-            variant, points = _riesz_call(prob)
-            stacks.setdefault((variant, points.tobytes()), (points, []))[1].append(k)
-        else:
-            raise ValueError(f"unknown problem kind {prob.kind!r}")
-    brackets = multilinear_maximal_rows([problems[k].fs for k in maximal])
-    for k, (lower, _) in zip(maximal, brackets):
-        out_values[k] = lower.values
-    for (variant, _), (points, members) in stacks.items():
-        stacked = bilinear_riesz_rows([problems[k].fs for k in members], points, variant)
-        for k, rv in zip(members, stacked):
-            rvs[k] = rv
+    first = problems[0]
+    lat = first.fs[0].lattice
+    kinds = {prob.kind for prob in problems}
+    if len(kinds) > 1:
+        raise ValueError(f"a stack holds problems of one kind, not {sorted(kinds)}")
+    stack = [prob.fs for prob in problems]
+    rvs: Sequence[Optional[RieszValues]] = [None] * len(problems)
+    if first.kind == "maximal":
+        out_values = [lower.values for lower, _ in multilinear_maximal_rows(stack)]
+    elif first.kind.startswith("riesz:"):
+        # A midpoint quadrature value cannot see mass below the cell scale,
+        # and the share of the output norm sitting below that scale grows
+        # as the spike sharpens, so mixing quadrature cells into the norm
+        # lets the measurement's bias drift with the spike strength and
+        # flattens the fitted growth.  The cone minorant integrates the
+        # singularity exactly with a uniform constant; measuring the output
+        # norm by it alone keeps the bias constant, so the fit reflects the
+        # operator rather than the mesh.  The quadrature checks the minorant
+        # instead: the row counts only if the quadrature is finite and at
+        # least the minorant at every evaluation point, so a wrong kernel or
+        # wrong cone constant makes criterion 7 refuse the sweep.
+        mask = first.region.mask
+        if any(not np.array_equal(prob.region.mask, mask) for prob in problems):
+            raise ValueError("the Riesz problems of a stack must share their minorant cells")
+        points = lat.box.lo[0] + (np.nonzero(mask)[0] + 0.5) * lat.h
+        rvs = bilinear_riesz_rows(stack, points, first.kind.split(":", 1)[1])
+        out_values = [np.zeros(lat.shape)] * len(problems)
+    else:
+        raise ValueError(f"unknown problem kind {first.kind!r}")
     reports = ap_constant_rows(
         [prob.weight_vector for prob in problems], CubeFamily(lat, kind="shifted")
     )
@@ -323,7 +312,7 @@ class AuditError(RuntimeError):
 # why an audit trial was skipped, in the order the audit checks
 SKIP_REASONS = ("input_norms", "sparseness", "degenerate_lhs_ap")
 
-# lattice cells of the trials an audit stacks at once: 32 trials at n = 1,
+# lattice cells of the draws in one audit block: 32 trials at n = 1,
 # L = 10, and two at n = 2, L = 7, so the stacks do not grow with trials
 _AUDIT_STACK_CELLS = 1 << 15
 
@@ -347,6 +336,7 @@ class AuditReport:
     target_exponent: float
     trials: int
     skipped: int
+    skipped_by_reason: Dict[str, int]
     quotients: Tuple[float, ...]
     max_quotient: float
     weight_kind: str
@@ -354,25 +344,13 @@ class AuditReport:
     seed: int
     largest_family: int
     family_generations: Dict[int, int]
-    skipped_by_reason: Dict[str, int]
     degenerate_cubes: int
 
     def to_json(self) -> dict:
-        return {
-            "operator": self.operator,
-            "target_exponent": self.target_exponent,
-            "trials": self.trials,
-            "skipped": self.skipped,
-            "skipped_by_reason": dict(self.skipped_by_reason),
-            "quotients": list(self.quotients),
-            "max_quotient": self.max_quotient,
-            "weight_kind": self.weight_kind,
-            "L": self.L,
-            "seed": self.seed,
-            "largest_family": self.largest_family,
-            "family_generations": {str(g): k for g, k in self.family_generations.items()},
-            "degenerate_cubes": self.degenerate_cubes,
-        }
+        blob = asdict(self)
+        blob["quotients"] = list(self.quotients)
+        blob["family_generations"] = {str(g): k for g, k in self.family_generations.items()}
+        return blob
 
 
 def upper_bound_audit(
@@ -395,28 +373,27 @@ def upper_bound_audit(
     root alone never runs that walk and raises :class:`AuditError`, as does
     an audit whose every trial was skipped.
 
-    The trials run in stacks, as a sweep's rows do.  Each trial is drawn,
-    its input norms checked and its sparse family built on its own; its
-    inputs, its joint weight's cell masses and its weight densities then
-    join the stack, and no weight vector outlives the trial.  Once the
-    stack holds ``_AUDIT_STACK_CELLS`` lattice cells (at least one trial),
-    and after the last draw, one :func:`sparse_operator_rows` call (or one
-    :func:`multilinear_maximal_rows` call) and one weight-constant scan run
-    over its trials and the stack is emptied, so memory does not grow with
-    ``trials``.  A 20-trial audit at n = 1, L = 10 is one stack.  Both
-    steps work elementwise along the trial axis, so every quotient has the
-    bits of a trial run alone.
+    The draws run in blocks of as many trials as fit in
+    ``_AUDIT_STACK_CELLS`` lattice cells (at least one), so memory does not
+    grow with ``trials``; a 20-trial audit at n = 1, L = 10 is one block.
+    Each trial of a block is drawn, its input norms checked and its sparse
+    family built on its own, and no weight vector outlives the trial.  The
+    block's kept trials then run as one stack: one
+    :func:`sparse_operator_rows` call (or one
+    :func:`multilinear_maximal_rows` call), their output norms and one
+    weight-constant scan, and become quotients.  Both steps work
+    elementwise along the trial axis, so every quotient has the bits of a
+    trial run alone.
     """
     if operator not in ("sparse", "maximal"):
         raise ValueError(f"unknown operator {operator!r}: use 'sparse' or 'maximal'")
     if weight_kind not in ("mixed", "constant"):
         raise ValueError(f"unknown weight_kind {weight_kind!r}")
-    et = exponents if isinstance(exponents, ExponentTuple) else ExponentTuple(tuple(exponents))
+    if trials < 1:
+        raise ValueError(f"trials={trials} must be at least 1")
+    et = _as_exponents(exponents)
     conj_over_p = max(c / et.p for c in et.conjugates)
-    if operator == "sparse":
-        target = max(1.0, conj_over_p)
-    else:
-        target = conj_over_p
+    target = max(1.0, conj_over_p) if operator == "sparse" else conj_over_p
     lattice = Lattice(default_box(n), L)
     grid = ShiftedGridFamily(lattice).standard
     root = grid.cube(1, (0,) * n)
@@ -425,79 +402,68 @@ def upper_bound_audit(
 
     family = CubeFamily(lattice, kind="shifted")
     rng = np.random.default_rng(seed)
-    # the stack of kept trials not yet run; a full stack runs before the
-    # next draw, so at most `size` trials are held at once
-    size = max(1, min(trials, _AUDIT_STACK_CELLS // math.prod(lattice.shape)))
+    size = min(trials, max(1, _AUDIT_STACK_CELLS // math.prod(lattice.shape)))
     densities = np.empty((1 + et.m, size) + lattice.shape)
-    inputs: List[Tuple[GridFunction, ...]] = []
-    joint_masses: List[np.ndarray] = []
-    families: List[SparseFamily] = []
-    rhs_products: List[float] = []
-    lhs_norms: List[float] = []
-    reports: List[ApReport] = []
-
-    def run_stack() -> None:
+    skipped_by_reason = dict.fromkeys(SKIP_REASONS, 0)
+    quotients: List[float] = []
+    largest = degenerate = 0
+    generations: Counter = Counter()
+    for block in range(0, trials, size):
+        inputs: List[Tuple[GridFunction, ...]] = []
+        joint_masses: List[np.ndarray] = []
+        families: List[SparseFamily] = []
+        rhs_products: List[float] = []
+        for _ in range(min(size, trials - block)):
+            fs = tuple(
+                GridFunction(lattice, rng.lognormal(0.0, 2.0, lattice.shape) * support)
+                for _ in range(et.m)
+            )
+            if weight_kind == "constant":
+                ws = tuple(Weight.constant(lattice) for _ in range(et.m))
+            else:
+                ws = tuple(random_weight(rng, lattice, p_i) for p_i in et.exponents)
+            wv = WeightVector(ws, et)
+            rhs = [
+                grid_lp_norm(f.values, p_i, w_i)
+                for f, p_i, w_i in zip(fs, et.exponents, ws)
+            ]
+            rhs_product = float(np.prod(rhs))
+            if rhs_product <= 0.0 or not np.isfinite(rhs_product):
+                skipped_by_reason["input_norms"] += 1
+                logger.debug("audit trial skipped: degenerate input norms %s", rhs)
+                continue
+            if operator == "sparse":
+                try:
+                    fam = build_sparse_family(fs, grid, root=root)
+                except SparsenessError as err:
+                    skipped_by_reason["sparseness"] += 1
+                    logger.debug("audit trial skipped: %s", err)
+                    continue
+                largest = max(largest, len(fam))
+                generations.update(cube.g for cube in fam.cubes)
+                families.append(fam)
+            rhs_products.append(rhs_product)
+            densities[:, len(inputs)] = _densities([wv], lambda f: f.values)
+            inputs.append(fs)
+            joint_masses.append(wv.joint.cell_masses())
+        kept = len(inputs)
+        if not kept:
+            continue
         if operator == "sparse":
             outs = sparse_operator_rows(families, inputs)
         else:
             outs = [lower for lower, _ in multilinear_maximal_rows(inputs)]
-        lhs_norms.extend(
-            _lp_norm(out.values, et.p, masses) for out, masses in zip(outs, joint_masses)
-        )
-        kept = len(inputs)
-        del outs, inputs[:], joint_masses[:], families[:]  # before the scan's pyramids
-        reports.extend(_scan_rows(et, densities[:, :kept].reshape((-1,) + lattice.shape), family))
-
-    skipped_by_reason = dict.fromkeys(SKIP_REASONS, 0)
-    largest = 0
-    generations: Counter = Counter()
-    for _ in range(trials):
-        fs = tuple(
-            GridFunction(lattice, rng.lognormal(0.0, 2.0, lattice.shape) * support)
-            for _ in range(et.m)
-        )
-        if weight_kind == "constant":
-            ws = tuple(Weight.constant(lattice) for _ in range(et.m))
-        else:
-            ws = tuple(random_weight(rng, lattice, p_i) for p_i in et.exponents)
-        wv = WeightVector(ws, et)
-        rhs = [
-            grid_lp_norm(f.values, p_i, w_i)
-            for f, p_i, w_i in zip(fs, et.exponents, ws)
-        ]
-        rhs_product = float(np.prod(rhs))
-        if rhs_product <= 0.0 or not np.isfinite(rhs_product):
-            skipped_by_reason["input_norms"] += 1
-            logger.debug("audit trial skipped: degenerate input norms %s", rhs)
-            continue
-        if operator == "sparse":
-            try:
-                fam = build_sparse_family(fs, grid, root=root)
-            except SparsenessError as err:
-                skipped_by_reason["sparseness"] += 1
-                logger.debug("audit trial skipped: %s", err)
+        lhs_norms = [_lp_norm(out.values, et.p, masses) for out, masses in zip(outs, joint_masses)]
+        del outs, inputs, joint_masses, families  # before the scan's pyramids
+        reports = _scan_rows(et, densities[:, :kept].reshape((-1,) + lattice.shape), family)
+        for lhs, rhs_product, report in zip(lhs_norms, rhs_products, reports):
+            ap = float(report.constant)
+            if lhs <= 0.0 or not np.isfinite(lhs) or not np.isfinite(ap) or ap <= 0.0:
+                skipped_by_reason["degenerate_lhs_ap"] += 1
+                logger.debug("audit trial skipped: degenerate lhs=%s ap=%s", lhs, ap)
                 continue
-            largest = max(largest, len(fam))
-            generations.update(cube.g for cube in fam.cubes)
-            families.append(fam)
-        rhs_products.append(rhs_product)
-        densities[:, len(inputs)] = _densities([wv], lambda f: f.values)
-        inputs.append(fs)
-        joint_masses.append(wv.joint.cell_masses())
-        if len(inputs) == size:
-            run_stack()
-    if inputs:
-        run_stack()
-    quotients: List[float] = []
-    degenerate = 0
-    for lhs, rhs_product, report in zip(lhs_norms, rhs_products, reports):
-        ap = float(report.constant)
-        if lhs <= 0.0 or not np.isfinite(lhs) or not np.isfinite(ap) or ap <= 0.0:
-            skipped_by_reason["degenerate_lhs_ap"] += 1
-            logger.debug("audit trial skipped: degenerate lhs=%s ap=%s", lhs, ap)
-            continue
-        quotients.append((lhs / rhs_product) / ap**target)
-        degenerate += report.degenerate
+            quotients.append((lhs / rhs_product) / ap**target)
+            degenerate += report.degenerate
     if not quotients:
         reasons = ", ".join(f"{k} {reason}" for reason, k in skipped_by_reason.items() if k)
         raise AuditError(f"every audit trial was skipped ({reasons}); nothing to report")
@@ -508,6 +474,7 @@ def upper_bound_audit(
         target_exponent=target,
         trials=trials,
         skipped=sum(skipped_by_reason.values()),
+        skipped_by_reason=skipped_by_reason,
         quotients=tuple(quotients),
         max_quotient=max(quotients),
         weight_kind=weight_kind,
@@ -515,6 +482,5 @@ def upper_bound_audit(
         seed=seed,
         largest_family=largest,
         family_generations=dict(sorted(generations.items())),
-        skipped_by_reason=skipped_by_reason,
         degenerate_cubes=degenerate,
     )

@@ -132,7 +132,8 @@ def build_sparse_family(
     gs: Sequence[GridFunction],
     grid: DyadicGrid,
     a: Optional[float] = None,
-    root: Optional[DyadicCube] = None,
+    *,
+    root: DyadicCube,
 ) -> SparseFamily:
     """Level-set stopping construction under ``root``.
 
@@ -143,8 +144,6 @@ def build_sparse_family(
     cube.
     """
     lat = common_lattice([*gs, grid])
-    if root is None:
-        raise ValueError("a root cube is required")
     if root.grid_id != grid.grid_id:
         raise ValueError("root must be a cube of the same grid")
     if not lat.holds(root):

@@ -18,7 +18,7 @@ import functools
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -349,26 +349,19 @@ class ApReport:
     scanned_per_generation: Dict[Optional[int], int]
 
     def to_json(self) -> dict:
-        arg = None
-        if self.argmax is not None:
-            arg = {
-                "grid": self.argmax.grid_id,
-                "g": self.argmax.g,
-                "j": None if self.argmax.j is None else list(self.argmax.j),
-                "start": list(self.argmax.start),
-                "size": self.argmax.size,
-            }
-        return {
-            "constant": self.constant,
-            "argmax": arg,
-            "scanned": self.scanned,
-            "family": self.family,
-            "degenerate": self.degenerate,
-            "scanned_per_generation": {
-                "aligned" if g is None else str(g): k
-                for g, k in self.scanned_per_generation.items()
-            },
+        blob = asdict(self)
+        arg = self.argmax
+        blob["argmax"] = None if arg is None else {
+            "grid": arg.grid_id,
+            "g": arg.g,
+            "j": None if arg.j is None else list(arg.j),
+            "start": list(arg.start),
+            "size": arg.size,
         }
+        blob["scanned_per_generation"] = {
+            "aligned" if g is None else str(g): k for g, k in self.scanned_per_generation.items()
+        }
+        return blob
 
 
 def _grid_averages(

@@ -3,10 +3,14 @@
 The benchmark scripts under ``benchmarks/`` call the package as ``mw.<name>``
 and wrap the layer paths of ``tracing.LAYERS``; a name deleted from the
 package would break their runs long after this suite passed.  The scripts
-are read as text, never run.
+are read as text, and each workload's timed call and checks also run here
+in process, so an attribute they read of a returned object (a row's
+``finite``, a report's ``quotients``) cannot drift either.
 """
 import ast
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,3 +58,26 @@ def test_every_mw_name_of_the_benchmark_resolves(name):
 @pytest.mark.parametrize("path", _layer_paths())
 def test_every_traced_layer_path_resolves(path):
     assert callable(_resolve(path))
+
+
+def _workloads(monkeypatch):
+    """``benchmarks/workloads.py`` as a module, without touching ``sys.path``;
+    it is in ``sys.modules`` for the test only, where its dataclasses look
+    up their module."""
+    spec = importlib.util.spec_from_file_location("workloads", BENCHMARKS / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["sweeps", "audit-sparse"])
+def test_every_benchmark_workload_runs_and_passes_its_checks(name, monkeypatch):
+    workloads = _workloads(monkeypatch)
+    shapes = workloads.WORKLOADS[name].shapes
+    lattices = {(n, L): mweights.Lattice(mweights.default_box(n), L) for n, L in shapes}
+    attempted, failed, result = workloads.run(mweights, name, 5)
+    failures = []
+    workloads.check(mweights, name, 5, lattices, result, failures)
+    assert attempted > 0 and failed == 0
+    assert failures == []

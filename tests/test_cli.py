@@ -247,6 +247,28 @@ def test_unwritable_out_is_config_error(args, tmp_path, capsys):
     assert str(out.parent) in err and "Traceback" not in err
 
 
+def test_missing_out_directory_stops_a_sweep_before_it_runs(monkeypatch, tmp_path, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep ran before its --out was checked")
+
+    monkeypatch.setattr(cli, "run_sweep", never)
+    out = tmp_path / "missing" / "x"
+    argv = ["mw-sweep", "--p", "2,2", "--eps", "2^-2..2^-5", "--L", "3", "--out", str(out)]
+    assert main(argv) == 2
+    assert f"--out directory {out.parent} does not exist" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["missing directory", "a directory"])
+def test_apconst_prints_nothing_when_its_out_cannot_be_written(where, tmp_path, capsys):
+    # a directory is no file to write, though its parent exists
+    out = tmp_path / "missing" / "x" if where == "missing directory" else tmp_path
+    argv = ["apconst", "--p", "2,2", "--w", "const,const", "--L", "3", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
 def test_maximal_non_finite_constant_is_config_error(capsys):
     assert main(["maximal", "--f", "const:nan,const", "--L", "3"]) == 2
     assert "finite" in capsys.readouterr().err

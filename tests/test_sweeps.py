@@ -277,6 +277,24 @@ def test_stacked_maximal_rows_match_rows_evaluated_alone(exponents, L, n):
         assert dataclasses.replace(row, ms=0.0) == dataclasses.replace(alone, ms=0.0)
 
 
+def test_a_stack_of_two_kinds_is_refused():
+    lat = Lattice(default_box(1), 5)
+    problems = [maximal_problem((2.0, 2.0), 0.25, lat), riesz_problem((2.0, 2.0), 0.25, lat)]
+    with pytest.raises(ValueError, match="one kind"):
+        sweeps._evaluate_rows(problems)
+
+
+def test_a_riesz_stack_with_different_minorant_cells_is_refused():
+    # the stack's one quadrature call runs at the first problem's cells
+    lat = Lattice(default_box(1), 5)
+    first, second = (riesz_problem((2.0, 2.0), eps, lat) for eps in (0.25, 0.125))
+    fewer = first.region.mask.copy()
+    fewer[np.nonzero(fewer)[0][-1]] = False
+    second = dataclasses.replace(second, region=dataclasses.replace(second.region, mask=fewer))
+    with pytest.raises(ValueError, match="minorant cells"):
+        sweeps._evaluate_rows([first, second])
+
+
 def test_run_sweep_grid_convergence():
     # raising the resolution by one moves the ratio only modestly
     eps = [2.0**-3, 2.0**-2, 2.0**-4, 2.0**-5]
@@ -435,6 +453,36 @@ def test_audit_rejects_unknown_operator():
         upper_bound_audit((2.0, 2.0), L=5, trials=2, seed=1, operator="fourier")
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_audit_refuses_fewer_than_one_trial(trials):
+    with pytest.raises(ValueError, match=f"trials={trials} must be at least 1"):
+        upper_bound_audit((2.0, 2.0), L=5, trials=trials, seed=1)
+
+
+def test_report_json_keys_keep_the_field_order():
+    fit = FitResult(slope=2.0, intercept=1.1, residual=0.01, eps_min=0.01, eps_max=0.25)
+    assert list(fit.to_json()) == ["slope", "intercept", "residual", "eps_min", "eps_max"]
+    rep = upper_bound_audit((2.0, 2.0), L=6, trials=2, seed=11)
+    blob = rep.to_json()
+    assert list(blob) == [
+        "operator",
+        "target_exponent",
+        "trials",
+        "skipped",
+        "skipped_by_reason",
+        "quotients",
+        "max_quotient",
+        "weight_kind",
+        "L",
+        "seed",
+        "largest_family",
+        "family_generations",
+        "degenerate_cubes",
+    ]
+    assert blob["quotients"] == list(rep.quotients)
+    assert list(blob["family_generations"]) == [str(g) for g in rep.family_generations]
+
+
 def audit_one_trial_at_a_time(
     exponents, L, trials, seed, target, operator="sparse", n=1, weight_kind="mixed"
 ):
@@ -562,6 +610,35 @@ def test_an_audit_in_several_stacks_matches_trials_run_one_at_a_time(monkeypatch
     assert rep.largest_family == largest
     assert rep.family_generations == generations
     assert rep.degenerate_cubes == degenerate
+
+
+def test_an_audit_runs_the_kept_trials_of_each_block_of_draws_as_one_stack(monkeypatch):
+    # three L = 8 draws to a block; the first family misses sparseness, so
+    # the ten draws run as stacks of 2 + 3 + 3 + 1
+    monkeypatch.setattr(sweeps, "_AUDIT_STACK_CELLS", 3 * 256 + 255)
+    builds, scans = Counter(), Counter()
+    real_build, real_scan = sweeps.build_sparse_family, sweeps._scan_rows
+
+    def build(*args, **kwargs):
+        builds["n"] += 1
+        if builds["n"] == 1:
+            raise SparsenessError("kept region below one half")
+        return real_build(*args, **kwargs)
+
+    def scan(P, densities, family):
+        scans[len(densities) // (1 + P.m)] += 1
+        return real_scan(P, densities, family)
+
+    monkeypatch.setattr(sweeps, "build_sparse_family", build)
+    monkeypatch.setattr(sweeps, "_scan_rows", scan)
+    rep = upper_bound_audit((2.0, 2.0), L=8, trials=10, seed=3, operator="sparse")
+    quotients, skips, _, _, _ = audit_one_trial_at_a_time(
+        (2.0, 2.0), 8, 10, 3, rep.target_exponent, "sparse"
+    )
+    assert not skips and rep.skipped_by_reason["sparseness"] == rep.skipped == 1
+    assert scans == {2: 1, 3: 2, 1: 1}
+    # the skipped draw consumed its random numbers, so the other nine keep theirs
+    assert rep.quotients == tuple(quotients[1:])  # bit for bit
 
 
 def test_a_planar_audit_holds_no_more_than_a_small_stack_at_once():

@@ -454,6 +454,22 @@ def test_ap_report_json():
     assert set(blob["argmax"]) >= {"grid", "g", "j"}
 
 
+def test_ap_report_json_keys_keep_the_field_order():
+    lat = Lattice(default_box(1), 4)
+    wv = WeightVector([Weight.power(lat, 0.5)], ExponentTuple((2.0,)))
+    blob = ap_constant(wv, CubeFamily(lat, kind="both")).to_json()
+    assert list(blob) == [
+        "constant",
+        "argmax",
+        "scanned",
+        "family",
+        "degenerate",
+        "scanned_per_generation",
+    ]
+    assert list(blob["argmax"]) == ["grid", "g", "j", "start", "size"]
+    assert list(blob["scanned_per_generation"])[-1] == "aligned"
+
+
 # ------------------------------------------------------------------ duality
 def test_dualize_per_cube_identity_power_weights():
     lat = Lattice(default_box(1), 6)
