@@ -11,9 +11,9 @@ Subcommands
 ``selftest``     full invariant battery                     (text, exit code)
 
 Exit codes: 0 success, 2 configuration error (bad flags, bad values, bad
-files, an ``--out`` that cannot be written, or a ``ValueError`` from the
-library on the values given), 3 invariant failure (sparseness
-verification, an audit with no evidence, selftest).
+files, an ``--out`` that cannot be written, a ``ValueError`` from the library
+on the values given, or a ``MemoryError``: a lattice too large for memory),
+3 invariant failure (sparseness verification, an audit with no evidence, selftest).
 Weight/function specs: ``power:<a>`` (power law on the unit ball),
 ``power:<a>@pos`` (power law on the positive unit cube), ``const`` or
 ``const:<c>``, ``grid:<path>`` (file saved by the grid-function writer).
@@ -470,8 +470,8 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one subcommand; flags, library errors and unwritable outputs
-    alike exit 2."""
+    """Run one subcommand; flags, library errors, unwritable outputs and
+    lattices too large for memory alike exit 2."""
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
@@ -484,7 +484,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.run(args)
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a bad flag
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
-    except (ConfigError, ValueError, OSError) as err:
+    except (ConfigError, ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (SparsenessError, AuditError) as err:

@@ -329,9 +329,6 @@ def _pyramid(
             back = 2 * count - front - have
             lo = sums[head + (slice(front, have - back, 2),)]
             hi = sums[head + (slice(front + 1, have - back, 2),)]
-            if not (front or back):
-                sums = lo + hi
-                continue
             out = np.empty(sums.shape[: lead + a] + (count,) + sums.shape[lead + a + 1 :])
             np.add(lo, hi, out=out[head + (slice(front, count - back),)])
             if front:
@@ -478,6 +475,15 @@ class DyadicGrid:
         over generation g, in the shape and C order of :meth:`layout`."""
         top = self.layout(g_min)
         return _pyramid(values, self.lattice, [s[0] for s in top.starts], top.size, top.shape)
+
+    def generations(
+        self, values: np.ndarray, g_min: int
+    ) -> Iterator[Tuple["CubeLayout", np.ndarray]]:
+        """``(layout(g), sums)`` for generations ``g_min..L``, coarse to fine,
+        the sums in the layout's shape and C order, from one :meth:`pyramid`."""
+        levels = self.pyramid(values, g_min)
+        for g in range(g_min, self.lattice.L + 1):
+            yield self.layout(g), levels[self.lattice.L - g]
 
 
 class ShiftedGridFamily:
@@ -631,6 +637,12 @@ class GridFunction:
             header = json.loads(fh.readline())
             lattice = _header_lattice(header)
             count = lattice.cells_per_axis**lattice.n
+            if fh.seekable():  # a stream is read once, as it comes
+                body = fh.tell()
+                rows = sum(1 for line in fh if line.strip())
+                if rows < count:  # checked before allocating cells, which a header may make huge
+                    raise ValueError(f"at least {count - rows} of {count} cells have no row")
+                fh.seek(body)
             flat = np.zeros(count)
             seen = np.zeros(count, dtype=bool)
             for line in fh:

@@ -1,14 +1,15 @@
 """Dyadic and multilinear maximal operators over shifted grids.
 
 Every scan walks whole generations at once: the sums over all cubes of a
-grid meeting the box come from the grid's child-sum pyramid
-(:meth:`grid.DyadicGrid.pyramid`), one pass per grid for all the inputs of
-every row of a stack, and each generation's averages are then scattered
-back onto the cells they cover.  Averages always divide by the full cube volume, so cubes sticking
-out of the box are diluted by the mass they miss; this keeps the
-lower/upper bracket of ``multilinear_maximal`` valid.  The weighted variant instead divides by the
-weight mass actually inside the box, which is the natural normalization for
-a weight living on the box alone.
+grid meeting the box, with the layout of each generation, come from the
+grid's walk (:meth:`grid.DyadicGrid.generations`) over one child-sum
+pyramid per grid for all the inputs of every row of a stack, and each
+generation's averages are then scattered back onto the cells they cover.
+Averages always divide by the full cube volume, so cubes sticking out of
+the box are diluted by the mass they miss; this keeps the lower/upper
+bracket of ``multilinear_maximal`` valid.  The weighted variant instead
+divides by the weight mass actually inside the box, which is the natural
+normalization for a weight living on the box alone.
 """
 from __future__ import annotations
 
@@ -38,15 +39,13 @@ def _chain_max(
 ) -> np.ndarray:
     """Cellwise max over one grid's cube chain, generations ``g_min..L``, of
     ``per_cube(sums, layout)``: the value of every cube of a generation from
-    the sums of the ``stacked`` cell values over them, read from the grid's
-    child-sum pyramid.  ``per_cube`` folds the axis just before the cells
-    away; axes ahead of it, one per row, are carried along."""
+    the sums of the ``stacked`` cell values over them, as
+    :meth:`grid.DyadicGrid.generations` yields them.  ``per_cube`` folds the
+    axis just before the cells away; axes ahead of it, one per row, are kept."""
     lat = grid.lattice
-    levels = grid.pyramid(stacked, g_min)
     out = np.zeros(stacked.shape[: -lat.n - 1] + lat.shape)
-    for g in range(g_min, lat.L + 1):
-        layout = grid.layout(g)
-        vals = per_cube(levels[lat.L - g], layout)
+    for layout, sums in grid.generations(stacked, g_min):
+        vals = per_cube(sums, layout)
         np.maximum(out, vals[(Ellipsis,) + np.ix_(*layout.cell_slots())], out=out)
     return out
 

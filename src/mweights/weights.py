@@ -286,9 +286,9 @@ class CubeFamily:
 
     Scan order is grid by grid (the standard grid first), each grid's
     generations coarse to fine and each generation in C order of ``j``; then
-    the aligned cubes by size.  The grid cubes' sums come from one child-sum
-    pyramid per grid (:meth:`grid.DyadicGrid.pyramid`); cell-aligned cubes
-    do not nest, and take the doubled runs of :func:`grid.window_sums`.
+    the aligned cubes by size.  The grid cubes' sums come from each grid's
+    walk (:meth:`grid.DyadicGrid.generations`) over one child-sum pyramid;
+    cell-aligned cubes do not nest, and take the doubled runs of :func:`grid.window_sums`.
     Neither can cancel.
     """
 
@@ -307,16 +307,11 @@ class CubeFamily:
         """The shifted grids of the grid cubes, standard first; none for "aligned"."""
         return ShiftedGridFamily(self.lattice).grids if self.kind != "aligned" else ()
 
-    @property
-    def generations(self) -> range:
-        """The generations of the grid cubes, coarse to fine; none for "aligned"."""
-        return range(self.g_min, self.lattice.L + 1) if self.kind != "aligned" else range(0)
-
     def layouts(self) -> Iterator[CubeLayout]:
         """The family in scan order: one layout per (grid, generation), then
         one per cube size for "aligned"."""
         for grid in self.grids:
-            for g in self.generations:
+            for g in range(self.g_min, self.lattice.L + 1):
                 yield grid.layout(g)
         if self.kind in ("aligned", "both"):
             for size in range(1, self.lattice.cells_per_axis + 1):
@@ -364,30 +359,13 @@ class ApReport:
         return blob
 
 
-def _grid_averages(
-    grid: DyadicGrid, densities: np.ndarray, gens: range, volumes: List[float]
-) -> Tuple[np.ndarray, List[int]]:
-    """Averages of the stacked densities over every cube of ``grid`` in
-    generations ``gens``, coarse to fine and each generation in C order, one
-    flat row per density, from the grid's child-sum pyramid; and the number
-    of cubes in each generation, whose full volumes are ``volumes``."""
-    lat = grid.lattice
-    levels = grid.pyramid(densities, gens[0])
-    rows = [levels[lat.L - g].reshape(len(densities), -1) for g in gens]
-    counts = [row.shape[1] for row in rows]
-    averages = np.concatenate(rows, axis=1)
-    averages *= lat.cell_volume
-    averages /= np.repeat(volumes, counts)
-    return averages, counts
-
-
-def _grid_cube(grid: DyadicGrid, gens: range, counts: List[int], k: int) -> DyadicCube:
-    """The cube at flat index ``k`` of :func:`_grid_averages`."""
-    for g, count in zip(gens, counts):
+def _cube_at(layouts: Sequence[CubeLayout], k: int) -> DyadicCube:
+    """The cube at flat index ``k`` of the layouts' cubes, one after the other."""
+    for layout in layouts:
+        count = math.prod(layout.shape)
         if k < count:
             break
         k -= count
-    layout = grid.layout(g)
     return layout.cube(np.unravel_index(k, layout.shape))
 
 
@@ -416,25 +394,26 @@ def ap_constant_rows(wvs: Sequence[WeightVector], family: CubeFamily) -> List[Ap
 def _scan_rows(P: ExponentTuple, densities: np.ndarray, family: CubeFamily) -> List[ApReport]:
     """The scan of :func:`ap_constant_rows` over the stacked cell densities
     of :func:`_densities` (``(1 + m) * rows`` entries on the family's
-    lattice): one report per row, the NaN supremand refused."""
+    lattice): one report per row, the NaN supremand refused.  Each block of
+    cubes is named by its layouts, and a row's argmax by ``(layouts, k)``."""
     lat = family.lattice
     rows = len(densities) // (1 + P.m)
     if not rows:
         return []
     best = [float("-inf")] * rows
-    args: List[Optional[Callable[[], DyadicCube]]] = [None] * rows
+    args: List[Optional[Tuple[Sequence[CubeLayout], int]]] = [None] * rows
     degenerate = np.zeros(rows, dtype=np.int64)
     nans = [0] * rows
     scanned = 0
     per_generation: Counter = Counter()
 
-    def scan(averages: np.ndarray, counts: Dict[Optional[int], int], cube) -> None:
+    def scan(averages: np.ndarray, layouts: Sequence[CubeLayout]) -> None:
         nonlocal scanned
         # rows stacked onto the cube axis: (1 + m, rows * cubes)
         vals, degen = _supremand(P, averages.reshape(1 + P.m, -1))
         vals = vals.reshape(rows, -1)
         scanned += vals.shape[1]
-        per_generation.update(counts)
+        per_generation.update({layout.g: math.prod(layout.shape) for layout in layouts})
         if degen.any():
             degenerate[:] += degen.reshape(rows, -1).sum(axis=1)
         for r, row in enumerate(vals):
@@ -443,21 +422,22 @@ def _scan_rows(P: ExponentTuple, densities: np.ndarray, family: CubeFamily) -> L
             k = int(row.argmax())
             top = float(row[k])
             if top > best[r]:
-                best[r], args[r] = top, functools.partial(cube, k)
+                best[r], args[r] = top, (layouts, k)
             elif math.isnan(top):
                 nans[r] += int(np.count_nonzero(np.isnan(row)))
 
-    gens = family.generations
-    volumes = [lat.cube_volume(2 ** (lat.L - g)) for g in gens]
     for grid in family.grids:
-        averages, counts = _grid_averages(grid, densities, gens, volumes)
-        scan(averages, dict(zip(gens, counts)), functools.partial(_grid_cube, grid, gens, counts))
+        layouts, sums = zip(*grid.generations(densities, family.g_min))
+        averages = np.concatenate([s.reshape(len(densities), -1) for s in sums], axis=1)
+        del sums
+        averages *= lat.cell_volume
+        counts = [math.prod(layout.shape) for layout in layouts]
+        averages /= np.repeat([lat.cube_volume(layout.size) for layout in layouts], counts)
+        scan(averages, layouts)
         del averages  # before the next grid's pyramid
     if family.kind in ("aligned", "both"):
         for size, sums in aligned_window_sums(densities, lat.n):
-            layout = CubeLayout.aligned(lat, size)
-            scan(sums * lat.cell_volume / lat.cube_volume(size), {None: math.prod(layout.shape)},
-                 lambda k, layout=layout: layout.cube(np.unravel_index(k, layout.shape)))
+            scan(sums * lat.cell_volume / lat.cube_volume(size), [CubeLayout.aligned(lat, size)])
     for r, count in enumerate(nans):
         if count:
             where = f" in row {r}" if rows > 1 else ""
@@ -471,7 +451,7 @@ def _scan_rows(P: ExponentTuple, densities: np.ndarray, family: CubeFamily) -> L
             scanned * rows,
         )
     return [
-        ApReport(b, arg and arg(), scanned, family.describe, int(d), dict(per_generation))
+        ApReport(b, arg and _cube_at(*arg), scanned, family.describe, int(d), dict(per_generation))
         for b, arg, d in zip(best, args, degenerate)
     ]
 
@@ -482,8 +462,8 @@ def ap_constant(wv: WeightVector, family: CubeFamily) -> ApReport:
     Scans the family in its scan order (:meth:`CubeFamily.layouts`), one
     pass per grid and one per aligned cube size, over the stacked densities
     of the joint weight and its duals.  A grid's cubes, every generation
-    coarse to fine, come from one child-sum pyramid
-    (:meth:`grid.DyadicGrid.pyramid`); each size of aligned cubes from
+    coarse to fine, come from its walk over one child-sum pyramid
+    (:meth:`grid.DyadicGrid.generations`); each size of aligned cubes from
     :func:`grid.aligned_window_sums`, which builds the doubled runs along
     the first cell axis once for every size.  Deterministic: ties keep the
     first maximizer.

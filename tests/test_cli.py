@@ -221,6 +221,9 @@ def test_maximal_malformed_grid_file_is_config_error(tmp_path, capsys):
         ('{"n": 1, "L": 3, "box": {"lo": [-2.0, 0.0], "side": 4.0}, "descriptor": null}', "box.lo"),
         ('{"n": 1, "L": 3, "box": {"lo": [-2.0], "side": 0.0}, "descriptor": null}', "box.side"),
         ('{"n": 1, "L": 3, "box": {"lo": [-2.0], "side": 4.0}, "descriptor": [1]}', "cannot load"),
+        # 2^45 cells ask for 256 TiB, more than a 64-bit user address space
+        ('{"n": 1, "L": 45, "box": {"lo": [-2.0], "side": 4.0}, "descriptor": null}',
+         "cells have no row"),
     ],
 )
 def test_maximal_malformed_grid_file_header_is_config_error(header, message, tmp_path, capsys):
@@ -229,6 +232,18 @@ def test_maximal_malformed_grid_file_header_is_config_error(header, message, tmp
     assert main(["maximal", "--f", f"grid:{path}", "--L", "3"]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def test_lattice_too_large_for_memory_exits_2(monkeypatch, capsys):
+    # the allocation fails in a stand-in: a host that overcommits memory
+    # could grant a real one and run out later
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 32.0 GiB")
+
+    monkeypatch.setattr(cli, "multilinear_maximal", too_large)
+    assert main(["maximal", "--f", "const,const", "--L", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "Unable to allocate" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

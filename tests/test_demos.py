@@ -1,6 +1,8 @@
 """Every demo script, and the README's library quick start, runs to
 completion against the package in ``src``."""
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -36,3 +38,17 @@ def test_readme_quick_start_runs(capsys):
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+def test_every_public_name_resolves():
+    # a name deleted by hand must leave its module's __all__ with it
+    import mweights
+
+    modules = [mweights] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(mweights.__path__, "mweights.")
+    ]
+    assert len(modules) >= 15
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names {missing}"

@@ -616,3 +616,11 @@ def test_pyramid_carries_leading_axes_and_stops_at_g_min():
         alone = shifted.pyramid(stacked[k], 1)
         assert all(np.array_equal(a, b[k]) for a, b in zip(alone, levels))
     assert levels[-1].shape == (3,) + shifted.layout(1).shape
+    # the walk pairs every generation, coarse to fine, with its layout
+    walk = list(shifted.generations(stacked, 1))
+    assert [layout.g for layout, _ in walk] == [1, 2, 3, 4]
+    for layout, sums in walk:
+        want = shifted.layout(layout.g)
+        assert layout.size == want.size and layout.grid is shifted
+        assert all(np.array_equal(a, b) for a, b in zip(layout.starts, want.starts))
+        assert np.array_equal(sums, levels[lat.L - layout.g])

@@ -21,9 +21,8 @@ from mweights.experiments import (
     write_gnuplot,
     write_sweep_csv,
 )
-from mweights import weights
 from mweights.experiments import Minorant, grid_lp_norm, hybrid_lower_norm, sweeps
-from mweights.grid import GridFunction, Lattice, ShiftedGridFamily, default_box
+from mweights.grid import DyadicGrid, GridFunction, Lattice, ShiftedGridFamily, default_box
 from mweights.powermass import Interval, power_mass
 from mweights.operators import (
     SparsenessError,
@@ -579,12 +578,12 @@ def test_audit_runs_one_weight_constant_scan_and_one_sparse_apply(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    counting(weights, "_grid_averages")
+    counting(DyadicGrid, "pyramid")
     counting(sparse, "cube_levels")
     counting(sweeps, "build_sparse_family")
     rep = upper_bound_audit((2.0, 2.0), L=7, trials=6, seed=11, operator="sparse")
     assert len(rep.quotients) == 6
-    assert calls["_grid_averages"] == 2  # the two shifted grids at n = 1
+    assert calls["pyramid"] == 2  # the two shifted grids at n = 1
     assert calls["build_sparse_family"] == 6
     assert calls["cube_levels"] == calls["build_sparse_family"] + 1
 
