@@ -15,7 +15,6 @@ grow with the number of trials.
 """
 from __future__ import annotations
 
-import logging
 import math
 import time
 from collections import Counter
@@ -25,6 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .._log import debug
 from ..grid import GridFunction, Lattice, default_box, ShiftedGridFamily
 from ..operators import (
     RieszValues,
@@ -62,8 +62,6 @@ __all__ = [
     "write_gnuplot",
     "write_sweep_csv",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -430,14 +428,14 @@ def upper_bound_audit(
             rhs_product = float(np.prod(rhs))
             if rhs_product <= 0.0 or not np.isfinite(rhs_product):
                 skipped_by_reason["input_norms"] += 1
-                logger.debug("audit trial skipped: degenerate input norms %s", rhs)
+                debug(__name__, "audit trial skipped: degenerate input norms %s", rhs)
                 continue
             if operator == "sparse":
                 try:
                     fam = build_sparse_family(fs, grid, root=root)
                 except SparsenessError as err:
                     skipped_by_reason["sparseness"] += 1
-                    logger.debug("audit trial skipped: %s", err)
+                    debug(__name__, "audit trial skipped: %s", err)
                     continue
                 largest = max(largest, len(fam))
                 generations.update(cube.g for cube in fam.cubes)
@@ -460,7 +458,7 @@ def upper_bound_audit(
             ap = float(report.constant)
             if lhs <= 0.0 or not np.isfinite(lhs) or not np.isfinite(ap) or ap <= 0.0:
                 skipped_by_reason["degenerate_lhs_ap"] += 1
-                logger.debug("audit trial skipped: degenerate lhs=%s ap=%s", lhs, ap)
+                debug(__name__, "audit trial skipped: degenerate lhs=%s ap=%s", lhs, ap)
                 continue
             quotients.append((lhs / rhs_product) / ap**target)
             degenerate += report.degenerate

@@ -115,10 +115,6 @@ class Lattice:
         """Volume of a cube of ``size`` cells per axis, inside the box or not."""
         return (size * self.h) ** self.n
 
-    def cell_bounds(self, idx: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-        lo = np.asarray(self.box.lo) + self.h * np.asarray(idx, dtype=float)
-        return lo, lo + self.h
-
     def cube_cells(self, cube: "DyadicCube") -> Tuple[slice, ...]:
         """Per axis, the slice of the cube's cells inside the box."""
         N = self.cells_per_axis
@@ -163,6 +159,12 @@ class Lattice:
         it) and the cells a ``Ball`` cuts take the graded polar rule of one
         :class:`PlanarPlan`.
 
+        For n=2, an axis whose clipped cell edges are symmetric about 0 (on
+        the default box with support None or a ``Ball``, both axes) is
+        folded: the plans hold only its cells right of 0, and the masses of
+        the cells left of it are theirs mirrored, which are the bits the
+        rules give those cells.
+
         These plans (for n=2 with the tensor-rule cells) are built on the
         first call for each support and kept with the lattice, so a call
         runs only their exponent step, with a fresh lattice's bits.
@@ -180,10 +182,18 @@ class Lattice:
             return IntervalPlan(*edges[0]).masses
         if self.n != 2:
             raise NotImplementedError("cell masses are implemented for n <= 2")
+        # an axis whose clipped edges are symmetric about 0 has mirrored
+        # masses, bit for bit (the rules' nodes are antisymmetric and their
+        # mirrored nodes are added first): keep its cells right of 0 only
+        folded = [len(lo) % 2 == 0 and np.array_equal(lo, -hi[::-1]) for lo, hi in edges]
+        edges = [
+            (lo[len(lo) // 2 :], hi[len(hi) // 2 :]) if fold else (lo, hi)
+            for (lo, hi), fold in zip(edges, folded)
+        ]
         (x0, x1), (y0, y1) = edges
         dx, dy = (np.maximum(np.maximum(lo, -hi), 0.0) for lo, hi in edges)
         inside = (x1 > x0)[:, None] & (y1 > y0)[None, :]
-        cut = np.zeros(self.shape, dtype=bool)
+        cut = np.zeros(inside.shape, dtype=bool)
         if isinstance(support, Ball):
             # the edges are unclipped: a cell is inside when its farthest
             # corner is, and cut when its nearest point is inside but not all
@@ -203,6 +213,9 @@ class Lattice:
             ri, rj = np.nonzero(rule)
             out[ri, rj] = tensor.masses(exponent, ri, rj)
             out[i, j] = polar.masses(exponent)
+            for axis, fold in enumerate(folded):
+                if fold:
+                    out = np.concatenate([np.flip(out, axis), out], axis=axis)
             return out
 
         return masses

@@ -13,15 +13,13 @@ normalization for a weight living on the box alone.
 """
 from __future__ import annotations
 
-import logging
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
+from .._log import debug
 from ..grid import G_MIN, CubeLayout, DyadicGrid, GridFunction, ShiftedGridFamily, common_lattice
 from ..weights import Weight
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "dyadic_maximal",
@@ -134,7 +132,8 @@ def weighted_dyadic_maximal(
         num, den = sums
         empty = den <= 0.0
         if np.any(empty):
-            logger.debug(
+            debug(
+                __name__,
                 "generation %d: %d cubes carry zero weight mass; treated as zero",
                 layout.g,
                 int(np.count_nonzero(empty)),

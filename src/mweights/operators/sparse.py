@@ -17,17 +17,15 @@ way, a stack of at most 2^15 lattice cells at a time.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .._log import debug
 from ..grid import (
     CellRegion, DyadicCube, DyadicGrid, GridFunction, Lattice, common_lattice, cube_levels
 )
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "SparseFamily",
@@ -171,7 +169,7 @@ def build_sparse_family(
     owner[lat.cube_cells(root)] = 0
 
     if lambda0 == 0.0:
-        logger.debug("root product average is zero; family is the root alone")
+        debug(__name__, "root product average is zero; family is the root alone")
     else:
         # the thresholds tau = a*lambda0, a*(a*lambda0), ... as a scalar loop
         # makes them, up to the first one no value exceeds; a value's

@@ -15,6 +15,15 @@ rule for planar rectangles away from the origin. Its ``masses`` method then
 runs only the exponent step, once per exponent; :func:`power_mass` is the
 one-region case. Every rule adds its nodes in one fixed order, so a
 region's mass has the same bits whichever other regions share its call.
+
+The two Gauss-Legendre rules, 16 points for the polar pieces and 12 per
+axis for the tensor rule, are tabulated as float literals: computing them
+would import ``numpy.polynomial`` and solve an eigenproblem at every start.
+``tests/test_powermass.py`` pins them: they equal
+``numpy.polynomial.legendre.leggauss`` bit for bit, their nodes are bitwise
+antisymmetric and their weights bitwise symmetric (the mirror symmetry that
+cell masses rely on), and each integrates the monomials up to its exactness
+degree on [-1, 1] to rounding.
 """
 from __future__ import annotations
 
@@ -36,12 +45,32 @@ __all__ = [
 ]
 
 # rule for each graded piece of the polar integrals
-_POLAR_NODES, _POLAR_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_POLAR_NODES = np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+])
+_POLAR_WEIGHTS = np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+])
 
 # tensor rule for rectangles away from the origin, evaluated in blocks of
 # rectangles of at most _RULE_BLOCK node values so the temporaries stay a
 # fixed size
-_RULE_NODES, _RULE_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_RULE_NODES = np.array([
+    -0.9815606342467192, -0.9041172563704748, -0.7699026741943047, -0.5873179542866175,
+    -0.3678314989981802, -0.1252334085114689, 0.1252334085114689, 0.3678314989981802,
+    0.5873179542866175, 0.7699026741943047, 0.9041172563704748, 0.9815606342467192,
+])
+_RULE_WEIGHTS = np.array([
+    0.04717533638651141, 0.10693932599531907, 0.16007832854334642, 0.20316742672306573,
+    0.2334925365383546, 0.2491470458134027, 0.2491470458134027, 0.2334925365383546,
+    0.20316742672306573, 0.16007832854334642, 0.10693932599531907, 0.04717533638651141,
+])
 _RULE_BLOCK = 1 << 17
 
 

@@ -15,7 +15,6 @@ whose supremand values are diluted accordingly and never dominate.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -23,6 +22,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._log import debug
 from .grid import (
     CellRegion,
     CubeLayout,
@@ -49,8 +49,6 @@ __all__ = [
     "dualize",
     "random_weight",
 ]
-
-logger = logging.getLogger(__name__)
 
 # treat p within this distance of 1 as p == 1 (dual exponent undefined)
 _P_ONE_TOL = 1e-9
@@ -268,7 +266,7 @@ def per_cube_ap(wv: WeightVector, Q: DyadicCube) -> float:
     """
     vals, degenerate = _supremand(wv.exponents, _densities([wv], lambda f: cube_averages(f, Q)))
     if degenerate.any():
-        logger.debug("degenerate zero-mass average on %s; returning 0", Q)
+        debug(__name__, "degenerate zero-mass average on %s; returning 0", Q)
     return float(vals.flat[0])
 
 
@@ -445,7 +443,8 @@ def _scan_rows(P: ExponentTuple, densities: np.ndarray, family: CubeFamily) -> L
                 f"{count} of {scanned} cubes of {family.describe} have a NaN supremand{where}"
             )
     if degenerate.any():
-        logger.debug(
+        debug(
+            __name__,
             "%d of %d cubes degenerate to zero mass; their supremand is 0",
             int(degenerate.sum()),
             scanned * rows,

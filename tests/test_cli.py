@@ -154,6 +154,18 @@ def test_python_dash_m_runs_the_cli():
     assert "--config" in proc.stdout
 
 
+def test_import_loads_neither_numpy_polynomial_nor_logging():
+    # every CLI call starts a fresh interpreter: the quadrature rules are
+    # tabulated and debug records wait for logging to be imported by others
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = "import sys, mweights; print(sorted({'numpy.polynomial', 'logging'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_main_entry_exits_with_main_code(monkeypatch, capsys):
     monkeypatch.setattr("sys.argv", ["mweights", "--help"])
     with pytest.raises(SystemExit) as exc:

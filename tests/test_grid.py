@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import cell_bounds
 from mweights.grid import (
     Box,
     CellRegion,
@@ -50,11 +51,11 @@ def test_lattice_geometry():
     assert lat.cells_per_axis == 8
     assert lat.h == 0.5
     assert lat.cell_volume == 0.5
-    lo, hi = lat.cell_bounds((4,))
+    lo, hi = cell_bounds(lat, (4,))
     assert lo[0] == 0.0 and hi[0] == 0.5
     lat2 = make_lattice(2, 2)
     assert lat2.cell_volume == 1.0
-    lo, hi = lat2.cell_bounds((0, 3))
+    lo, hi = cell_bounds(lat2, (0, 3))
     assert tuple(lo) == (-2.0, 1.0) and tuple(hi) == (-1.0, 2.0)
 
 
@@ -317,7 +318,7 @@ def test_from_power_values_are_exact_cell_averages():
     f = GridFunction.from_power(lat, eps - 1.0, Ball(1.0, 1))
     # oracle: midpoint quadrature on cells away from 0, closed form at 0
     for idx in ((40,), (20,), (0,)):
-        lo, hi = lat.cell_bounds(idx)
+        lo, hi = cell_bounds(lat, idx)
         xs = np.linspace(lo[0], hi[0], 200_001)
         mids = 0.5 * (xs[:-1] + xs[1:])
         vals = np.where(np.abs(mids) <= 1.0, np.abs(mids) ** (eps - 1.0), 0.0)

@@ -12,8 +12,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mweights.grid import Lattice, default_box
+from oracles import cell_bounds
+from mweights.grid import Box, Lattice, default_box
 from mweights.powermass import (
+    _POLAR_NODES,
+    _POLAR_WEIGHTS,
+    _RULE_NODES,
+    _RULE_WEIGHTS,
     Ball,
     Interval,
     IntervalPlan,
@@ -274,7 +279,7 @@ def _mp_cell_mass(mp, a, lo, hi, support):
 def _check_cells(mp, lat, a, support, cells):
     got = lat.power_masses(a, support)
     for idx in cells:
-        lo, hi = lat.cell_bounds(idx)
+        lo, hi = cell_bounds(lat, idx)
         want = _mp_cell_mass(mp, a, lo.tolist(), hi.tolist(), support)
         if want == 0:
             assert got[idx] == 0.0, idx
@@ -457,6 +462,60 @@ def test_tensor_rule_cell_masses_do_not_depend_on_the_batch(L, a):
         cols = rng.choice(N, int(rng.integers(1, N + 1)), replace=False)
         got = tensor_rule(a, x0[rows], x1[rows], x0[cols], x1[cols])
         assert np.array_equal(got, full[np.ix_(rows, cols)])
+
+
+@pytest.mark.parametrize(
+    "points, nodes, weights",
+    [(16, _POLAR_NODES, _POLAR_WEIGHTS), (12, _RULE_NODES, _RULE_WEIGHTS)],
+)
+def test_tabulated_rules_are_gauss_legendre_bit_for_bit(points, nodes, weights):
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(points)
+    for got, want in ((nodes, want_nodes), (weights, want_weights)):
+        assert got.dtype == np.float64 and got.shape == (points,)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # the mirror symmetry that folded cell masses and _node_sum rely on
+    assert np.array_equal(nodes.view(np.int64), (-nodes[::-1]).view(np.int64))
+    assert np.array_equal(weights.view(np.int64), weights[::-1].view(np.int64))
+    # exact for the monomials up to degree 2 * points - 1, to a few ulps of
+    # the weights' sum 2 (degree 2 * points misses by 1e-10 or more)
+    for k in range(2 * points):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(math.fsum(weights * nodes**k) - exact) <= 4 * np.finfo(float).eps, k
+
+
+def whole_lattice_masses(lat, a, support):
+    """n=2 cell masses by both rules on every cell of the lattice, with no
+    axis folded: the tensor rule on the cells inside the support whose
+    distance from the origin is at least their side, the polar rule on the
+    nearer ones and on the cells a ``Ball`` cuts."""
+    lo, hi = cell_bounds(lat, np.repeat(np.arange(lat.cells_per_axis)[:, None], 2, axis=1))
+    (x0, y0), (x1, y1) = lo.T, hi.T
+    # per axis, each cell's nearest and farthest distance from 0
+    (dx, dy), (fx, fy) = np.maximum(np.maximum(lo, -hi), 0.0).T, np.maximum(-lo, hi).T
+    radius = math.inf if support is None else support.radius
+    inside = np.hypot(fx[:, None], fy[None, :]) <= radius
+    cut = ~inside & (np.hypot(dx[:, None], dy[None, :]) < radius)
+    near_origin = inside & (dx[:, None] ** 2 + dy[None, :] ** 2 < lat.h**2)
+    out = np.zeros(lat.shape)
+    ri, rj = np.nonzero(inside & ~near_origin)
+    out[ri, rj] = RectRulePlan(x0, x1, y0, y1).masses(a, ri, rj)
+    i, j = np.nonzero(cut | near_origin)
+    out[i, j] = PlanarPlan(x0[i], x1[i], y0[j], y1[j], radius).masses(a)
+    return out
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("support", [None, Ball(1.0, 2), Ball(0.7, 2)])
+@pytest.mark.parametrize(
+    "lo",
+    [(-2.0, -2.0), (-2.0, -1.0), (-1.0, -1.5)],
+    ids=["both-axes-folded", "x-folded", "no-axis-folded"],
+)
+def test_folded_planar_masses_match_the_whole_lattice_bitwise(L, support, lo):
+    lat = Lattice(Box(lo, 4.0), L)
+    for a in (-1.9, -1.5, -0.875, 0.0, 0.7, 2.3):
+        got, want = lat.power_masses(a, support), whole_lattice_masses(lat, a, support)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), a
 
 
 MASS_SUPPORTS = {
