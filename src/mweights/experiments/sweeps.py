@@ -35,6 +35,7 @@ from ..operators import (
     multilinear_maximal_rows,
     sparse_operator_rows,
 )
+from ..operators.sparse import _stopping_walks
 from ..weights import (
     ApReport,
     CubeFamily,
@@ -374,12 +375,15 @@ def upper_bound_audit(
     The draws run in blocks of as many trials as fit in
     ``_AUDIT_STACK_CELLS`` lattice cells (at least one), so memory does not
     grow with ``trials``; a 20-trial audit at n = 1, L = 10 is one block.
-    Each trial of a block is drawn, its input norms checked and its sparse
-    family built on its own, and no weight vector outlives the trial.  The
-    block's kept trials then run as one stack: one
+    Each trial of a block is drawn and its input norms checked on its own,
+    and no weight vector outlives the trial.  After the block's draws, the
+    trials that passed run their sparse stopping walks as one stack, and
+    each becomes its family through its own :func:`build_sparse_family`
+    call, in trial order; a trial whose family misses sparseness is
+    skipped.  The block's kept trials then run as one stack: one
     :func:`sparse_operator_rows` call (or one
     :func:`multilinear_maximal_rows` call), their output norms and one
-    weight-constant scan, and become quotients.  Both steps work
+    weight-constant scan, and become quotients.  Every step works
     elementwise along the trial axis, so every quotient has the bits of a
     trial run alone.
     """
@@ -430,9 +434,17 @@ def upper_bound_audit(
                 skipped_by_reason["input_norms"] += 1
                 debug(__name__, "audit trial skipped: degenerate input norms %s", rhs)
                 continue
-            if operator == "sparse":
+            rhs_products.append(rhs_product)
+            densities[:, len(inputs)] = _densities([wv], lambda f: f.values)
+            inputs.append(fs)
+            joint_masses.append(wv.joint.cell_masses())
+        if operator == "sparse" and inputs:
+            keep = []
+            # the walks go with the loop, so that only the families hold
+            # their owner arrays, and the scan below holds none
+            for k, (fs, walk) in enumerate(zip(inputs, _stopping_walks(inputs, grid, root=root))):
                 try:
-                    fam = build_sparse_family(fs, grid, root=root)
+                    fam = build_sparse_family(fs, grid, root=root, _walk=walk)
                 except SparsenessError as err:
                     skipped_by_reason["sparseness"] += 1
                     debug(__name__, "audit trial skipped: %s", err)
@@ -440,10 +452,12 @@ def upper_bound_audit(
                 largest = max(largest, len(fam))
                 generations.update(cube.g for cube in fam.cubes)
                 families.append(fam)
-            rhs_products.append(rhs_product)
-            densities[:, len(inputs)] = _densities([wv], lambda f: f.values)
-            inputs.append(fs)
-            joint_masses.append(wv.joint.cell_masses())
+                keep.append(k)
+            if len(keep) < len(inputs):
+                densities[:, : len(keep)] = densities[:, keep]
+                inputs, joint_masses, rhs_products = (
+                    [rows[k] for k in keep] for rows in (inputs, joint_masses, rhs_products)
+                )
         kept = len(inputs)
         if not kept:
             continue

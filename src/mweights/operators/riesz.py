@@ -153,23 +153,26 @@ def _windows(w, span):
     return sliding_window_view(z, pad.shape[1] + w.shape[1], axis=1)
 
 
-def _pv_flags(w1, w2, m, theta):
-    """Points whose omitted cell pairs carry mass in both inputs.
+def _pv_flags(w1, i0, w2, j0, m, theta):
+    """Points whose omitted cell pairs carry mass in both inputs, as a
+    (rows, points) array over the stacked masses ``w1`` (cells ``i0`` on)
+    and ``w2`` (cells ``j0`` on).
 
     Candidates are the cells next to the point; the offsets are formed
-    exactly as in the tables, so the flags match the zeroed entries.
+    exactly as in the tables, so the flags match the zeroed entries.  A cell
+    outside a stack's cells carries no mass in any of its rows.
     """
-    N = w1.size
 
-    def near_mass(w):
+    def near_mass(w, lo):
+        N = w.shape[1]
         hits = []
         for a in (-1, 0, 1):
-            idx = m - a
+            idx = m - a - lo
             inside = (idx >= 0) & (idx < N)
-            hits.append(_near(a + theta) & inside & (w[np.clip(idx, 0, N - 1)] > 0.0))
+            hits.append(_near(a + theta) & inside & (w[:, np.clip(idx, 0, N - 1)] > 0.0))
         return np.logical_or.reduce(hits)
 
-    return near_mass(w1) & near_mass(w2)
+    return near_mass(w1, i0) & near_mass(w2, j0)
 
 
 def _chunks(m_all, theta_all, per_tile, n1, n2):
@@ -339,12 +342,9 @@ def bilinear_riesz_rows(
     m_all = m_all.astype(np.int64)
     live, bounds = [], []
     for q, (f1, f2) in enumerate(pairs):
-        w1 = f1.values * h
-        w2 = f2.values * h
-        idx1 = np.nonzero(w1)[0]
-        idx2 = np.nonzero(w2)[0]
+        idx1 = np.nonzero(f1.values * h)[0]
+        idx2 = np.nonzero(f2.values * h)[0]
         if idx1.size and idx2.size:
-            flags[q, finite] = _pv_flags(w1, w2, m_all, theta_all)
             live.append(q)
             bounds.append((idx1[0], idx1[-1], idx2[0], idx2[-1]))
     if live:
@@ -353,9 +353,11 @@ def bilinear_riesz_rows(
         i0, i1, j0, j1 = int(lo1.min()), int(hi1.max()), int(lo2.min()), int(hi2.max())
         w1 = np.stack([pairs[q][0].values[i0 : i1 + 1] * h for q in live])
         w2 = np.stack([pairs[q][1].values[j0 : j1 + 1] * h for q in live])
+        at = np.ix_(live, np.nonzero(finite)[0])
+        flags[at] = _pv_flags(w1, i0, w2, j0, m_all, theta_all)
         sums = _stacked_sums(w1, i1, w2, j1, m_all, theta_all, variant)
         # the tables are in cell units, and the kernel is homogeneous of degree -2
-        values[np.ix_(live, np.nonzero(finite)[0])] = sums / (h * h)
+        values[at] = sums / (h * h)
     return [RieszValues(pts, v, f, variant) for v, f in zip(values, flags)]
 
 

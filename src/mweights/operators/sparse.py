@@ -8,17 +8,20 @@ any deeper selected cube.  A family stores its kept regions as one owner
 array over the lattice, so they are pairwise disjoint by their format; the
 half-volume guarantee on them is verified, never assumed.
 
-Each family is built on its own, but families that share a root apply as
-one stack: :func:`sparse_operator_rows` reads one child-sum pyramid of the
-root's subtree for every family's inputs and adds each cube size's products
-in one pass, coarse to fine, with the bits one :func:`sparse_operator` call
-per family gives.  The upper-bound audit applies its trials' families that
+Families that share a root are walked and applied as stacks, with the bits
+one call per family gives.  :func:`_stopping_walks` reads one child-sum
+pyramid of the root's subtree for every row of inputs and walks every row's
+generation at once; :func:`build_sparse_family` assembles and verifies one
+row's family, from its own one-row walk or from a row of a stack walked
+beforehand.  :func:`sparse_operator_rows` reads one pyramid for every
+family's inputs and adds each cube size's products in one pass, coarse to
+fine.  The upper-bound audit walks and applies its trials' families that
 way, a stack of at most 2^15 lattice cells at a time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,8 +125,151 @@ class SparseFamily:
 
 def _products(lat: Lattice, sums: np.ndarray, size: int) -> np.ndarray:
     """Products over the inputs (the leading axis of ``sums``) of their
-    averages over cubes of ``size`` cells, from their sums."""
-    return (sums * lat.cell_volume / lat.cube_volume(size)).prod(axis=0)
+    averages over cubes of ``size`` cells, from their sums.  The inputs
+    multiply in order, as ``prod(axis=0)`` does, with one average made at a
+    time."""
+    out = None
+    for s in sums:
+        average = s * lat.cell_volume
+        average /= lat.cube_volume(size)
+        if out is None:
+            out = average
+        else:
+            out *= average
+    return out
+
+
+def _stopping_ratio(a: Optional[float], m: int, n: int) -> float:
+    """The stopping ratio for ``m`` inputs in ``n`` dimensions: ``a``, or
+    2^(m n + 2) when it is None.  It must exceed 2^(m n)."""
+    floor = 2.0 ** (m * n)
+    if a is None:
+        a = 2.0 ** (m * n + 2)
+    if not a > floor:
+        raise ValueError(f"stopping ratio a={a} must exceed 2^(m n) = {floor:g}")
+    return float(a)
+
+
+class _Walk(NamedTuple):
+    """One row's stopping walk: the ratio it ran at, its cubes in family
+    order, the owner array of their kept cells and the root level."""
+
+    a: float
+    cubes: Tuple[DyadicCube, ...]
+    owner: np.ndarray
+    lambda0: float
+
+
+def _stopping_walks(
+    rows: Sequence[Sequence[GridFunction]],
+    grid: DyadicGrid,
+    a: Optional[float] = None,
+    *,
+    root: DyadicCube,
+) -> List[_Walk]:
+    """The level-set stopping walk under ``root`` of every tuple of inputs
+    ("row"), as one stack.
+
+    One child-sum pyramid of the root's subtree (:func:`grid.cube_levels`)
+    carries every row's inputs; each level becomes every row's products of
+    averages and is dropped.  Row r's thresholds are ``a * lambda0``,
+    ``a * (a * lambda0)``, ... up to the first that no value of the row
+    exceeds, and a value's threshold index is the number of its row's
+    thresholds below it.  Then one pass per generation, coarse to fine,
+    selects in every row the cubes whose index exceeds the largest one any
+    ancestor reached, and paints their family index over their ancestors'.
+    Every step works elementwise along the row axis, with the scalar
+    arithmetic of one row, so each row has the bits of a walk on it alone.
+    """
+    rows = [tuple(fs) for fs in rows]
+    lat = common_lattice([*(f for fs in rows for f in fs), grid])
+    if root.grid_id != grid.grid_id:
+        raise ValueError("root must be a cube of the same grid")
+    if not lat.holds(root):
+        raise ValueError("root cube must lie inside the box")
+    if any(len(fs) != len(rows[0]) for fs in rows[1:]):
+        raise ValueError("the rows of a stack must have the same number of inputs")
+    a = _stopping_ratio(a, len(rows[0]), lat.n)
+    R, n = len(rows), lat.n
+    # the pyramid of the root's cells alone, cut out so that the stack holds
+    # no other cell and read as a cube at their origin; the root lies inside
+    # the box, so this pairs the cells the root's own pyramid pairs
+    cells = lat.cube_cells(root)
+    stack = np.stack([[f.values[cells] for f in fs] for fs in rows])
+    levels = cube_levels(stack, lat, DyadicCube.aligned((0,) * n, root.size))
+    del stack
+    # level k's products, (row, offsets...) for every cube of 2^k cells, and
+    # each row's largest product; the pyramid goes level by level
+    tables, top = [], np.zeros(R)
+    for k in range(len(levels)):
+        table = _products(lat, levels[k].swapaxes(0, 1), 2**k)
+        levels[k] = None
+        np.maximum(top, table.reshape(R, -1).max(axis=1), out=top)
+        tables.append(table)
+    del levels
+    lambda0 = tables[-1].reshape(R)
+    if not lambda0.all():
+        debug(
+            __name__,
+            "root product average is zero in %d of %d rows; their families are the root alone",
+            R - np.count_nonzero(lambda0),
+            R,
+        )
+    # every row's thresholds as a scalar loop makes them; a row whose root
+    # level is zero gets none below infinity, and a row that stops early
+    # gets more, each above all its values, which no index counts
+    taus = [np.where(lambda0 != 0.0, a * lambda0, np.inf)]
+    while (top > taus[-1]).any():
+        taus.append(taus[-1] * a)
+    taus = np.stack(taus, axis=1)
+    # every row's thresholds in one sorted array.  A threshold lies below a
+    # value exactly when fewer of the array's entries lie below it than
+    # below the value, so each row's thresholds below a value are counted
+    # by one search of these ranks, offset by row into one sorted array.
+    # Python sorts these few numbers: numpy's sort would page in about
+    # 0.15 MiB of its own code in a process that sorts nothing else
+    merged = np.array(sorted(taus.ravel().tolist()))
+    stride = np.arange(R).reshape((R,) + (1,) * n)
+    row_keys, firsts = stride * (merged.size + 1), stride * taus.shape[1]
+    keys = (merged.searchsorted(taus) + row_keys.reshape(R, 1)).ravel()
+    # env: the largest threshold index any ancestor exceeded; label: the
+    # family index of the cube that keeps each cell so far.  A zero cube has
+    # index 0, so it is never selected, and inputs are nonnegative, so
+    # neither are its descendants: they are zero too
+    env = np.zeros((R,) + (1,) * n, dtype=np.int64)
+    label = np.zeros_like(env)
+    cubes: List[List[DyadicCube]] = [[root] for _ in range(R)]
+    for k in range(len(tables) - 2, -1, -1):
+        size = 2**k
+        g = lat.L - k
+        base = grid.base(k)
+        for axis in range(1, n + 1):
+            env = env.repeat(2, axis=axis)
+            label = label.repeat(2, axis=axis)
+        exceed = merged.searchsorted(tables[k])
+        tables[k] = None
+        exceed += row_keys
+        exceed = keys.searchsorted(exceed)
+        exceed -= firsts
+        r, *index = (exceed > env).nonzero()
+        if r.size:
+            # each cube's index j from its start, in Python integers: in the
+            # audit, numpy's integer division would page in 64 KiB of its
+            # code for these few cubes
+            starts = zip(*((s + i * size).tolist() for s, i in zip(root.start, index)))
+            paint = []
+            for q, start in zip(r.tolist(), starts):
+                j = tuple((c - b) // size for c, b in zip(start, base))
+                paint.append(len(cubes[q]))
+                cubes[q].append(DyadicCube(grid.grid_id, g, j, start, size))
+            label[(r, *index)] = paint
+        env = np.maximum(env, exceed, out=exceed)
+    walks = []
+    for cs, row_label, level in zip(cubes, label, lambda0):
+        owner = np.full(lat.shape, -1, dtype=np.int64)
+        owner[cells] = row_label
+        walks.append(_Walk(a, tuple(cs), owner, float(level)))
+    return walks
 
 
 def build_sparse_family(
@@ -132,6 +278,7 @@ def build_sparse_family(
     a: Optional[float] = None,
     *,
     root: DyadicCube,
+    _walk: Optional[_Walk] = None,
 ) -> SparseFamily:
     """Level-set stopping construction under ``root``.
 
@@ -140,70 +287,30 @@ def build_sparse_family(
     threshold no ancestor reached, plus the root itself.  Raises
     :class:`SparsenessError` if any kept region drops below half of its
     cube.
+
+    The walk is :func:`_stopping_walks` on ``gs`` alone, unless ``_walk``
+    passes this row's walk from a stack of rows run beforehand under the
+    same root, at the same ratio; the family has the same bits either way,
+    and is assembled and verified here.
     """
+    gs = tuple(gs)
     lat = common_lattice([*gs, grid])
-    if root.grid_id != grid.grid_id:
-        raise ValueError("root must be a cube of the same grid")
-    if not lat.holds(root):
-        raise ValueError("root cube must lie inside the box")
-    m = len(gs)
-    floor = 2.0 ** (m * lat.n)
-    if a is None:
-        a = 2.0 ** (m * lat.n + 2)
-    if not a > floor:
-        raise ValueError(
-            f"stopping ratio a={a} must exceed 2^(m n) = {floor:g}"
-        )
-
-    outside = np.ones(lat.shape, dtype=bool)
-    outside[lat.cube_cells(root)] = False
+    if _walk is None:
+        _walk = _stopping_walks([gs], grid, a, root=root)[0]
+    elif _walk.a != _stopping_ratio(a, len(gs), lat.n):
+        raise ValueError(f"the walk ran at a={_walk.a:g}, not at the family's ratio")
+    # a nonzero cell outside the root makes the lattice hold more nonzero
+    # cells than the root does
+    cells = lat.cube_cells(root)
     for g in gs:
-        if (g.values[outside] != 0.0).any():
+        if np.count_nonzero(g.values) != np.count_nonzero(g.values[cells]):
             raise ValueError("root cube must contain the joint support")
-
-    levels = cube_levels(np.stack([g.values for g in gs]), lat, root)
-    tables = {2**k: _products(lat, sums, 2**k) for k, sums in enumerate(levels)}
-    lambda0 = float(tables[root.size].flat[0])
-    owner = np.full(lat.shape, -1, dtype=np.int64)
-    cubes: List[DyadicCube] = [root]
-    owner[lat.cube_cells(root)] = 0
-
-    if lambda0 == 0.0:
-        debug(__name__, "root product average is zero; family is the root alone")
-    else:
-        # the thresholds tau = a*lambda0, a*(a*lambda0), ... as a scalar loop
-        # makes them, up to the first one no value exceeds; a value's
-        # threshold index is the number of thresholds below it
-        top = max(float(t.max()) for t in tables.values())
-        taus = [a * lambda0]
-        while top > taus[-1]:
-            taus.append(taus[-1] * a)
-        taus = np.array(taus)
-        # one pass per generation, coarse to fine, painting the owner of
-        # each selected cube's cells over its ancestors'.  env is the largest
-        # threshold index any ancestor exceeded.  A zero cube has index 0, so
-        # it is never selected, and inputs are nonnegative, so neither are
-        # its descendants: they are zero too
-        env = np.zeros((1,) * lat.n, dtype=np.int64)
-        size = root.size // 2
-        while size >= 1:
-            for axis in range(lat.n):
-                env = env.repeat(2, axis=axis)
-            exceed = taus.searchsorted(tables[size])
-            for index in zip(*(exceed > env).nonzero()):
-                start = [s + int(k) * size for s, k in zip(root.start, index)]
-                cube = grid.cube_containing_cell(start, lat.L - size.bit_length() + 1)
-                owner[lat.cube_cells(cube)] = len(cubes)
-                cubes.append(cube)
-            env = np.maximum(env, exceed)
-            size //= 2
-
     return SparseFamily(
-        cubes=tuple(cubes),
+        cubes=_walk.cubes,
         lattice=lat,
-        owner=owner,
-        a=float(a),
-        lambda0=float(lambda0),
+        owner=_walk.owner,
+        a=_walk.a,
+        lambda0=_walk.lambda0,
         root=root,
     )
 

@@ -81,3 +81,67 @@ def test_every_benchmark_workload_runs_and_passes_its_checks(name, monkeypatch):
     workloads.check(mweights, name, 5, lattices, result, failures)
     assert attempted > 0 and failed == 0
     assert failures == []
+
+
+def _tracing(monkeypatch):
+    """``benchmarks/tracing.py`` as a module, the way :func:`_workloads`
+    loads its neighbour."""
+    spec = importlib.util.spec_from_file_location("tracing", BENCHMARKS / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _traced_attributes(originals):
+    """Every attribute of a loaded mweights module, or of a class holding a
+    traced method, that wraps one of ``originals``, as ``(owner, name)``."""
+    owners = [m for name, m in sys.modules.items() if name.split(".")[0] == "mweights"]
+    owners += [mweights.Weight]
+    return [
+        (owner, name)
+        for owner in owners
+        for name, value in list(vars(owner).items())
+        if any(getattr(value, "__wrapped__", None) is fn for fn in originals)
+    ]
+
+
+def test_the_traced_audit_records_one_checked_family_per_kept_trial(monkeypatch):
+    tracing = _tracing(monkeypatch)
+    workloads = _workloads(monkeypatch)
+    # monkeypatch records every attribute the tracer is about to replace,
+    # so that undoing it puts the package back as it was
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "mweights"]
+    originals = []
+    for paths in tracing.LAYERS.values():
+        for path in paths:
+            if "." in path:
+                cls_name, attr = path.split(".")
+                cls = getattr(mweights, cls_name)
+                originals.append(vars(cls)[attr])
+                monkeypatch.setattr(cls, attr, originals[-1])
+                continue
+            originals.append(getattr(mweights, path))
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is originals[-1]:
+                        monkeypatch.setattr(module, attr, value)
+    assert _traced_attributes(originals) == []
+    tracer = tracing.Tracer()
+    tracer.install(mweights)
+    try:
+        assert len(_traced_attributes(originals)) > len(tracing.LAYERS)
+        _, _, report = workloads.run(mweights, "audit-sparse", 7)
+    finally:
+        tracer.stop()
+        monkeypatch.undo()
+    assert _traced_attributes(originals) == []
+    failures = []
+    workloads.check_families(mweights, tracer.families, failures)
+    assert failures == []
+    skips = report.skipped_by_reason
+    kept = report.trials - skips["input_norms"] - skips["sparseness"]
+    assert len(tracer.families) == kept == 20
+    cubes = sum(len(fam) for _, _, fam in tracer.families)
+    assert tracer.counts["operators.sparse_cubes"] == cubes > kept
+    assert report.largest_family == max(len(fam) for _, _, fam in tracer.families)

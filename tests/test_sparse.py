@@ -23,6 +23,7 @@ from mweights.operators import (
     sparse_operator,
     sparse_operator_rows,
 )
+from mweights.operators import sparse
 from mweights.powermass import Interval
 from mweights.selftest import matches_oracle, stopping_edge_cases, stopping_oracle
 from mweights.weights import ExponentTuple, Weight, WeightVector
@@ -127,6 +128,106 @@ def test_stacked_levels_fail_where_the_oracle_keeps_a_thin_region():
     with pytest.raises(SparsenessError, match=re.escape(f"cube {first.key()} keeps")):
         build_sparse_family(gs, grid, a=2.2, root=root)
     assert matches_oracle(build_sparse_family(gs, grid, root=root), gs, grid)
+
+
+def build_each_way(rows, grid, root, a=None):
+    """Per row, the family (or the SparsenessError message) built from the
+    row's stacked walk, and the one built by a call on the row alone."""
+    walks = sparse._stopping_walks(rows, grid, a, root=root)
+    assert len(walks) == len(rows)
+    out = []
+    for fs, walk in zip(rows, walks):
+        pair = []
+        for kwargs in ({"_walk": walk}, {}):
+            try:
+                pair.append(build_sparse_family(fs, grid, a, root=root, **kwargs))
+            except SparsenessError as err:
+                pair.append(str(err))
+        out.append(pair)
+    return out
+
+
+def assert_same_family(walked, alone):
+    assert type(walked) is type(alone)
+    if isinstance(alone, str):
+        assert walked == alone
+        return
+    key = [(c.grid_id, c.g, c.j, c.start, c.size) for c in alone.cubes]
+    assert [(c.grid_id, c.g, c.j, c.start, c.size) for c in walked.cubes] == key
+    assert walked.owner.dtype == alone.owner.dtype
+    assert np.array_equal(walked.owner, alone.owner)
+    assert np.float64(walked.lambda0).tobytes() == np.float64(alone.lambda0).tobytes()
+    assert walked.a == alone.a
+
+
+@pytest.mark.parametrize("n,L,shifted", [(1, 8, False), (1, 8, True), (2, 6, False), (2, 6, True)])
+def test_stacked_walks_build_the_families_of_one_row_walks_bitwise(n, L, shifted):
+    # log-normal rows give families of several lengths; the third row's
+    # second input is zero, so its root product is zero and its family is
+    # the root alone
+    lat = lattice(L, n)
+    grids = ShiftedGridFamily(lat).grids
+    grid = grids[-1] if shifted else grids[0]
+    assert (grid.grid_id != "b" + "0" * n) == shifted
+    root = [c for c in grid.layout(1).cubes() if lat.holds(c)][-1]
+    support = np.zeros(lat.shape, dtype=bool)
+    support[lat.cube_cells(root)] = True
+    rng = np.random.default_rng(L + n)
+    rows = [
+        [GridFunction(lat, rng.lognormal(0.0, 2.5, lat.shape) * support) for _ in range(2)]
+        for _ in range(5)
+    ]
+    rows.insert(2, [rows[0][0], GridFunction(lat, np.zeros(lat.shape))])
+    built = build_each_way(rows, grid, root)
+    for walked, alone in built:
+        assert_same_family(walked, alone)
+    lengths = [len(alone) for _, alone in built]
+    assert lengths[2] == 1 and built[2][1].lambda0 == 0.0
+    assert max(lengths) > 2 and len(set(lengths)) > 2
+
+
+def test_a_stacked_row_that_misses_sparseness_raises_alone_between_rows_that_build():
+    # the engineered thin region of the tests above, between two log-normal
+    # rows and a constant one that build at a = 2.2
+    lat = lattice(7)
+    grid = std_grid(lat)
+    root = cube_for(grid, (64,), 32)
+    support = np.zeros(128, dtype=bool)
+    support[64:96] = True
+    thin = np.zeros(128)
+    thin[64:70] = 9.3
+    thin[70] = 5.0
+    thin[80:96] = 0.04
+    rng = np.random.default_rng(5)
+    rows = [
+        [GridFunction(lat, rng.lognormal(0.0, 1.0, 128) * support)],
+        [GridFunction(lat, thin)],
+        [GridFunction(lat, rng.lognormal(0.0, 1.0, 128) * support)],
+        [GridFunction(lat, 1.0 * support)],
+    ]
+    built = build_each_way(rows, grid, root, a=2.2)
+    for walked, alone in built:
+        assert_same_family(walked, alone)
+    assert "keeps only" in built[1][0]
+    assert [len(built[k][1]) > 2 for k in (0, 2)] == [True, True]
+    assert len(built[3][1]) == 1
+
+
+def test_a_walk_is_assembled_only_at_its_own_ratio():
+    # the default ratio has one home, shared by the walk and the build
+    lat = lattice(6)
+    grid = std_grid(lat)
+    root = cube_for(grid, (32,), 32)
+    vals = np.zeros(64)
+    vals[32:] = np.arange(1.0, 33.0) ** 4
+    gs = [GridFunction(lat, vals)] * 2
+    (walk,) = sparse._stopping_walks([gs], grid, root=root)
+    assert walk.a == sparse._stopping_ratio(None, 2, 1) == 16.0
+    assert build_sparse_family(gs, grid, root=root, _walk=walk).a == 16.0
+    with pytest.raises(ValueError, match="the walk ran at a=16"):
+        build_sparse_family(gs, grid, a=32.0, root=root, _walk=walk)
+    with pytest.raises(ValueError, match="ratio"):
+        sparse._stopping_walks([gs], grid, a=4.0, root=root)
 
 
 def test_stopping_edge_cases_select_the_hand_derived_cubes():

@@ -565,8 +565,9 @@ def test_stacked_audit_matches_trials_run_one_at_a_time(
 
 def test_audit_runs_one_weight_constant_scan_and_one_sparse_apply(monkeypatch):
     # the trials share one pyramid per shifted grid in the weight-constant
-    # scan and one pyramid of the root's subtree in the sparse operator;
-    # every sparse build reads its own
+    # scan, and two of the root's subtree: one for the stopping walks and
+    # one for the sparse operator.  Each trial's family is still assembled
+    # by its own build, from its row of the walks
     calls = Counter()
 
     def counting(module, name):
@@ -585,7 +586,7 @@ def test_audit_runs_one_weight_constant_scan_and_one_sparse_apply(monkeypatch):
     assert len(rep.quotients) == 6
     assert calls["pyramid"] == 2  # the two shifted grids at n = 1
     assert calls["build_sparse_family"] == 6
-    assert calls["cube_levels"] == calls["build_sparse_family"] + 1
+    assert calls["cube_levels"] == 2
 
 
 @pytest.mark.parametrize("operator", ["sparse", "maximal"])
