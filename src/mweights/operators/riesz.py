@@ -36,20 +36,19 @@ strip where no row has ``f1`` mass is skipped, and each run of the other
 strips is one product with ``T2`` for every row at once, summed against
 the run's rows of ``T1``.
 
-Consecutive tiles of one ``θ`` overlap in most of their offsets.  So
-when a ``θ`` class's table holds at most ``_TABLE`` entries and its points
-span fewer cells than ``f2``, all its tiles are one chunk: they read their
-strips from one table over the class's offsets, and their windows from one
-set.  Otherwise each tile of the class is a chunk of its own.  The whole
-``θ`` class of an L = 10 criterion-7 sweep is one chunk.  The table is
-filled before any product: each row is evaluated from the first column of
-the first tile that reads it to the last column of the last, and runs of
-rows with one column range are evaluated together, at most ``_FILL`` rows
-at a time.  So every offset pair is evaluated at most once per chunk, and
-only where some tile alone would evaluate it.  A tile whose own table is
-over ``_TABLE`` evaluates its strips one at a time into a strip buffer,
-each just before its product, so the working set stays bounded whatever
-the number of points and the support sizes.
+Consecutive tiles of one ``θ`` overlap in most of their offsets.  A tile
+whose points span ``s`` cells reads a block of ``(s + len f1) x (s + len
+f2)`` offsets.  When that block holds at most ``_TABLE`` entries it is
+held in one buffer per ``θ`` class: the class's tiles are walked in order
+of cell, and each shifts the rows it shares with the last tile's block up
+and left by its step, then evaluates only its new bottom rows and the new
+right columns of the shared rows, in the strips it reads.  So each offset
+pair is evaluated once while the blocks that read it follow one another,
+and the buffer never holds more than one block: 276 x 276 entries for a
+tile of an L = 10 criterion-7 sweep.  A tile whose block is over
+``_TABLE`` evaluates its strips one at a time into a strip buffer, each
+just before its product, so the working set stays bounded whatever the
+number of points and the support sizes.
 """
 from __future__ import annotations
 
@@ -69,12 +68,11 @@ __all__ = [
     "direct_kernel",
 ]
 
-# columns (rows x points) per tile, table rows per strip, table rows per
-# kernel call, and kernel entries in one chunk's table (2 MiB): a whole θ
-# class of an L = 10 criterion-7 sweep (511 x 511 entries) is one table
+# columns (rows x points) per tile, block rows per strip, and kernel
+# entries in one block buffer or product (2 MiB): a tile of an L = 10
+# criterion-7 sweep reads a block of 276 x 276 entries
 _TILE = 128
 _STRIP = 32
-_FILL = 64
 _TABLE = 2**18
 
 
@@ -175,126 +173,108 @@ def _pv_flags(w1, i0, w2, j0, m, theta):
     return near_mass(w1, i0) & near_mass(w2, j0)
 
 
-def _chunks(m_all, theta_all, per_tile, n1, n2):
-    """The points' tiles as index arrays, in order of θ and then of cell,
-    grouped into chunks.
-
-    A tile is a run of at most ``per_tile`` points with one θ whose cells
-    span fewer than ``per_tile`` indices; with one row, at most _TILE of
-    each.  Points whose cells span ``s`` indices touch
-    ``(s + n1 - 1) x (s + n2 - 1)`` offset pairs.  All the tiles of one θ
-    are one chunk when that table fits _TABLE and their points span fewer
-    cells than ``f2`` (``n2`` cells); otherwise each tile is a chunk.
-    """
-    order = np.lexsort((m_all, theta_all))
-    classes = np.split(order, np.flatnonzero(np.diff(theta_all[order])) + 1) if order.size else []
-    chunks = []
-    for cls in classes:
-        ms, tiles, start = m_all[cls], [], 0
-        while start < cls.size:
-            stop = start + int(np.searchsorted(ms[start : start + per_tile], ms[start] + per_tile))
-            tiles.append(cls[start:stop])
-            start = stop
-        span = ms[-1] - ms[0]
-        fits = span < n2 and (span + n1) * (span + n2) <= _TABLE
-        chunks.extend([tiles] if fits else ([tile] for tile in tiles))
-    return chunks
-
-
-def _chunk_sums(w1, i1, w2, j1, m_all, tiles, theta, variant, sums):
+def _class_sums(w1, i1, w2, j1, m_all, tiles, theta, variant, sums):
     """Write the quadrature sums (unit cell scale) of every row at the points
-    of one chunk of tiles with one θ into the columns ``tiles`` of ``sums``.
+    of one θ class's tiles, in order of cell, into the columns ``tiles`` of
+    ``sums``.
 
     Rows of ``w1`` and ``w2`` hold the masses of consecutive cells ending
-    at cells ``i1`` and ``j1``.  Row ``ρ`` and column ``c`` of the chunk's
-    table are the offsets ``a = m0 - i1 + ρ`` and ``b = m0 - j1 + c``, ``m0``
-    the chunk's first point, so a tile whose first point is ``m0 + d`` reads
-    its table from row and column ``d`` on: row ``r`` of its ``T1`` and of
-    its ``T2`` are table row and column ``d + r``.  Column ``q * len(m) + k``
-    of both belongs to input row ``q`` and point ``k``.
+    at cells ``i1`` and ``j1``.  A tile whose points start at cell ``m0``
+    and span ``s`` cells reads a block of ``R = s + len(f1)`` rows and
+    ``C = s + len(f2)`` columns: row ``r`` and column ``c`` are the offsets
+    ``a = m0 - i1 + r`` and ``b = m0 - j1 + c``, and row ``r`` of its
+    ``T1`` and of its ``T2`` are block row and column ``r``.  Column
+    ``q * len(m) + k`` of both belongs to input row ``q`` and point ``k``.
 
-    A tile reads the table rows of its strips with ``f1`` mass.  Every row
-    that some tile reads is evaluated before any product, from its first
-    reader's first column to its last reader's last column, so each entry
-    that some tile reads is evaluated once in the chunk.  The points of a
-    chunk span fewer cells than ``f2``, so the columns of the tiles that
-    read a row overlap, and no entry is evaluated that no tile reads.  A
-    tile then makes one product per run of its live strips,
-    ``T2ᵀ @ table[run, columns]ᵀ``, and adds the row sums of the product
-    times the run's ``T1ᵀ``; a run is cut where its product would pass
-    _TABLE entries.  When one tile's table is over _TABLE, the table is a
-    strip buffer: each run is one strip, evaluated into it just before its
-    product.
+    A tile reads the block rows of its strips with ``f1`` mass, and makes
+    one product per run of those strips, ``T2ᵀ @ block[run]ᵀ``, adding the
+    row sums of the product times the run's ``T1ᵀ``; a run is cut where its
+    product would pass _TABLE entries.  A block of at most _TABLE entries
+    sits at the top left of one buffer that the class's tiles share.  A
+    tile that starts ``step`` cells after the last one ends no earlier, so
+    its block row ``r`` is the last block's row ``r + step``, and up to the
+    last block's end its column ``c`` is the last one's ``c + step``:
+    shifted up and left by ``step`` in place, a row that both tiles read
+    lacks only its columns past the last block's.  A tile whose block is
+    over _TABLE evaluates each run, one strip, into a strip buffer just
+    before its product.
     """
-    m0 = m_all[tiles[0][0]]
-    span = m_all[tiles[-1][-1]] - m0
-    shape = (span + w1.shape[1], span + w2.shape[1])
-    whole = shape[0] * shape[1] <= _TABLE
-    table = np.empty(shape if whole else (_STRIP, shape[1]))
-    a = np.arange(shape[0]) + (m0 - i1)
-    b = np.arange(shape[1]) + (m0 - j1)
+    n1, n2 = w1.shape[1], w2.shape[1]
+    spans = [m_all[tile[-1]] - m_all[tile[0]] for tile in tiles]
+    fit = [(s + n1) * (s + n2) <= _TABLE for s in spans]
+    # one buffer for the widest block that fits _TABLE, and one strip
+    # buffer for the widest that does not
+    if any(fit):
+        widest = max(s for s, fits in zip(spans, fit) if fits)
+        block = np.empty((widest + n1, widest + n2))
+        flat, W = block.reshape(-1), block.shape[1]
+    if not all(fit):
+        strip = np.empty((_STRIP, max(spans) + n2))
     # mass1[c] marks f1 mass at c cells from the support's end, as the
     # windows read it, so row r of a tile's T1 has mass when r - c is the
     # shift of one of its points for some marked c
     mass1 = (w1 != 0.0).any(axis=0)[::-1].astype(float)
-    # each tile's runs of table rows, and each row's first and last column
-    # read (0 where no tile reads it); the tiles come in order of their
-    # first column and of their last
-    runs = []
-    first = np.zeros(shape[0], dtype=np.int64)
-    last = np.zeros(shape[0], dtype=np.int64)
-    for tile in tiles:
+    # windows of every shift up to the widest tile's span; a tile reads
+    # its points' shifts from its first
+    P = max(spans)
+    win1, win2 = _windows(w1, P), _windows(w2, P)
+    last = None  # the buffer's block: its first cell, R, C and rows read
+    for tile, s, fits in zip(tiles, spans, fit):
         m = m_all[tile]
-        d = m[0] - m0
-        hits = np.zeros(m[-1] - m[0] + 1)
+        R, C = s + n1, s + n2
+        a = np.arange(R) + (m[0] - i1)
+        b = np.arange(C) + (m[0] - j1)
+        cols = w1.shape[0] * m.size
+        hits = np.zeros(s + 1)
         hits[m - m[0]] = 1.0
         rows = np.convolve(hits, mass1) > 0.0
-        live = np.zeros(-(-rows.size // _STRIP) + 2, dtype=bool)
-        live[1:-1] = np.logical_or.reduceat(rows, np.arange(0, rows.size, _STRIP))
-        read = np.repeat(live[1:-1], _STRIP)[: rows.size]
-        first[d : d + rows.size][read & (last[d : d + rows.size] == 0)] = d
-        last[d : d + rows.size][read] = d + m[-1] - m[0] + w2.shape[1]
+        live = np.zeros(-(-R // _STRIP) + 2, dtype=bool)
+        live[1:-1] = np.logical_or.reduceat(rows, np.arange(0, R, _STRIP))
         # runs of live strips, cut so that a product holds at most _TABLE
         # entries; in a strip buffer, each strip is a run
-        most = max(1, _TABLE // (_STRIP * w1.shape[0] * m.size)) if whole else 1
+        most = max(1, _TABLE // (_STRIP * cols)) if fits else 1
         edges = np.flatnonzero(live[1:] != live[:-1]).tolist()
-        runs.append([
-            (d + j * _STRIP, d + min((j + most) * _STRIP, stop * _STRIP, rows.size))
+        runs = [
+            (j * _STRIP, min((j + most) * _STRIP, stop * _STRIP, R))
             for start, stop in zip(edges[::2], edges[1::2])
             for j in range(start, stop, most)
-        ])
-    if whole:
-        # runs of consecutive rows with one column range, at most _FILL rows
-        # to a call
-        rows = np.flatnonzero(last)
-        cuts = (np.diff(rows) != 1) | (np.diff(first[rows]) != 0) | (np.diff(last[rows]) != 0)
-        edges = [0, *(np.flatnonzero(cuts) + 1).tolist(), rows.size]
-        for lo, hi in zip(edges, edges[1:]):
-            for top in range(rows[lo], rows[hi - 1] + 1, _FILL):
-                stop = min(top + _FILL, rows[hi - 1] + 1)
-                c = slice(first[top], last[top])
-                _kernel_table(a[top:stop], b[c], theta, variant, table[top:stop, c])
-    # windows of every shift from m0; a tile reads its points' windows
-    win1 = _windows(w1, span)
-    win2 = _windows(w2, span)
-    for tile, tile_runs in zip(tiles, runs):
-        m = m_all[tile]
-        d = m[0] - m0
-        end = d + m[-1] - m[0] + w2.shape[1]  # end of the tile's table columns
-        cols = w1.shape[0] * m.size
-        pick = (np.arange(w1.shape[0])[:, None], span - (m - m0))
+        ]
+        if fits:
+            # todo marks the rows read: 2 where the last block held the
+            # first K columns, 1 where the row is evaluated whole
+            read = np.repeat(live[1:-1], _STRIP)[:R]
+            todo = read.astype(np.int64)
+            K = 0
+            if last is not None:
+                step = m[0] - last[0]
+                keep, K = last[1] - step, last[2] - step
+                if keep > 0 and K > 0:
+                    todo[:keep] += last[3][step:] & read[:keep]
+                    if step:
+                        # one copy along the buffer's diagonal, in place;
+                        # what it moves past column K of a row is evaluated
+                        # anew or never read
+                        n = (keep - 1) * W + K
+                        flat[:n] = flat[step * (W + 1) : step * (W + 1) + n]
+            cuts = (np.flatnonzero(todo[1:] != todo[:-1]) + 1).tolist()
+            for lo, hi in zip([0, *cuts], [*cuts, R]):
+                c0 = K if todo[lo] == 2 else 0
+                if todo[lo] and c0 < C:
+                    _kernel_table(a[lo:hi], b[c0:], theta, variant, block[lo:hi, c0:C])
+            last = (m[0], R, C, read)
+        else:
+            last = None
+        pick = (np.arange(w1.shape[0])[:, None], P - (m - m[0]))
         # T2 and T1 are held transposed: row q * len(m) + k of each is
         # input row q at point k
-        t2 = win2[(*pick, slice(d, end))].reshape(cols, -1)
+        t2 = win2[(*pick, slice(0, C))].reshape(cols, C)
         tile_sums = np.zeros(cols)
-        for top, stop in tile_runs:
-            base = 0 if whole else top  # chunk row of the table's first row
-            if not whole:
-                # the strip, over the tile's columns
-                _kernel_table(a[top:stop], b[d:end], theta, variant, table[: stop - top, d:end])
+        for top, stop in runs:
+            part = block[top:stop, :C] if fits else _kernel_table(
+                a[top:stop], b, theta, variant, strip[: stop - top, :C]
+            )
             t1 = win1[(*pick, slice(top, stop))].reshape(cols, -1)
-            prod = t2 @ table[top - base : stop - base, d:end].T
-            tile_sums += np.einsum("ij,ij->i", prod, t1)
+            tile_sums += np.einsum("ij,ij->i", t2 @ part.T, t1)
         sums[:, tile] = tile_sums.reshape(w1.shape[0], m.size)
         # let go of this tile's T2 before the next tile copies its own
         del t2
@@ -302,11 +282,22 @@ def _chunk_sums(w1, i1, w2, j1, m_all, tiles, theta, variant, sums):
 
 def _stacked_sums(w1, i1, w2, j1, m_all, theta_all, variant):
     """Quadrature sums (unit cell scale) of every row of the stacked masses
-    at the points ``(m_all, theta_all)``, as a (rows, points) array."""
+    at the points ``(m_all, theta_all)``, as a (rows, points) array.
+
+    The points are taken one θ class at a time, in tiles in order of cell:
+    runs of at most ``per_tile`` points whose cells span fewer than
+    ``per_tile`` indices; with one row, at most _TILE of each.
+    """
     sums = np.zeros((w1.shape[0], m_all.size))
     per_tile = max(1, _TILE // w1.shape[0])
-    for chunk in _chunks(m_all, theta_all, per_tile, w1.shape[1], w2.shape[1]):
-        _chunk_sums(w1, i1, w2, j1, m_all, chunk, theta_all[chunk[0][0]], variant, sums)
+    order = np.lexsort((m_all, theta_all))
+    for cls in np.split(order, np.flatnonzero(np.diff(theta_all[order])) + 1) if order.size else []:
+        ms, tiles, start = m_all[cls], [], 0
+        while start < cls.size:
+            stop = start + int(np.searchsorted(ms[start : start + per_tile], ms[start] + per_tile))
+            tiles.append(cls[start:stop])
+            start = stop
+        _class_sums(w1, i1, w2, j1, m_all, tiles, theta_all[cls[0]], variant, sums)
     return sums
 
 
@@ -318,10 +309,10 @@ def bilinear_riesz_rows(
     """Evaluate the bilinear Riesz transform of each pair ``(f1, f2)`` at
     the same ``points``, one :class:`RieszValues` per pair.
 
-    The pairs share each kernel table, and so do the consecutive tiles of
-    points that one table covers, so a stack of pairs costs far fewer
-    kernel evaluations than one :func:`bilinear_riesz` call per pair; the
-    values agree with those calls to rounding.
+    The pairs share each kernel block, and the consecutive tiles of points
+    of one θ share what their blocks overlap in, so a stack of pairs costs
+    far fewer kernel evaluations than one :func:`bilinear_riesz` call per
+    pair; the values agree with those calls to rounding.
     """
     if variant not in ("direct", "adjoint_slot1"):
         raise ValueError(f"unknown variant {variant!r}")

@@ -401,28 +401,84 @@ def test_stacked_rows_validate_their_inputs():
         bilinear_riesz_rows([(f, f), (f, g)], np.array([0.5]))
 
 
-@pytest.mark.parametrize("variant", ["direct", "adjoint_slot1"])
-def test_a_sweep_stack_evaluates_fewer_kernel_entries_in_less_memory(variant, monkeypatch):
-    # the six rows of an L = 10 criterion-7 sweep share one stacked call:
-    # together they evaluate fewer kernel entries than six one-pair calls,
-    # without a larger working set.  Their 13 tiles of at most 21 points
-    # share one 511 x 511 table, tile t reading rows and columns 21 t to
-    # 21 t + 275 (the last tile, of 4 points, to 510).  Each row is evaluated
-    # from its first reader's first column to its last reader's last column:
-    # 200,893 entries per variant.  The margin is one tile's step of 21 full
-    # table rows (511 x 21 = 10,731), below what filling 64-row blocks over
-    # their column hull adds (15,297); two chunks of tiles evaluate 265,918,
-    # and the tiles one at a time 981,193
-    import tracemalloc
-
+def _sweep_stack(variant):
+    """The six pairs and 256 midpoints of an L = 10 criterion-7 sweep."""
     from mweights import riesz_problem
 
     lat = lattice(10)
     P = (2.0, 2.0) if variant == "direct" else (4.0, 4.0)
     probs = [riesz_problem(P, 2.0**-k, lat, variant=variant) for k in range(2, 8)]
     cells = np.nonzero(probs[0].region.mask)[0]
-    pts = lat.box.lo[0] + (cells + 0.5) * lat.h
-    pairs = [prob.fs for prob in probs]
+    return [prob.fs for prob in probs], cells, lat.box.lo[0] + (cells + 0.5) * lat.h
+
+
+def record_kernel_calls(monkeypatch):
+    """Wrap the quadrature's kernel table so that each call's offset pairs,
+    as keys ``a * 2**20 + b``, and the shape of the buffer it writes into
+    are recorded, in call order."""
+    from mweights.operators import riesz
+
+    table = riesz._kernel_table
+    calls = []
+
+    def recorded(a, b, theta, variant, out):
+        buffer = out if out.base is None else out.base
+        calls.append((_keys(a, b), buffer.shape))
+        return table(a, b, theta, variant, out)
+
+    monkeypatch.setattr(riesz, "_kernel_table", recorded)
+    return calls
+
+
+def _keys(a, b):
+    return (np.asarray(a)[:, None] * 2**20 + np.asarray(b)[None, :]).ravel()
+
+
+def tile_reads(cells, f1_cells, i1, j1, n1, n2):
+    """The offset pairs a tile of points at ``cells`` reads, as sorted keys.
+
+    Its block is the offsets ``a`` from ``m0 - i1`` and ``b`` from ``m0 - j1``
+    over ``s + n1`` rows and ``s + n2`` columns, ``m0`` its first cell and
+    ``s`` their span.  Row ``a`` meets f1 mass where a point ``m`` has mass
+    at cell ``m - a``; the tile reads every column of the strips of 32 rows,
+    counted from the block's first, that meet some.
+    """
+    m = np.sort(cells)
+    s = m[-1] - m[0]
+    a = m[0] - i1 + np.arange(s + n1)
+    b = m[0] - j1 + np.arange(s + n2)
+    live = np.isin(m[None, :] - a[:, None], f1_cells).any(axis=1)
+    strips = np.logical_or.reduceat(live, np.arange(0, a.size, 32))
+    return np.unique(_keys(a[np.repeat(strips, 32)[: a.size]], b))
+
+
+def check_tiles_evaluate(calls, expected):
+    """Split the calls, in order, into one group per expected set of keys, and
+    check that each group evaluates exactly its set, each key once."""
+    calls = list(calls)
+    for want in expected:
+        got = []
+        while sum(map(len, got)) < want.size:
+            got.append(calls.pop(0)[0])
+        got = np.concatenate(got)
+        assert got.size == want.size and np.array_equal(np.sort(got), want)
+    assert not calls
+
+
+@pytest.mark.parametrize("variant", ["direct", "adjoint_slot1"])
+def test_a_sweep_stack_evaluates_fewer_kernel_entries_in_less_memory(variant, monkeypatch):
+    # the six rows of an L = 10 criterion-7 sweep share one stacked call:
+    # together they evaluate fewer kernel entries than six one-pair calls,
+    # in a smaller working set.  Their 13 tiles of at most 21 points read
+    # blocks of 276 x 276 offsets 21 apart (the last, of 4 points, 259 x
+    # 259), and each evaluates only what the last tile's block did not
+    # hold: 76,176 entries for the first, 11,151 for each of the next 11
+    # and 2,056 for the last, 200,893 per variant.  A table over the whole
+    # class (511 x 511, 2 MiB) filled before the first product evaluates as
+    # many, with a tracemalloc peak of 3.23 MiB
+    import tracemalloc
+
+    pairs, cells, pts = _sweep_stack(variant)
     count = count_kernel_evaluations(monkeypatch)
     bilinear_riesz(*pairs[0], pts, variant=variant)
     one_pair = count[0]
@@ -430,7 +486,7 @@ def test_a_sweep_stack_evaluates_fewer_kernel_entries_in_less_memory(variant, mo
     bilinear_riesz_rows(pairs, pts, variant)
     stacked = count[0]
     assert 0 < stacked < 6 * one_pair
-    assert stacked <= 200_893 + 511 * 21
+    assert stacked == 200_893
     peaks = []
     for call in (
         lambda: bilinear_riesz(*pairs[0], pts, variant=variant),
@@ -443,51 +499,39 @@ def test_a_sweep_stack_evaluates_fewer_kernel_entries_in_less_memory(variant, mo
         finally:
             tracemalloc.stop()
     assert peaks[1] <= peaks[0]
+    assert peaks[1] < 2 * 2**20
     assert all(np.all(rv.values > 0.0) for rv in rvs)
 
 
 @pytest.mark.parametrize("variant", ["direct", "adjoint_slot1"])
-def test_a_sweep_stack_fills_one_table_before_its_products_in_few_calls(variant, monkeypatch):
-    # the θ class of an L = 10 criterion-7 stack is one chunk with one
-    # 511 x 511 table.  A row's column range changes only at the first row
-    # of a tile (a new last reader) or past the last row of one (a new
-    # first reader), so the rows fall into runs between those cuts; a fill
-    # made before any product evaluates each run in calls of at most _FILL
-    # rows.  Tiles start 21 rows apart, so every run is shorter than _FILL
-    # and the bound is 2 x 13 - 1 = 25 calls.  A fill interleaved with the
-    # tiles cuts each tile's first rows at strip or block edges too, and a
-    # fill per strip makes one call per strip product
-    from mweights import riesz_problem
+def test_a_sweep_stack_slides_one_block_along_its_tiles(variant, monkeypatch):
+    # the θ class of an L = 10 criterion-7 stack: every call writes into one
+    # buffer of one tile's block (276 x 276 entries, within _TABLE), and
+    # each tile evaluates exactly its block minus the last tile's: the
+    # first tile its whole block in one call, every later one its new
+    # bottom rows and the new columns of the rows the two blocks share, in
+    # two calls.  Every row meets f1 mass, so a tile reads its whole block
     from mweights.operators import riesz
 
-    lat = lattice(10)
-    P = (2.0, 2.0) if variant == "direct" else (4.0, 4.0)
-    probs = [riesz_problem(P, 2.0**-k, lat, variant=variant) for k in range(2, 8)]
-    cells = np.nonzero(probs[0].region.mask)[0]
-    pts = lat.box.lo[0] + (cells + 0.5) * lat.h
+    pairs, cells, pts = _sweep_stack(variant)
     n = cells.size  # points, and cells of each support
     assert n == 256
-    per_tile = riesz._TILE // len(probs)
-    starts = np.arange(0, n, per_tile)
-    stops = np.minimum(starts + per_tile, n) - 1 + n  # past each tile's last row
-    cuts = np.union1d(starts, stops)
-    assert cuts[-1] == 2 * n - 1
-    bound = int(np.sum(-(-np.diff(cuts) // riesz._FILL)))
-    assert bound == 2 * starts.size - 1
-
-    table = riesz._kernel_table
-    calls, tables = [0], set()
-
-    def counted(*args, **kwargs):
-        out = table(*args, **kwargs)
-        calls[0] += 1
-        tables.add(out.base.shape)
-        return out
-
-    monkeypatch.setattr(riesz, "_kernel_table", counted)
-    rvs = bilinear_riesz_rows([prob.fs for prob in probs], pts, variant)
-    assert tables == {(2 * n - 1, 2 * n - 1)}
-    assert 0 < calls[0] <= bound
+    f1_cells, f2_cells = (
+        np.unique(np.concatenate([np.nonzero(pair[k].values)[0] for pair in pairs])) for k in (0, 1)
+    )
+    assert f1_cells.size == f2_cells.size == n
+    reads = [
+        tile_reads(cells[k : k + 21], f1_cells, f1_cells[-1], f2_cells[-1], n, n)
+        for k in range(0, n, 21)
+    ]
+    assert [r.size for r in reads] == [276 * 276] * 12 + [259 * 259]
+    expected = [reads[0]] + [np.setdiff1d(r, q) for q, r in zip(reads, reads[1:])]
+    calls = record_kernel_calls(monkeypatch)
+    rvs = bilinear_riesz_rows(pairs, pts, variant)
+    assert {shape for _, shape in calls} == {(276, 276)} and 276 * 276 <= riesz._TABLE
+    assert len(calls) == 1 + 2 * 12
+    check_tiles_evaluate(calls, expected)
+    assert sum(e.size for e in expected) == 200_893
     assert all(np.all(rv.values > 0.0) for rv in rvs)
 
 
@@ -523,15 +567,16 @@ def test_a_tall_table_is_contracted_in_bounded_products(variant):
 
 
 @pytest.mark.parametrize("variant", ["direct", "adjoint_slot1"])
-def test_chunks_of_tiles_share_one_table_within_the_budget(variant, monkeypatch):
+def test_tiles_slide_one_block_within_the_budget(variant, monkeypatch):
     # six rows, so a tile holds at most 21 points.  f1 is empty on 100
-    # cells, so some strips meet no f1 mass.  With the budget cut to 15,000
-    # entries, the 32 repeated quarter points (one θ, two tiles, 4 cells)
-    # fit one table and share it.  The midpoints (another θ, three tiles)
-    # span 51 cells, too many for one table, so each tile is a chunk of its
-    # own: the two of repeated midpoints (3 cells each) fit the budget
-    # alone, and the run of 21 midpoints is over it and runs in a strip
-    # buffer
+    # cells, so some strips of every block meet no f1 mass and are never
+    # evaluated.  With the budget cut to 15,000 entries, the blocks of the
+    # repeated midpoints (two tiles 2 cells apart, each over 3 cells) and of
+    # the repeated quarter points (two tiles over 3 and 2 cells) fit it, and
+    # each of a θ class's blocks slides into the last one's buffer,
+    # evaluating only what that block did not hold in the rows it reads.
+    # The block of the run of 21 midpoints, of the same θ as the repeated
+    # ones, is over the budget and is read through a strip buffer
     from mweights.operators import riesz
 
     lat = lattice(8)
@@ -549,48 +594,53 @@ def test_chunks_of_tiles_share_one_table_within_the_budget(variant, monkeypatch)
         v1[[10, 199]] = v2[[50, 119]] = 1.0
         pairs.append((GridFunction(lat, v1), GridFunction(lat, v2)))
     n1, n2 = 190, 70
+    f1_cells = np.unique(np.concatenate([np.nonzero(f1.values)[0] for f1, _ in pairs]))
     cells = np.concatenate([np.repeat(np.arange(120, 125), 8), np.arange(150, 171)])
     quarters = np.repeat(np.arange(60, 64), 8)
     pts = np.concatenate([lo + (cells + 0.5) * h, lo + (quarters + 0.75) * h])
     default = bilinear_riesz_rows(pairs, pts, variant)
 
-    table, chunk_sums = riesz._kernel_table, riesz._chunk_sums
-    counts, tables, chunks = {}, {}, {}
-
-    def counted(*args, **kwargs):
-        out = table(*args, **kwargs)
-        counts[budget] += out.size
-        tables[budget].add(out.base.shape)
-        return out
+    class_sums = riesz._class_sums
+    classes = {}
 
     def recorded(w1, i1, w2, j1, m_all, tiles, theta, *args):
-        chunks[budget].append((float(theta), [len(tile) for tile in tiles]))
-        return chunk_sums(w1, i1, w2, j1, m_all, tiles, theta, *args)
+        classes[budget].append((float(theta), [len(tile) for tile in tiles]))
+        return class_sums(w1, i1, w2, j1, m_all, tiles, theta, *args)
 
-    monkeypatch.setattr(riesz, "_kernel_table", counted)
-    monkeypatch.setattr(riesz, "_chunk_sums", recorded)
-    # budget 0 puts every tile alone in a strip buffer, as tiles once were
+    calls = record_kernel_calls(monkeypatch)
+    monkeypatch.setattr(riesz, "_class_sums", recorded)
+    counts, buffers = {}, {}
+    # budget 0 reads every block through a strip buffer, tile by tile
     for budget in (0, 15_000):
-        counts[budget], tables[budget], chunks[budget] = 0, set(), []
+        classes[budget] = []
         monkeypatch.setattr(riesz, "_TABLE", budget)
         res = bilinear_riesz_rows(pairs, pts, variant)
-    tiles = [(0.0, [21]), (0.0, [19]), (0.0, [21]), (0.25, [21]), (0.25, [11])]
-    assert chunks[0] == tiles
-    assert chunks[15_000] == [*tiles[:3], (0.25, [21, 11])]
-    # the table of each repeated-midpoint tile (3 cells), the strip buffer
-    # of the 21-cell run, and the quarter points' shared table (4 cells)
-    assert tables[15_000] == {
-        (3 + n1 - 1, 3 + n2 - 1), (riesz._STRIP, 21 + n2 - 1), (4 + n1 - 1, 4 + n2 - 1)
-    }
-    for (f1, f2), rv, dv in zip(pairs, res, default):
-        want, flags = brute_riesz(f1, f2, pts, variant)
-        scale = np.max(np.abs(want))
-        assert np.max(np.abs(rv.values - want)) <= 1e-12 * scale
-        assert np.max(np.abs(rv.values - dv.values)) <= 2e-15 * scale
-        assert np.array_equal(rv.pv_approximate, flags)
-    # every table entry the tiles span, one tile at a time.  Alone, the
-    # tiles skip the strips without f1 mass; in the quarter points' chunk,
-    # its two tiles share what they overlap
+        tiles = [cells[:21], cells[21:40], cells[40:], quarters[:21], quarters[21:]]
+        reads = [tile_reads(t, f1_cells, 199, 119, n1, n2) for t in tiles]
+        if budget:
+            # each θ class's tiles, in order; a block that follows a block
+            # in its buffer evaluates the reads the last one did not hold
+            expected = [reads[0], np.setdiff1d(reads[1], reads[0]), reads[2],
+                        reads[3], np.setdiff1d(reads[4], reads[3])]
+        else:
+            expected = reads
+        check_tiles_evaluate(calls, expected)
+        counts[budget] = sum(k.size for k, _ in calls)
+        buffers[budget] = {shape for _, shape in calls}
+        calls.clear()
+        for (f1, f2), rv, dv in zip(pairs, res, default):
+            want, flags = brute_riesz(f1, f2, pts, variant)
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(rv.values - want)) <= 1e-12 * scale
+            assert np.max(np.abs(rv.values - dv.values)) <= 2e-15 * scale
+            assert np.array_equal(rv.pv_approximate, flags)
+    # each θ class is walked whole, its tiles in order of cell
+    assert classes[0] == classes[15_000] == [(0.0, [21, 19, 21]), (0.25, [21, 11])]
+    # one block buffer per class, as wide as its widest block in the budget
+    # (3 cells), and the strip buffer of the 21-cell run
+    assert buffers[15_000] == {(3 + n1 - 1, 3 + n2 - 1), (riesz._STRIP, 21 + n2 - 1)}
+    assert (3 + n1 - 1) * (3 + n2 - 1) <= 15_000 < (21 + n1 - 1) * (21 + n2 - 1)
+    # every block entry, one tile at a time, had no strip been skipped
     spans = [3, 3, 21, 3, 2]
     full = sum((s + n1 - 1) * (s + n2 - 1) for s in spans)
     assert 0 < counts[15_000] < counts[0] < full
