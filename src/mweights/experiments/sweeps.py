@@ -228,7 +228,15 @@ def run_sweep(
 
 
 def fit_exponent(rows: Sequence[SweepRow]) -> FitResult:
-    """Fit ``log(ratio) = slope * log(ap_const) + intercept``."""
+    """Fit ``log(ratio) = slope * log(ap_const) + intercept``.
+
+    The least-squares line is taken in closed form on centered sums:
+    ``slope = Σ dx (y - ȳ) / Σ dx²`` with ``dx = x - x̄``, and ``intercept =
+    ȳ - slope x̄``.  It agrees with ``np.polyfit(x, y, 1)`` to rounding, but
+    a two-parameter line needs no LAPACK solve: ``polyfit`` goes through
+    ``np.linalg.lstsq``, which pages in the LAPACK code of numpy's bundled
+    OpenBLAS for these few sums alone.
+    """
     usable = [
         r
         for r in rows
@@ -246,7 +254,10 @@ def fit_exponent(rows: Sequence[SweepRow]) -> FitResult:
     y = np.array([math.log(r.ratio) for r in usable])
     if float(np.ptp(x)) < 1e-9:
         raise ValueError("degenerate abscissa: weight constants do not vary")
-    slope, intercept = np.polyfit(x, y, 1)
+    x_mean, y_mean = x.mean(), y.mean()
+    dx = x - x_mean
+    slope = (dx @ (y - y_mean)) / (dx @ dx)
+    intercept = y_mean - slope * x_mean
     resid = y - (slope * x + intercept)
     residual = float(np.sqrt(np.mean(resid**2)))
     return FitResult(

@@ -416,11 +416,6 @@ class CubeLayout:
     def shape(self) -> Tuple[int, ...]:
         return tuple(len(s) for s in self.starts)
 
-    def cell_slots(self) -> Tuple[np.ndarray, ...]:
-        """Per axis, the index of the cube holding each cell (grid layouts)."""
-        cells = np.arange(self.lattice.cells_per_axis)
-        return tuple((cells - s[0]) // self.size for s in self.starts)
-
     def cube(self, index: Sequence[int]) -> DyadicCube:
         if self.grid is None:
             return DyadicCube.aligned([s[i] for s, i in zip(self.starts, index)], self.size)

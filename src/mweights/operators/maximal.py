@@ -3,13 +3,14 @@
 Every scan walks whole generations at once: the sums over all cubes of a
 grid meeting the box, with the layout of each generation, come from the
 grid's walk (:meth:`grid.DyadicGrid.generations`) over one child-sum
-pyramid per grid for all the inputs of every row of a stack, and each
-generation's averages are then scattered back onto the cells they cover.
-Averages always divide by the full cube volume, so cubes sticking out of
-the box are diluted by the mass they miss; this keeps the lower/upper
-bracket of ``multilinear_maximal`` valid.  The weighted variant instead
-divides by the weight mass actually inside the box, which is the natural
-normalization for a weight living on the box alone.
+pyramid per grid for all the inputs of every row of a stack, and a running
+max carries each generation's values down to its children, the finest
+of which are the cells.  Averages always divide by the full cube volume,
+so cubes sticking out of the box are diluted by the mass they miss; this
+keeps the lower/upper bracket of ``multilinear_maximal`` valid.  The
+weighted variant instead divides by the weight mass actually inside the
+box, which is the natural normalization for a weight living on the box
+alone.
 """
 from __future__ import annotations
 
@@ -39,13 +40,27 @@ def _chain_max(
     ``per_cube(sums, layout)``: the value of every cube of a generation from
     the sums of the ``stacked`` cell values over them, as
     :meth:`grid.DyadicGrid.generations` yields them.  ``per_cube`` folds the
-    axis just before the cells away; axes ahead of it, one per row, are kept."""
-    lat = grid.lattice
-    out = np.zeros(stacked.shape[: -lat.n - 1] + lat.shape)
+    axis just before the cells away; axes ahead of it, one per row, are kept.
+
+    The max runs down the pyramid: each cube takes the max of its parent's
+    running value and its own value, the coarsest generation's parents
+    counting as 0, and generation L is the cells.  The grids nest, so a
+    cube lies inside its parent, whose index along an axis is ``(start -
+    parent.starts[0]) // parent.size``.  Each cell meets the same values
+    in the same order as in a cellwise max over its chain, so the bits are
+    those of that max; the work is the generations' sizes added up, not
+    one lattice per generation.
+    """
+    run = parent = None
     for layout, sums in grid.generations(stacked, g_min):
         vals = per_cube(sums, layout)
-        np.maximum(out, vals[(Ellipsis,) + np.ix_(*layout.cell_slots())], out=out)
-    return out
+        if parent is None:
+            np.maximum(0.0, vals, out=vals)
+        else:
+            up = [(s - p[0]) // parent.size for s, p in zip(layout.starts, parent.starts)]
+            np.maximum(run[(Ellipsis,) + np.ix_(*up)], vals, out=vals)
+        run, parent = vals, layout
+    return run
 
 
 def _product_max(grid: DyadicGrid, stacked: np.ndarray, g_min: int) -> np.ndarray:

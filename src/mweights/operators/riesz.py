@@ -52,6 +52,8 @@ number of points and the support sizes.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
 
@@ -286,18 +288,28 @@ def _stacked_sums(w1, i1, w2, j1, m_all, theta_all, variant):
 
     The points are taken one θ class at a time, in tiles in order of cell:
     runs of at most ``per_tile`` points whose cells span fewer than
-    ``per_tile`` indices; with one row, at most _TILE of each.
+    ``per_tile`` indices; with one row, at most _TILE of each.  The points
+    are ordered by ``(θ, m)`` with Python's stable sort, and each class is
+    cut into tiles by bisection, in the order and tiles that
+    ``np.lexsort((m, θ))`` and ``np.searchsorted`` give; a sweep's stack
+    has a few hundred points, and numpy's sort and search code would be
+    paged in for them alone.  ``-0.0`` and ``0.0`` compare equal, so they
+    share a class, whose θ is that of its first point.
     """
     sums = np.zeros((w1.shape[0], m_all.size))
     per_tile = max(1, _TILE // w1.shape[0])
-    order = np.lexsort((m_all, theta_all))
-    for cls in np.split(order, np.flatnonzero(np.diff(theta_all[order])) + 1) if order.size else []:
-        ms, tiles, start = m_all[cls], [], 0
-        while start < cls.size:
-            stop = start + int(np.searchsorted(ms[start : start + per_tile], ms[start] + per_tile))
+    ms, thetas = m_all.tolist(), theta_all.tolist()
+    order = sorted(range(len(ms)), key=lambda k: (thetas[k], ms[k]))
+    for theta, cls in itertools.groupby(order, key=thetas.__getitem__):
+        cls = list(cls)
+        keys, tiles, start = [ms[k] for k in cls], [], 0
+        while start < len(cls):
+            stop = bisect.bisect_left(
+                keys, keys[start] + per_tile, start, min(start + per_tile, len(cls))
+            )
             tiles.append(cls[start:stop])
             start = stop
-        _class_sums(w1, i1, w2, j1, m_all, tiles, theta_all[cls[0]], variant, sums)
+        _class_sums(w1, i1, w2, j1, m_all, tiles, theta, variant, sums)
     return sums
 
 

@@ -20,6 +20,7 @@ from mweights.selftest import (
     check_sweep_determinism,
     check_weighted_maximal_ceiling,
 )
+from oracles import polyfit_line
 
 # one "criterion N: PASS/FAIL" line per test, printed in the terminal summary
 ACCEPTANCE_LINES = []
@@ -49,6 +50,16 @@ def maximal_sweep_2_2():
 @pytest.fixture(scope="module")
 def maximal_sweep_4_43():
     return run_sweep(maximal_problem, (4.0, 4.0 / 3.0), EPS_MAXIMAL, L=MAXIMAL_L)
+
+
+@pytest.fixture(scope="module")
+def riesz_sweeps():
+    t0 = time.perf_counter()
+    direct = run_sweep(riesz_problem, (2.0, 2.0), EPS_RIESZ, L=RIESZ_L, variant="direct")
+    adjoint = run_sweep(
+        riesz_problem, (4.0, 4.0), EPS_RIESZ, L=RIESZ_L, variant="adjoint_slot1"
+    )
+    return direct, adjoint, time.perf_counter() - t0
 
 
 def test_criterion_1_maximal_sharpness(maximal_sweep_2_2, maximal_sweep_4_43):
@@ -114,18 +125,13 @@ def test_criterion_6_holder_step():
     assert ok
 
 
-def test_criterion_7_riesz_sharpness():
+def test_criterion_7_riesz_sharpness(riesz_sweeps):
     """Riesz-transform growth exponents at desk scale, both variants."""
+    direct_rows, adjoint_rows, sweep_seconds = riesz_sweeps
     t0 = time.perf_counter()
-    direct = fit_exponent(
-        run_sweep(riesz_problem, (2.0, 2.0), EPS_RIESZ, L=RIESZ_L, variant="direct")
-    )
-    adjoint = fit_exponent(
-        run_sweep(
-            riesz_problem, (4.0, 4.0), EPS_RIESZ, L=RIESZ_L, variant="adjoint_slot1"
-        )
-    )
-    seconds = time.perf_counter() - t0
+    direct = fit_exponent(direct_rows)
+    adjoint = fit_exponent(adjoint_rows)
+    seconds = sweep_seconds + time.perf_counter() - t0
     # direct (2,2): exponent max(1, p_i'/p) = 2; adjoint (4,4): p = 2 > p_i',
     # exponent 1.  (3,3) sits on the regime boundary p = p_i', so the interior
     # point (4,4) carries the adjoint check.
@@ -141,6 +147,17 @@ def test_criterion_7_riesz_sharpness():
         f"adjoint (4,4) {adjoint.slope:.4f} in [0.7, 1.3]; took {seconds:.1f}s < 600s",
     )
     assert ok
+
+
+def test_the_fits_of_criteria_1_and_7_are_least_squares_lines(
+    maximal_sweep_2_2, maximal_sweep_4_43, riesz_sweeps
+):
+    """Each gated slope is the least-squares slope that np.polyfit finds."""
+    for rows in (maximal_sweep_2_2[0], maximal_sweep_4_43, *riesz_sweeps[:2]):
+        fit = fit_exponent(rows)
+        assert (fit.slope, fit.intercept, fit.residual) == pytest.approx(
+            polyfit_line(rows), rel=1e-12
+        )
 
 
 def test_criterion_8_maximal_oracle_equivalence():

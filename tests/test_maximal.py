@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from mweights.grid import (
+    G_MIN,
     DyadicCube,
     GridFunction,
     Lattice,
@@ -12,6 +13,7 @@ from mweights.grid import (
 )
 from mweights.operators import (
     dyadic_maximal,
+    maximal,
     multilinear_maximal,
     multilinear_maximal_rows,
     weighted_dyadic_maximal,
@@ -19,6 +21,7 @@ from mweights.operators import (
 from mweights.powermass import Interval
 from mweights.selftest import brute_multilinear
 from mweights.weights import Weight
+from oracles import scattered_chain_max
 
 
 def indicator_interval(lat, lo, hi):
@@ -210,3 +213,51 @@ def test_multilinear_maximal_rows_validate_the_stack():
         multilinear_maximal_rows([[f, f], [g, g]])
     with pytest.raises(ValueError, match="same number of inputs"):
         multilinear_maximal_rows([[f, f], [f]])
+
+
+@pytest.mark.parametrize("g_min", [G_MIN, 1])
+@pytest.mark.parametrize("n, L", [(1, 7), (1, 10), (2, 3), (2, 6)])
+def test_the_running_chain_max_has_the_bits_of_the_cellwise_scatter(n, L, g_min, monkeypatch):
+    # all three operators, with each grid's chain max run down the pyramid
+    # and then scattered cellwise generation by generation: stacked rows
+    # with a zero row among them, a weight whose smallest cell masses
+    # underflow to zero, and a per-cube value that is negative, -0.0 or NaN
+    # on some cubes
+    lat = Lattice(default_box(n), L)
+    rng = np.random.default_rng(100 * n + L)
+    rows = [[GridFunction(lat, rng.lognormal(0.0, 2.0, lat.shape)) for _ in range(2)]
+            for _ in range(3)]
+    rows.append([GridFunction.zeros(lat), rows[0][1]])
+    w = Weight.from_values(
+        lat, np.where(rng.random(lat.shape) < 0.3, 5e-324, rng.lognormal(0.0, 1.0, lat.shape))
+    )
+    assert not w.cell_masses().all()
+    grids = ShiftedGridFamily(lat).grids
+    stacked = np.stack([[f.values for f in fs] for fs in rows])
+
+    def shifted(sums, layout):
+        # every generation: a third of the cubes -0.0, about half of the
+        # rest negative; NaN on some cubes of generation L - 1
+        avg = sums.sum(axis=-n - 1) / layout.size**n
+        avg -= np.median(avg)
+        flat = avg.reshape(-1)
+        flat[::3] = -0.0
+        if layout.g == L - 1:
+            flat[1::17] = np.nan
+        return avg
+
+    def scans():
+        return (
+            [a.values for pair in multilinear_maximal_rows(rows, g_min) for a in pair]
+            + [dyadic_maximal(rows[1], grid, g_min).values for grid in grids]
+            + [weighted_dyadic_maximal(rows[2][0], w, grid, g_min).values for grid in grids]
+            + [v for grid in grids for v in maximal._chain_max(grid, stacked, g_min, shifted)]
+        )
+
+    running = scans()
+    monkeypatch.setattr(maximal, "_chain_max", scattered_chain_max)
+    scattered = scans()
+    assert len(running) == 2 * len(rows) + (2 + len(rows)) * len(grids)
+    for got, want in zip(running, scattered):
+        assert got.shape == lat.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -701,3 +701,37 @@ def test_a_chunk_evaluates_no_more_entries_than_its_tiles_alone(variant, layout,
     assert 0 < counts[riesz._TABLE] <= counts[0]
     scale = np.max(np.abs(values[0]))
     assert np.max(np.abs(values[riesz._TABLE] - values[0])) <= 2e-15 * scale
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_points_are_tiled_in_the_order_of_lexsort_by_theta_then_cell(seed, monkeypatch):
+    # θ classes with ties in cell and -0.0 among the zeros, in stacks of 1
+    # to 200 rows (at most 128 down to 1 point per tile); each class is
+    # cut where np.searchsorted would cut it, and carries the θ of its
+    # first point
+    from mweights.operators import riesz
+
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 400))
+    m_all = rng.integers(-20, int(rng.integers(1, 300)), k)
+    theta_all = rng.choice([-0.5, -0.25, -0.0, 0.0, 0.125, 0.25, 0.5], k)
+    rows = int(rng.choice([1, 2, 3, 6, 50, 200]))
+    per_tile = max(1, riesz._TILE // rows)
+    order = np.lexsort((m_all, theta_all))
+    want = []
+    for cls in np.split(order, np.flatnonzero(np.diff(theta_all[order])) + 1):
+        ms, tiles, start = m_all[cls], [], 0
+        while start < cls.size:
+            stop = start + int(np.searchsorted(ms[start : start + per_tile], ms[start] + per_tile))
+            tiles.append(cls[start:stop].tolist())
+            start = stop
+        want.append((theta_all[cls[0]].tobytes(), tiles))
+    got = []
+
+    def recorded(w1, i1, w2, j1, m, tiles, theta, variant, sums):
+        got.append((np.float64(theta).tobytes(), [list(tile) for tile in tiles]))
+
+    monkeypatch.setattr(riesz, "_class_sums", recorded)
+    w = np.ones((rows, 1))
+    riesz._stacked_sums(w, 0, w, 0, m_all, theta_all, "direct")
+    assert got == want

@@ -26,6 +26,7 @@ from mweights.grid import DyadicGrid, GridFunction, Lattice, ShiftedGridFamily, 
 from mweights.powermass import Interval, power_mass
 from mweights.operators import (
     SparsenessError,
+    bilinear_riesz_rows,
     build_sparse_family,
     multilinear_maximal,
     sparse,
@@ -39,6 +40,7 @@ from mweights.weights import (
     ap_constant,
     random_weight,
 )
+from oracles import polyfit_line
 
 
 def synthetic_row(eps, ap, ratio):
@@ -63,6 +65,21 @@ def test_fit_exponent_recovers_exact_power_law():
     assert fit.residual == pytest.approx(0.0, abs=1e-12)
     assert fit.eps_min == pytest.approx(2.0**-7)
     assert fit.eps_max == pytest.approx(2.0**-2)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fit_exponent_is_the_least_squares_line(seed):
+    # unsorted and repeated abscissae spread over up to 15 e-folds, noisy
+    # ordinates, and intercepts of either sign away from zero
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(4, 40))
+    x = rng.uniform(-3.0, rng.uniform(-2.0, 12.0), k)
+    x[rng.random(k) < 0.2] = x[0]
+    y = rng.uniform(0.5, 5.0) * x + rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0)
+    y += rng.normal(0.0, rng.uniform(0.01, 0.5), k)
+    rows = [synthetic_row(2.0**-i, a, r) for i, (a, r) in enumerate(zip(np.exp(x), np.exp(y)))]
+    fit = fit_exponent(rows)
+    assert (fit.slope, fit.intercept, fit.residual) == pytest.approx(polyfit_line(rows), rel=1e-12)
 
 
 def test_fit_exponent_needs_four_finite_rows():
@@ -180,6 +197,29 @@ def test_run_sweep_riesz_direct_small():
 
 
 RIESZ_SWEEPS = [((2.0, 2.0), "direct"), ((4.0, 4.0), "adjoint_slot1")]
+
+
+def test_a_riesz_sweep_and_its_fit_need_no_lapack_sort_or_search(monkeypatch):
+    # the fit is a closed form and the quadrature orders its points in
+    # Python, so a Riesz sweep calls no LAPACK solve, np.lexsort or
+    # np.searchsorted, and pages in none of their code
+    def refused(*args, **kwargs):
+        raise AssertionError("a sweep called a refused numpy function")
+
+    refusals = [(np, "polyfit"), (np.linalg, "lstsq"), (np, "lexsort"), (np, "searchsorted")]
+    for module, name in refusals:
+        monkeypatch.setattr(module, name, refused)
+    eps_list = [2.0**-k for k in range(2, 6)]
+    for exponents, variant in RIESZ_SWEEPS:
+        rows = run_sweep(riesz_problem, exponents, eps_list, L=7, variant=variant)
+        assert fit_exponent(rows).slope > 0.0
+    # a stack of pairs at points of several θ classes, with repeats
+    lat = Lattice(default_box(1), 7)
+    rng = np.random.default_rng(5)
+    pairs = [(GridFunction(lat, rng.random(128)), GridFunction(lat, rng.random(128)))
+             for _ in range(3)]
+    pts = lat.box.lo[0] + (rng.integers(0, 128, 200) + rng.choice([0.5, 0.25, 0.9], 200)) * lat.h
+    assert all(np.isfinite(rv.values).all() for rv in bilinear_riesz_rows(pairs, pts, "direct"))
 
 
 @pytest.mark.parametrize("exponents,variant", RIESZ_SWEEPS)
