@@ -381,7 +381,10 @@ def upper_bound_audit(
     The inputs are log-normal, heavy-tailed enough for the stopping walk to
     select cubes below the root; a sparse audit in which every family is the
     root alone never runs that walk and raises :class:`AuditError`, as does
-    an audit whose every trial was skipped.
+    an audit whose every trial was skipped.  Every draw comes from one
+    ``Draws(seed)`` (``mweights._draws``), Python's MT19937 filling numpy
+    arrays, so one seed gives one report and the audit never imports
+    :mod:`numpy.random`; a negative seed raises :class:`ValueError`.
 
     The draws run in blocks of as many trials as fit in
     ``_AUDIT_STACK_CELLS`` lattice cells (at least one), so memory does not
@@ -414,7 +417,9 @@ def upper_bound_audit(
     support[lattice.cube_cells(root)] = True
 
     family = CubeFamily(lattice, kind="shifted")
-    rng = np.random.default_rng(seed)
+    from .._draws import Draws  # here, so that only an audit loads it
+
+    rng = Draws(seed)
     size = min(trials, max(1, _AUDIT_STACK_CELLS // math.prod(lattice.shape)))
     densities = np.empty((1 + et.m, size) + lattice.shape)
     skipped_by_reason = dict.fromkeys(SKIP_REASONS, 0)

@@ -24,7 +24,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +36,9 @@ from .powermass import (
     Rect,
     RectRulePlan,
 )
+
+if TYPE_CHECKING:
+    from ._draws import Draws
 
 __all__ = [
     "Box",
@@ -507,9 +510,10 @@ class ShiftedGridFamily:
     def standard(self) -> DyadicGrid:
         return self.grids[0]
 
-    def random_cube(self, rng: np.random.Generator) -> DyadicCube:
+    def random_cube(self, rng: Draws) -> DyadicCube:
         """A random grid, then a random generation in [G_MIN, L], then a
-        random cube of that generation meeting the box."""
+        random cube of that generation meeting the box, drawn with
+        ``rng.integers``."""
         grid = self.grids[int(rng.integers(len(self.grids)))]
         layout = grid.layout(int(rng.integers(G_MIN, self.lattice.L + 1)))
         k = int(rng.integers(math.prod(layout.shape)))

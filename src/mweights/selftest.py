@@ -15,6 +15,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
+from ._draws import Draws
 from .grid import (
     CellRegion,
     DyadicCube,
@@ -62,7 +63,7 @@ def check_duality_identity(
     seed: int, L: int = 5, vectors: int = 2, cubes: int = 20
 ) -> CheckResult:
     """Dualizing slot i raises the per-cube and family constants to the power p_i'/p."""
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     lattice = Lattice(default_box(1), L)
     shifted = ShiftedGridFamily(lattice)
     family = CubeFamily(lattice, kind="shifted")
@@ -99,7 +100,7 @@ def check_duality_identity(
 
 def check_holder_step(seed: int, L: int = 6, regions: int = 30) -> CheckResult:
     """|E| <= v(E)^(1/(mp)) * prod sigma_i(E)^(1/(m p_i')) on random regions."""
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     lattice = Lattice(default_box(1), L)
     tuples = [
         ExponentTuple(t)
@@ -139,7 +140,7 @@ def check_holder_step(seed: int, L: int = 6, regions: int = 30) -> CheckResult:
 
 def check_weighted_maximal_ceiling(seed: int, L: int = 6, trials: int = 8) -> CheckResult:
     """The weighted dyadic maximal norm never exceeds the conjugate exponent."""
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     lattice = Lattice(default_box(1), L)
     grid = ShiftedGridFamily(lattice).standard
     worst = 0.0
@@ -289,7 +290,7 @@ def check_sparse_domination(seed: int, L: int = 6, families: int = 8) -> CheckRe
     alone never exercises sparseness and fails.  The edge cases of
     :func:`stopping_edge_cases` are compared with the oracle only.
     """
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     lattice = Lattice(default_box(1), L)
     grid = ShiftedGridFamily(lattice).standard
     root = grid.cube(1, (0,))
@@ -380,7 +381,7 @@ def check_maximal_bracket(
 ) -> CheckResult:
     """The brute-force oracle sits inside the bracket, whose width lies in
     [6^(mn), 6^(mn) 2^n]; each case is a (dimension n, lattice L, slots m)."""
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     worst_ratio_margin = 0.0
     narrowest = math.inf
     ok = True
@@ -420,7 +421,7 @@ def check_maximal_bracket(
 
 def check_riesz_symmetry_and_pairing(seed: int) -> CheckResult:
     """Odd symmetry at the center and the exact adjoint pairing identity."""
-    rng = np.random.default_rng(seed)
+    rng = Draws(seed)
     lattice = Lattice(default_box(1), 6)
     N = lattice.cells_per_axis
     vals = np.zeros(lattice.shape)

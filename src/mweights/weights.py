@@ -18,7 +18,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +36,9 @@ from .grid import (
     common_lattice,
     cube_averages,
 )
+
+if TYPE_CHECKING:
+    from ._draws import Draws
 
 __all__ = [
     "ExponentTuple",
@@ -493,9 +496,10 @@ def dualize(wv: WeightVector, i: int) -> WeightVector:
     return WeightVector(new_weights, ExponentTuple(new_exps))
 
 
-def random_weight(rng: np.random.Generator, lattice: Lattice, p_i: float) -> Weight:
+def random_weight(rng: Draws, lattice: Lattice, p_i: float) -> Weight:
     """A random admissible weight for slot exponent ``p_i``: a power law or
-    dyadic steps, with even odds.
+    dyadic steps, with even odds, drawn from ``rng``, a :class:`Draws` (or
+    anything with its ``random``, ``uniform`` and ``integers``).
 
     Power exponents stay in (-0.4, min(1.5, 0.9 (p_i - 1))), where both the
     weight and its slot dual are locally integrable with margin.
